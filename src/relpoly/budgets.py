@@ -7,6 +7,7 @@ _DEFAULTS = {
     "RELPOLY_TUPLE_BUDGET": 10**7,        # candidate tuples |A|^p per interpretation
     "RELPOLY_DNF_BUDGET": 10**5,          # literal instances in a DNF expansion
     "RELPOLY_BASIS_BUDGET": 10**6,        # intermediate terms in the hom-basis pipeline
+    "RELPOLY_SEARCH_BUDGET": 10**8,       # candidate images tried by one hom/inj/ind count
 }
 
 
@@ -31,3 +32,7 @@ def dnf_budget() -> int:
 
 def basis_budget() -> int:
     return get("RELPOLY_BASIS_BUDGET")
+
+
+def search_budget() -> int:
+    return get("RELPOLY_SEARCH_BUDGET")

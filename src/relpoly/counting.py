@@ -1,4 +1,4 @@
-"""Exact hom/inj/ind counting by backtracking, quotients, and the
+"""Exact hom/inj/ind counting by indexed candidate search, quotients, and the
 partition-lattice machinery tying the three counts together."""
 
 from __future__ import annotations
@@ -7,6 +7,7 @@ import math
 from dataclasses import dataclass
 from itertools import product
 
+from . import budgets
 from .errors import BudgetError, SignatureError
 from .structures import Signature, Structure, lift, make_structure
 
@@ -145,58 +146,117 @@ def _search_order(pattern: Structure, vertices: list[int]) -> list[int]:
     return order
 
 
-def _count_maps(pattern: Structure, target: Structure, vertices: list[int],
-                injective: bool, induced_check: bool) -> tuple[int, int]:
-    """Count relation-preserving maps of `vertices` into the target."""
-    order = _search_order(pattern, vertices)
+def _candidate_index(rel, here: tuple[int, ...], bound: tuple[int, ...]) -> dict:
+    """Map the images at the `bound` positions of a target tuple to the set of
+    w that fill every `here` position of some tuple of `rel` agreeing with
+    them."""
+    index: dict[tuple[int, ...], set[int]] = {}
+    first, rest = here[0], here[1:]
+    for s in rel:
+        w = s[first]
+        if all(s[i] == w for i in rest):
+            index.setdefault(tuple(s[i] for i in bound), set()).add(w)
+    return index
+
+
+def _compile_lookups(pattern: Structure, target: Structure, order: list[int]) -> list:
+    """Per depth, the (index, bound vertices) lookups for the tuples whose
+    last-placed vertex sits at that depth.
+
+    A tuple's shape is its relation and which positions hold the vertex being
+    placed; one index serves every tuple of the same shape, and an index equal
+    to one already built (E(u,v) and E(v,u) in a symmetric relation) is shared
+    so that the search looks it up once.
+    """
     position = {v: i for i, v in enumerate(order)}
-    # Tuples checked as soon as their last vertex (in search order) is placed.
-    check_at: list[list[tuple[int, tuple[int, ...]]]] = [[] for _ in order]
+    indexes: dict[tuple, dict] = {}
+    lookups: list[dict] = [{} for _ in order]
     for idx, rel in enumerate(pattern.relations):
         for t in rel:
-            if all(v in position for v in t):
-                check_at[max(position[v] for v in t)].append((idx, t))
-    target_sets = target.rel_sets()
+            if not all(u in position for u in t):
+                continue
+            depth = max(position[u] for u in t)
+            v = order[depth]
+            here = tuple(i for i, u in enumerate(t) if u == v)
+            bound = tuple(i for i, u in enumerate(t) if u != v)
+            shape = (idx, here, bound)
+            index = indexes.get(shape)
+            if index is None:
+                index = _candidate_index(target.relations[idx], here, bound)
+                index = next((b for b in indexes.values() if b == index), index)
+                indexes[shape] = index
+            us = tuple(t[i] for i in bound)
+            lookups[depth][id(index), us] = (index, us)
+    return [list(at.values()) for at in lookups]
+
+
+def _count_maps(pattern: Structure, target: Structure, vertices: list[int],
+                mode: str, nodes: int, budget: int) -> tuple[int, int]:
+    """Count relation-preserving maps of `vertices` into the target by an
+    indexed candidate search.
+
+    `mode` is "hom", "inj" or "ind".  `nodes` is the count of candidate images
+    tried before this call and the return value includes it; the search stops
+    with BudgetError once it exceeds `budget`.
+    """
+    injective = mode != "hom"
+    induced_check = mode == "ind"
+    order = _search_order(pattern, vertices)
+    lookups = _compile_lookups(pattern, target, order)
+    last = len(order) - 1
     n = target.domain
-    image: dict[int, int] = {}
+    everything = frozenset(range(n)) if injective else range(n)
+    pattern_sets = pattern.rel_sets() if induced_check else ()
+    image = [0] * pattern.domain
     used: set[int] = set()
-    nodes = 0
 
     def verify_induced() -> bool:
-        img = set(image.values())
-        inverse = {w: v for v, w in image.items()}
-        for idx, rel in enumerate(target.relations):
-            pattern_rel = frozenset(pattern.relations[idx])
+        inverse = {image[v]: v for v in order}
+        for rel, pattern_rel in zip(target.relations, pattern_sets):
             for t in rel:
-                if all(w in img for w in t):
+                if all(w in inverse for w in t):
                     if tuple(inverse[w] for w in t) not in pattern_rel:
                         return False
         return True
 
     def extend(depth: int) -> int:
         nonlocal nodes
-        if depth == len(order):
-            if induced_check and not verify_induced():
-                return 0
-            return 1
+        if depth > last:
+            return 0 if induced_check and not verify_induced() else 1
+        checks = lookups[depth]
+        if checks:
+            sets = []
+            for index, us in checks:
+                found = index.get(tuple([image[u] for u in us]))
+                if not found:
+                    return 0
+                sets.append(found)
+            if len(sets) == 1:
+                candidates = sets[0]
+            else:
+                sets.sort(key=len)
+                candidates = sets[0].intersection(*sets[1:])
+        else:
+            candidates = everything
+        if injective and used:
+            candidates = candidates - used
+        nodes += len(candidates)
+        if nodes > budget:
+            raise BudgetError(
+                f"{mode} search explored {nodes} nodes, over the budget of {budget}"
+            )
+        if depth == last and not induced_check:
+            return len(candidates)
         v = order[depth]
         total = 0
-        for w in range(n):
-            if injective and w in used:
-                continue
-            nodes += 1
+        for w in candidates:
             image[v] = w
-            ok = all(
-                tuple(image[u] for u in t) in target_sets[idx]
-                for idx, t in check_at[depth]
-            )
-            if ok:
-                if injective:
-                    used.add(w)
+            if injective:
+                used.add(w)
                 total += extend(depth + 1)
-                if injective:
-                    used.discard(w)
-            del image[v]
+                used.discard(w)
+            else:
+                total += extend(depth + 1)
         return total
 
     return extend(0), nodes
@@ -206,12 +266,12 @@ def hom_count(pattern: Structure, target: Structure) -> CountReport:
     """All relation-preserving maps; factorizes over the pattern's connected
     components and multiplies the per-component counts."""
     pattern, target = _aligned(pattern, target)
+    budget = budgets.search_budget()
     value = 1
     nodes = 0
     for component in gaifman_components(pattern):
-        sub, sub_nodes = _count_maps(pattern, target, component, False, False)
+        sub, nodes = _count_maps(pattern, target, component, "hom", nodes, budget)
         value *= sub
-        nodes += sub_nodes
         if value == 0:
             break
     return CountReport(value, "hom", nodes)
@@ -222,7 +282,8 @@ def inj_count(pattern: Structure, target: Structure) -> CountReport:
     pattern, target = _aligned(pattern, target)
     if pattern.domain > target.domain:
         return CountReport(0, "inj", 0)
-    value, nodes = _count_maps(pattern, target, list(range(pattern.domain)), True, False)
+    value, nodes = _count_maps(pattern, target, list(range(pattern.domain)), "inj", 0,
+                               budgets.search_budget())
     return CountReport(value, "inj", nodes)
 
 
@@ -231,7 +292,8 @@ def ind_count(pattern: Structure, target: Structure) -> CountReport:
     pattern, target = _aligned(pattern, target)
     if pattern.domain > target.domain:
         return CountReport(0, "ind", 0)
-    value, nodes = _count_maps(pattern, target, list(range(pattern.domain)), True, True)
+    value, nodes = _count_maps(pattern, target, list(range(pattern.domain)), "ind", 0,
+                               budgets.search_budget())
     return CountReport(value, "ind", nodes)
 
 

@@ -335,6 +335,10 @@ _TOKEN = re.compile(
 
 _KEYWORDS = {"true", "false", "exists", "forall"}
 
+# Nesting deeper than this would overflow the recursive parser, the recursive
+# passes over the AST, or Python's own parser on the compiled evaluator.
+MAX_NESTING = 100
+
 
 class _Tokens:
     def __init__(self, text: str):
@@ -354,6 +358,7 @@ class _Tokens:
             self.tokens.append((kind, value, m.start(kind) + 1))
             pos = m.end()
         self.pos = 0
+        self.depth = 0
 
     def peek(self):
         if self.pos < len(self.tokens):
@@ -371,24 +376,35 @@ class _Tokens:
             raise FormulaParseError(f"expected {what}", tok[2])
         return tok
 
+    def nest(self, offset: int):
+        """Enter one nesting level; the caller leaves it with `depth -= 1`."""
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise FormulaParseError(f"formula nested deeper than {MAX_NESTING} levels", offset)
+
 
 def _parse_formula_node(tk: _Tokens) -> Node:
     return _parse_iff(tk)
 
 
 def _parse_iff(tk: _Tokens) -> Node:
+    # a <-> b <-> c nests to the left, one level per operator
+    entered = tk.depth
     node = _parse_imp(tk)
     while tk.peek()[0] == "iff":
-        tk.next()
+        tk.nest(tk.next()[2])
         node = Iff(node, _parse_imp(tk))
+    tk.depth = entered
     return node
 
 
 def _parse_imp(tk: _Tokens) -> Node:
     left = _parse_or(tk)
     if tk.peek()[0] == "imp":
-        tk.next()
-        return Implies(left, _parse_imp(tk))
+        tk.nest(tk.next()[2])
+        node = Implies(left, _parse_imp(tk))
+        tk.depth -= 1
+        return node
     return left
 
 
@@ -410,15 +426,17 @@ def _parse_and(tk: _Tokens) -> Node:
 
 def _parse_unary(tk: _Tokens) -> Node:
     kind, value, offset = tk.peek()
+    if kind not in ("not", "lpar"):
+        return _parse_atom(tk)
+    tk.next()
+    tk.nest(offset)
     if kind == "not":
-        tk.next()
-        return Not(_parse_unary(tk))
-    if kind == "lpar":
-        tk.next()
+        node = Not(_parse_unary(tk))
+    else:
         node = _parse_formula_node(tk)
         tk.expect("rpar", "')'")
-        return node
-    return _parse_atom(tk)
+    tk.depth -= 1
+    return node
 
 
 def _parse_atom(tk: _Tokens) -> Node:
@@ -433,9 +451,10 @@ def _parse_atom(tk: _Tokens) -> Node:
         var = tk.expect("ident", "a variable")[1]
         if var in _KEYWORDS:
             raise FormulaParseError("expected a variable", offset)
-        tk.expect("lpar", "'('")
+        tk.nest(tk.expect("lpar", "'('")[2])
         body = _parse_formula_node(tk)
         tk.expect("rpar", "')'")
+        tk.depth -= 1
         return Exists(var, body) if value == "exists" else Forall(var, body)
     if tk.peek()[0] == "lpar":
         tk.next()
@@ -523,7 +542,16 @@ def formula_to_text(phi: Formula | Node) -> str:
 # ---------------------------------------------------------------------------
 # Evaluation
 
-def _compile_node(node: Node, env: dict[str, str], sig_index: dict[str, int]) -> str:
+def _compile_node(node: Node, env: dict[str, str], sig_index: dict[str, int],
+                  depth: int = 0) -> str:
+    # Every compound node opens exactly one parenthesis (an atom two), so the
+    # nesting limit keeps the generated expression within Python's parser.
+    if depth > MAX_NESTING:
+        raise FormulaParseError(f"formula nested deeper than {MAX_NESTING} levels", 1)
+
+    def sub(child: Node, inner_env: dict[str, str] = env) -> str:
+        return _compile_node(child, inner_env, sig_index, depth + 1)
+
     if isinstance(node, TrueNode):
         return "True"
     if isinstance(node, FalseNode):
@@ -534,24 +562,21 @@ def _compile_node(node: Node, env: dict[str, str], sig_index: dict[str, int]) ->
         args = ",".join(env[a] for a in node.args)
         return f"(({args},) in r{sig_index[node.symbol]})"
     if isinstance(node, Not):
-        return f"(not {_compile_node(node.body, env, sig_index)})"
+        return f"(not {sub(node.body)})"
     if isinstance(node, And):
-        return "(" + " and ".join(_compile_node(p, env, sig_index) for p in node.parts) + ")"
+        return "(" + " and ".join(sub(p) for p in node.parts) + ")"
     if isinstance(node, Or):
-        return "(" + " or ".join(_compile_node(p, env, sig_index) for p in node.parts) + ")"
+        return "(" + " or ".join(sub(p) for p in node.parts) + ")"
     if isinstance(node, Implies):
-        return (f"((not {_compile_node(node.left, env, sig_index)}) or "
-                f"{_compile_node(node.right, env, sig_index)})")
+        return f"(not {sub(node.left)} or {sub(node.right)})"
     if isinstance(node, Iff):
-        return (f"({_compile_node(node.left, env, sig_index)} == "
-                f"{_compile_node(node.right, env, sig_index)})")
+        return f"({sub(node.left)} == {sub(node.right)})"
     if isinstance(node, (Exists, Forall)):
         local = f"q{len(env)}"
         inner_env = dict(env)
         inner_env[node.var] = local
-        body = _compile_node(node.body, inner_env, sig_index)
         comb = "any" if isinstance(node, Exists) else "all"
-        return f"{comb}({body} for {local} in range(n))"
+        return f"{comb}({sub(node.body, inner_env)} for {local} in range(n))"
     raise TypeError(f"unknown node {node!r}")
 
 

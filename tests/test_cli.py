@@ -232,6 +232,21 @@ def test_budget_env_override(files, capsys, monkeypatch):
     _cli(capsys, ["eval", "--formula", "E(x,y)", "--in", files["k3"]])
 
 
+def test_search_budget_fails_count(files, capsys, monkeypatch):
+    monkeypatch.setenv("RELPOLY_SEARCH_BUDGET", "5")
+    captured = _cli(capsys, ["count", "--mode", "hom",
+                             "--pattern", files["k3"], "--target", files["k3"]], expect=1)
+    assert captured.out == ""
+    assert "check failed" in captured.err and "hom search explored" in captured.err
+
+
+def test_deeply_nested_formula_is_a_parse_error(files, capsys):
+    deep = "(" * 400 + "E(x,y)" + ")" * 400
+    captured = _cli(capsys, ["eval", "--formula", deep, "--in", files["k3"]], expect=2)
+    assert captured.out == ""
+    assert "nested deeper" in captured.err
+
+
 def test_emit_report_formats():
     from relpoly import BasicSeq, InterpretedSeq, detect_polynomial, forget_orientation_scheme
     from relpoly.cli import emit_report

@@ -1,9 +1,11 @@
 import random
+from itertools import product
 
 import pytest
 
 from relpoly import (
     GRAPH_SIG,
+    BudgetError,
     SignatureError,
     copies,
     disjoint_union,
@@ -24,6 +26,7 @@ from relpoly import (
 from relpoly.counting import gaifman_components, validate_partition
 
 from genutil import K1, K2, K3, P3, graph, random_graph, random_structure
+from oracle_counting import oracle_hom, oracle_ind, oracle_inj
 
 
 def test_hom_examples():
@@ -176,3 +179,72 @@ def test_counts_agree_with_full_enumeration():
         assert hom_count(f, a).value == brute_hom
         assert inj_count(f, a).value == brute_inj
         assert ind_count(f, a).value == brute_ind
+
+
+def _enumerate_counts(f, a) -> tuple[int, int, int]:
+    """(hom, inj, ind) by trying every map of f's domain into a's; f and a
+    share one signature."""
+    fsets, asets = f.rel_sets(), a.rel_sets()
+    arities = [arity for _, arity in f.signature.symbols]
+    homv = injv = indv = 0
+    for image in product(range(a.domain), repeat=f.domain):
+        if not all(tuple(image[u] for u in t) in aset
+                   for fset, aset in zip(fsets, asets) for t in fset):
+            continue
+        homv += 1
+        if len(set(image)) < f.domain:
+            continue
+        injv += 1
+        if all((tuple(image[u] for u in t) in aset) == (t in fset)
+               for fset, aset, arity in zip(fsets, asets, arities)
+               for t in product(range(f.domain), repeat=arity)):
+            indv += 1
+    return homv, injv, indv
+
+
+def test_kernel_agrees_with_oracle_and_enumeration():
+    # unary, binary and ternary symbols; random tuples include loops and
+    # repeated vertices such as T(x,y,x); domains start at 0
+    signature = sig(("R", 2), ("U", 1), ("T", 3))
+    fixed = [
+        (make_structure(signature, 1, {"R": [(0, 0)]}),
+         make_structure(signature, 3, {"R": [(0, 0), (0, 1), (2, 2)]})),
+        (make_structure(signature, 2, {"T": [(0, 1, 0)], "U": [(1,)]}),
+         make_structure(signature, 3, {"T": [(0, 1, 0), (1, 1, 1), (2, 0, 1)],
+                                       "U": [(1,), (2,)]})),
+        (make_structure(signature, 3, {"T": [(0, 0, 1), (1, 2, 2)]}),
+         make_structure(signature, 3, {"T": [(0, 0, 1), (1, 1, 1), (1, 2, 2), (2, 2, 2)]})),
+        (make_structure(signature, 0), make_structure(signature, 0)),
+        (make_structure(signature, 0), make_structure(signature, 2, {"U": [(0,)]})),
+        (make_structure(signature, 2), make_structure(signature, 0)),
+    ]
+    rng = random.Random(48)
+    cases = list(fixed)
+    for i in range(300):
+        target = random_structure(rng, signature, rng.randrange(0, 6),
+                                  rng.choice((0.2, 0.4, 0.7)))
+        if i % 4 == 0:  # disconnected: two random parts side by side
+            pattern = disjoint_union(random_structure(rng, signature, rng.randrange(0, 3), 0.2),
+                                     random_structure(rng, signature, rng.randrange(1, 3), 0.2))
+        else:
+            pattern = random_structure(rng, signature, rng.randrange(0, 5),
+                                       rng.choice((0.05, 0.15, 0.3)))
+        cases.append((pattern, target))
+    for pattern, target in cases:
+        expected = _enumerate_counts(pattern, target)
+        for count, oracle, value in zip((hom_count, inj_count, ind_count),
+                                        (oracle_hom, oracle_inj, oracle_ind), expected):
+            report = count(pattern, target)
+            oracle_value, oracle_nodes = oracle(pattern, target)
+            assert report.value == oracle_value == value, (count.__name__, pattern, target)
+            assert report.nodes_explored <= oracle_nodes, (count.__name__, pattern, target)
+
+
+def test_search_budget(monkeypatch):
+    f = disjoint_union(P3, K2)
+    assert hom_count(f, K3).nodes_explored > 20
+    monkeypatch.setenv("RELPOLY_SEARCH_BUDGET", "20")
+    for count, mode in ((hom_count, "hom"), (inj_count, "inj"), (ind_count, "ind")):
+        with pytest.raises(BudgetError, match=f"{mode} search explored 2[1-9] nodes"):
+            count(f, graph(6, [(i, j) for i in range(6) for j in range(i + 1, 6)]))
+    assert hom_count(K2, K3).value == 6

@@ -56,6 +56,26 @@ def test_parse_error_offset():
         parse_formula("E(x,y) E(y,x)", sig(("E", 2)))
 
 
+def test_nesting_limit():
+    edge = sig(("E", 2))
+    for deep in ("(" * 400 + "E(x,y)" + ")" * 400,
+                 "!" * 400 + "E(x,y)",
+                 " <-> ".join(["E(x,y)"] * 400),
+                 " -> ".join(["E(x,y)"] * 400),
+                 "exists z (" * 400 + "E(x,y)" + ")" * 400):
+        with pytest.raises(FormulaParseError, match="nested deeper than 100"):
+            parse_formula(deep, edge)
+    k2 = make_structure(edge, 2, {"E": [(0, 1), (1, 0)]})
+    assert count_satisfying(parse_formula("(" * 100 + "E(x,y)" + ")" * 100, edge), k2) == 2
+    assert count_satisfying(parse_formula("!" * 100 + "E(x,y)", edge), k2) == 2
+    # parsed within the limit, but And/Or alternate below each parenthesis
+    text = "E(x,y)"
+    for _ in range(60):
+        text = f"({text} & E(y,x) | x = y)"
+    with pytest.raises(FormulaParseError, match="nested deeper than 100"):
+        count_satisfying(parse_formula(text, edge), k2)
+
+
 def test_binding_errors():
     with pytest.raises(BindingError):
         parse_formula("Q(x)", SIG_R)
