@@ -8,6 +8,7 @@ combination of homomorphism counts.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from functools import lru_cache
@@ -616,49 +617,45 @@ def evaluator(phi: Formula, s: Structure):
     return lambda a: fn(a, n, *rels)
 
 
+def quantifier_depth(node: Node) -> int:
+    """Deepest nesting of quantifiers in the formula tree."""
+    deepest = 0
+    stack = [(node, 0)]
+    while stack:
+        n, depth = stack.pop()
+        if isinstance(n, (Exists, Forall)):
+            depth += 1
+            deepest = max(deepest, depth)
+        stack.extend((child, depth) for child in _children(n))
+    return deepest
+
+
+def _charge_assignments(phi: Formula, s: Structure, p: int, budget: int | None) -> None:
+    """Refuse an evaluation whose |A|^(p+d) assignments, with p free and d
+    nested quantified variables, exceed the assignment budget."""
+    exponent = p + quantifier_depth(phi.root)
+    total = s.domain ** exponent
+    limit = budget if budget is not None else budgets.assignment_budget()
+    if total > limit:
+        raise BudgetError(
+            f"{total} assignments (|A|^{exponent}) exceed the budget of {limit}"
+        )
+
+
 def eval_formula(phi: Formula, s: Structure, assignment: dict[str, int]) -> bool:
     """Standard satisfaction; quantifiers range over the full domain."""
     try:
         a = tuple(assignment[v] for v in phi.free_vars)
     except KeyError as exc:
         raise BindingError(f"assignment is missing variable {exc.args[0]!r}") from exc
+    _charge_assignments(phi, s, 0, None)
     return evaluator(phi, s)(a)
-
-
-def _eval_node(node: Node, s: Structure, env: dict[str, int]) -> bool:
-    """Reference interpreter (used to cross-check the compiled path)."""
-    if isinstance(node, TrueNode):
-        return True
-    if isinstance(node, FalseNode):
-        return False
-    if isinstance(node, Eq):
-        return env[node.left] == env[node.right]
-    if isinstance(node, Atom):
-        return tuple(env[a] for a in node.args) in set(s.rel(node.symbol))
-    if isinstance(node, Not):
-        return not _eval_node(node.body, s, env)
-    if isinstance(node, And):
-        return all(_eval_node(p, s, env) for p in node.parts)
-    if isinstance(node, Or):
-        return any(_eval_node(p, s, env) for p in node.parts)
-    if isinstance(node, Implies):
-        return (not _eval_node(node.left, s, env)) or _eval_node(node.right, s, env)
-    if isinstance(node, Iff):
-        return _eval_node(node.left, s, env) == _eval_node(node.right, s, env)
-    if isinstance(node, Exists):
-        return any(_eval_node(node.body, s, {**env, node.var: w}) for w in range(s.domain))
-    if isinstance(node, Forall):
-        return all(_eval_node(node.body, s, {**env, node.var: w}) for w in range(s.domain))
-    raise TypeError(f"unknown node {node!r}")
 
 
 def satisfying_tuples(phi: Formula, s: Structure, budget: int | None = None):
     """Stream the satisfying assignments in lexicographic order."""
     p = len(phi.free_vars)
-    total = s.domain ** p if p else 1
-    limit = budget if budget is not None else budgets.assignment_budget()
-    if total > limit:
-        raise BudgetError(f"{total} assignments exceed the budget of {limit}")
+    _charge_assignments(phi, s, p, budget)
     test = evaluator(phi, s)
     if p == 0:
         if test(()):
@@ -787,14 +784,18 @@ def qf_to_hom_basis(phi: Formula, budget: int | None = None) -> HomBasis:
     count, induced counts convert to injective ones by inclusion-exclusion
     over super-patterns, and injective ones to homomorphism counts by Moebius
     inversion over quotient partitions; like terms merge by canonical key.
+    The result is cached per formula and resolved budget.
     """
     if not phi.is_quantifier_free:
         raise BindingError("hom-basis decomposition needs a quantifier-free formula")
-    p = len(phi.free_vars)
-    if p == 0:
+    if not phi.free_vars:
         raise BindingError("hom-basis decomposition needs at least one free variable")
-    limit = budget if budget is not None else budgets.basis_budget()
+    return _decompose(phi, budget if budget is not None else budgets.basis_budget())
 
+
+@lru_cache(maxsize=256)
+def _decompose(phi: Formula, limit: int) -> HomBasis:
+    p = len(phi.free_vars)
     occurring = atom_symbols(phi.root)
     base_sig = phi.signature.restrict([n for n in phi.signature.names if n in occurring])
     base = Formula(phi.root, base_sig, phi.free_vars)
@@ -834,3 +835,48 @@ def qf_to_hom_basis(phi: Formula, budget: int | None = None) -> HomBasis:
     ]
     terms.sort(key=lambda item: (item[1].domain, canonical_form(item[1])))
     return HomBasis(tuple(terms))
+
+
+# ---------------------------------------------------------------------------
+# Counting route
+
+def _stirling2(n: int, k: int) -> int:
+    """Number of partitions of an n-set into k blocks."""
+    return sum((-1) ** j * math.comb(k, j) * (k - j) ** n for j in range(k + 1)) \
+        // math.factorial(k)
+
+
+def basis_work(phi: Formula, cap: int | None = None) -> int:
+    """Bound W(phi) on the terms qf_to_hom_basis enumerates for phi.
+
+    With p free variables and N_k = sum of k^arity over the symbols occurring
+    in phi, W = sum_{k=1..p} (S(p,k) + 1 + Bell(k)) * 3^N_k: at most
+    S(p,k) * 2^N_k diagrams, 3^N_k super-patterns of distinct diagrams and
+    Bell(k) * 2^N_k quotients on k vertices.  The sum stops once it passes
+    `cap`, so an oversized formula is refused without the whole bound.
+    """
+    p = len(phi.free_vars)
+    arities = [phi.signature.arity(name) for name in atom_symbols(phi.root)]
+    total = 0
+    for k in range(1, p + 1):
+        bell = sum(_stirling2(k, j) for j in range(k + 1))
+        total += (_stirling2(p, k) + 1 + bell) * 3 ** sum(k ** a for a in arities)
+        if cap is not None and total > cap:
+            break
+    return total
+
+
+def satisfying_counter(phi: Formula, budget: int | None = None):
+    """The way to count |phi(A)| for many structures A: a function from a
+    structure to its count.
+
+    A quantifier-free phi with free variables whose basis_work fits the
+    basis budget is counted through its (cached) hom basis, a few hom counts
+    per structure; anything else by count_satisfying under the assignment
+    budget `budget`.
+    """
+    if phi.free_vars and phi.is_quantifier_free:
+        limit = budgets.basis_budget()
+        if basis_work(phi, cap=limit) <= limit:
+            return qf_to_hom_basis(phi, limit).value
+    return lambda s: count_satisfying(phi, s, budget)

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import FormulaParseError, SignatureError
+from .logic import MAX_NESTING
 
 
 @dataclass(frozen=True)
@@ -161,6 +162,7 @@ class _PolyParser:
             self.tokens.append((kind, m.group(kind), m.start(kind) + 1))
             pos = m.end()
         self.pos = 0
+        self.depth = 0
 
     def peek(self):
         if self.pos < len(self.tokens):
@@ -213,15 +215,21 @@ class _PolyParser:
             return [int(value)]
         if kind == "n":
             return [0, 1]
+        if value not in ("(", "-"):
+            raise FormulaParseError("expected a polynomial term", offset)
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise FormulaParseError(
+                f"polynomial nested deeper than {MAX_NESTING} levels", offset)
         if value == "(":
             inner = self.expr()
             tok = self.next()
             if tok[1] != ")":
                 raise FormulaParseError("expected ')'", tok[2])
-            return inner
-        if value == "-":
-            return _sub([0], self.factor())
-        raise FormulaParseError("expected a polynomial term", offset)
+        else:
+            inner = _sub([0], self.factor())
+        self.depth -= 1
+        return inner
 
 
 def _add(a, b):

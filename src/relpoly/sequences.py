@@ -23,7 +23,7 @@ from .interp import (
     scheme_to_text,
     PRODUCT_OPS,
 )
-from .logic import Formula, count_satisfying
+from .logic import Formula, satisfying_counter
 from .polynomials import IntPolynomial, interpolate, parse_polynomial
 from .structures import (
     GRAPH_SIG,
@@ -460,7 +460,7 @@ def predict_inj_into_ordered_sum(pattern: Structure, inner: SequenceSpec, n: int
     def block(i: int) -> Structure:
         if i not in blocks:
             raw = generate_term(inner, i)
-            lifted = lift(raw, pattern_sig) if raw.signature != pattern_sig else raw
+            lifted = lift(raw, pattern_sig)
             rels = {name: lifted.rel(name) for name in pattern_sig.names}
             rels[u_name] = [(v,) for v in range(lifted.domain)]
             blocks[i] = make_structure(pattern_sig, lifted.domain, rels)
@@ -510,10 +510,10 @@ def _query_degree(query, spec: SequenceSpec) -> int:
     raise TypeError("query must be a pattern structure or a formula")
 
 
-def _query_value(query, term: Structure, budget) -> int:
+def _query_counter(query, budget):
     if isinstance(query, Structure):
-        return hom_count(query, term).value
-    return count_satisfying(query, term, budget)
+        return lambda term: hom_count(query, term).value
+    return satisfying_counter(query, budget)
 
 
 def detect_polynomial(spec: SequenceSpec, query, verify_count: int = 5,
@@ -530,12 +530,13 @@ def detect_polynomial(spec: SequenceSpec, query, verify_count: int = 5,
     samples: list[tuple[int, int]] = []
     verifies: list[tuple[int, int, bool]] = []
     try:
+        count = _query_counter(query, budget)
         for n in range(d_bound + 1):
-            samples.append((n, _query_value(query, generate_term(spec, n, budget), budget)))
+            samples.append((n, count(generate_term(spec, n, budget))))
         fit = interpolate(samples)
         ok = True
         for n in range(d_bound + 1, d_bound + 1 + verify_count):
-            value = _query_value(query, generate_term(spec, n, budget), budget)
+            value = count(generate_term(spec, n, budget))
             match = value == fit(n)
             verifies.append((n, value, match))
             ok = ok and match

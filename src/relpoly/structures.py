@@ -212,6 +212,8 @@ def copies(s: Structure, m: int) -> Structure:
 
 def lift(s: Structure, target: Signature) -> Structure:
     """Reinterpret s over a larger signature; the new symbols get empty relations."""
+    if s.signature == target:
+        return s
     for name, arity in s.signature.symbols:
         if not target.has(name) or target.arity(name) != arity:
             raise SignatureError(f"target signature does not extend {name!r}/{arity}")

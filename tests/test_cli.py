@@ -247,6 +247,25 @@ def test_deeply_nested_formula_is_a_parse_error(files, capsys):
     assert "nested deeper" in captured.err
 
 
+def test_deeply_nested_polynomial_in_spec_is_a_parse_error(tmp_path, capsys):
+    spec = {"variant": "Basic", "k": 1, "l": 0, "orders": ["(" * 400 + "n" + ")" * 400]}
+    spec_path = tmp_path / "deep.json"
+    spec_path.write_text(json.dumps(spec))
+    captured = _cli(capsys, ["detect", "--spec", str(spec_path), "--formula", "S1(x,y)"],
+                    expect=2)
+    assert captured.out == ""
+    assert "nested deeper" in captured.err
+
+
+def test_deep_quantifiers_fail_the_assignment_budget(files, capsys):
+    deep = "exists z (" * 99 + "E(x,y)" + ")" * 99
+    for extra in ([], ["--list"], ["--assign", "0,1"]):
+        captured = _cli(capsys, ["eval", "--formula", deep, "--in", files["k3"], *extra],
+                        expect=1)
+        assert captured.out == ""
+        assert "check failed" in captured.err and "budget" in captured.err
+
+
 def test_emit_report_formats():
     from relpoly import BasicSeq, InterpretedSeq, detect_polynomial, forget_orientation_scheme
     from relpoly.cli import emit_report

@@ -22,7 +22,8 @@ from relpoly import (
     to_dnf,
     weakly_isomorphic,
 )
-from relpoly.logic import _eval_node
+from relpoly.logic import basis_work
+from oracle_logic import _eval_node
 
 from genutil import random_graph, random_qf_formula, random_structure
 
@@ -119,6 +120,23 @@ def test_count_satisfying():
     assert tuples == [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
     with pytest.raises(BudgetError):
         count_satisfying(parse_formula("S(x1,x2)", t4.signature), t4, budget=3)
+
+
+def test_quantifiers_count_against_the_assignment_budget():
+    edge = sig(("E", 2))
+    g = random_graph(random.Random(3), 3)
+    deep = parse_formula("exists z (" * 99 + "E(x,y)" + ")" * 99, edge)
+    with pytest.raises(BudgetError, match=r"\|A\|\^101"):
+        count_satisfying(deep, g)
+    with pytest.raises(BudgetError):
+        list(satisfying_tuples(deep, g))
+    with pytest.raises(BudgetError):
+        eval_formula(deep, g, {"x": 0, "y": 1})
+    # |A|^(p+d) = 3^3 = 27: one quantifier over two free variables
+    one = parse_formula("exists z (E(x,z) & E(z,y))", edge)
+    assert count_satisfying(one, g, budget=27) == count_satisfying(one, g)
+    with pytest.raises(BudgetError):
+        count_satisfying(one, g, budget=26)
 
 
 def test_compiled_matches_reference_interpreter():
@@ -234,6 +252,26 @@ def test_hom_basis_invariant_under_dnf():
         key1 = sorted((c, canonical_form(p)) for c, p in b1.terms)
         key2 = sorted((c, canonical_form(p)) for c, p in b2.terms)
         assert key1 == key2
+
+
+def test_basis_work_bound():
+    graph = sig(("E", 2))
+    # sum over k = 1..3 of (S(3,k) + 1 + Bell(k)) * 3^(k^2)
+    p3ind = parse_formula("E(x,y) & E(y,z) & !E(x,z) & !(x=z)", graph)
+    assert basis_work(p3ind) == 3 * 3 + 6 * 3**4 + 7 * 3**9 == 138276
+    assert basis_work(parse_formula("x = y", graph)) == (1 + 1 + 1) + (1 + 1 + 2)
+    rq = parse_formula("R(x,y) & Q(y,z) & !(x = z)", sig(("R", 2), ("Q", 2)))
+    assert basis_work(rq) == 3 * 3**2 + 6 * 3**8 + 7 * 3**18
+    assert 10**3 < basis_work(rq, cap=10**3) < basis_work(rq)
+    many = parse_formula(" & ".join(f"x{i} = x{i + 1}" for i in range(300)), graph)
+    assert basis_work(many, cap=10**6) > 10**6
+
+
+def test_hom_basis_is_cached_per_budget():
+    phi = parse_formula("R(x1,x2) & !R(x2,x1)", SIG_R)
+    assert qf_to_hom_basis(phi) is qf_to_hom_basis(phi)
+    with pytest.raises(BudgetError):
+        qf_to_hom_basis(phi, budget=2)
 
 
 def test_hom_basis_rejects_bad_inputs():

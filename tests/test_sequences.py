@@ -6,6 +6,7 @@ from relpoly import (
     GRAPH_SIG,
     BasicSeq,
     CopiesSeq,
+    FormulaParseError,
     InterpretedSeq,
     OrderedSumSeq,
     ReindexedSeq,
@@ -15,6 +16,7 @@ from relpoly import (
     build_transitive_tournament,
     canonical_form,
     constant_seq,
+    count_satisfying,
     custom_seq,
     detect_polynomial,
     domain_degree,
@@ -29,6 +31,7 @@ from relpoly import (
     ordered_splits,
     parse_formula,
     parse_polynomial,
+    parse_scheme,
     predict_inj_into_ordered_sum,
     product_sequences,
     signature_of,
@@ -38,7 +41,10 @@ from relpoly import (
     telescoped_inj,
     weakly_isomorphic,
 )
-from relpoly.gallery import crown_scheme, cycle_graph
+from relpoly import logic
+from relpoly.budgets import basis_budget
+from relpoly.gallery import ENTRIES, crown_scheme, cycle_graph
+from relpoly.logic import basis_work
 from relpoly.polynomials import constant
 
 from genutil import K1, K2, K3, graph
@@ -54,6 +60,14 @@ def test_polynomial_parse_and_basis():
     p = parse_polynomial("(n+1)^2")
     assert [p(n) for n in range(4)] == [1, 4, 9, 16]
     assert parse_polynomial(parse_polynomial("n^3-n").to_expression()) == parse_polynomial("n^3-n")
+
+
+def test_polynomial_nesting_limit():
+    assert parse_polynomial("(" * 100 + "n" + ")" * 100) == N
+    assert parse_polynomial("-" * 100 + "n") == N
+    for deep in ("(" * 400 + "n" + ")" * 400, "-" * 400 + "n", "-(" * 60 + "n" + ")" * 60):
+        with pytest.raises(FormulaParseError, match="nested deeper than 100"):
+            parse_polynomial(deep)
 
 
 def test_interpolate():
@@ -313,6 +327,110 @@ def test_detector_formula_queries_on_basic_specs():
         fit = detect_polynomial(spec, phi)
         assert fit.verdict == "Polynomial", (fit.verdict, fit.note)
         assert all(m for _, _, m in fit.verify_points)
+
+
+# The benchmark's detect formulas over graphs.
+DETECT_FORMULAS = (
+    "E(x,y) & E(y,z) & !E(x,z) & !(x=z)",
+    "E(x,y) & !(x=y)",
+    "!E(x,y) & !(x=y)",
+    "x = y | E(x,y)",
+    "E(x,y) -> E(y,x)",
+)
+
+RQ_SCHEME = parse_scheme(
+    "interpretation rq {\n  source: graph;\n  target: sig{R:2,Q:2};\n  p: 1;\n"
+    "  domain(x1): true;\n  R(x1; y1): E(x1,y1);\n"
+    "  Q(x1; y1): !E(x1,y1) & !(x1 = y1);\n}\n"
+)
+
+
+def _brute_force_fit(spec, phi, verify_count=5):
+    """The fit detect_polynomial must give, computed from count_satisfying."""
+    d_bound = len(phi.free_vars) * domain_degree(spec)
+    samples = tuple((n, count_satisfying(phi, generate_term(spec, n)))
+                    for n in range(d_bound + 1))
+    fit = interpolate(samples)
+    verifies = []
+    for n in range(d_bound + 1, d_bound + 1 + verify_count):
+        value = count_satisfying(phi, generate_term(spec, n))
+        verifies.append((n, value, value == fit(n)))
+    verdict = "Polynomial" if all(m for _, _, m in verifies) else "NotPolynomial"
+    return samples, tuple(verifies), fit, verdict
+
+
+def _assert_matches_brute_force(spec, phi):
+    fit = detect_polynomial(spec, phi)
+    samples, verifies, poly, verdict = _brute_force_fit(spec, phi)
+    assert fit.sample_points == samples
+    assert fit.verify_points == verifies
+    assert fit.fit == poly
+    assert fit.verdict == verdict, fit.note
+    return fit
+
+
+@pytest.fixture
+def brute_force_calls(monkeypatch):
+    """Count the detector's calls of count_satisfying (the brute-force route)."""
+    calls = []
+
+    def spy(phi, s, budget=None):
+        calls.append(phi)
+        return count_satisfying(phi, s, budget)
+
+    monkeypatch.setattr(logic, "count_satisfying", spy)
+    return calls
+
+
+def test_detector_formula_route_matches_brute_force_on_gallery(brute_force_calls):
+    for name in ("complete", "crown", "halfGraph"):
+        spec = ENTRIES[name].spec()
+        for text in DETECT_FORMULAS:
+            phi = parse_formula(text, GRAPH_SIG)
+            assert basis_work(phi) <= basis_budget()
+            _assert_matches_brute_force(spec, phi)
+    assert brute_force_calls == []
+
+
+def test_detector_formula_route_matches_brute_force_on_random_formulas():
+    from genutil import random_qf_formula
+
+    spec = BasicSeq(1, 1, (N,))
+    signature = signature_of(spec)
+    rng = random.Random(404)
+    for _ in range(12):
+        phi = random_qf_formula(rng, signature, rng.randrange(1, 4))
+        _assert_matches_brute_force(spec, phi)
+
+
+def test_detector_sentence_takes_brute_force(brute_force_calls):
+    spec = custom_seq("cycle")
+    for text in ("true", "false"):
+        phi = parse_formula(text, GRAPH_SIG, declared_vars=[])
+        _assert_matches_brute_force(spec, phi)
+    assert len(brute_force_calls) == 12
+
+
+def test_detector_oversized_basis_takes_brute_force(brute_force_calls):
+    spec = InterpretedSeq(RQ_SCHEME, custom_seq("cycle"))
+    phi = parse_formula("R(x,y) & Q(y,z) & !(x = z)", signature_of(spec))
+    assert basis_work(phi) > 2 * 10**9 > basis_budget()
+    fit = _assert_matches_brute_force(spec, phi)
+    assert len(brute_force_calls) == 9
+    # on the n-cycle, n >= 4: 2n choices of the arc xy, then n - 3 of z
+    assert fit.verify_points[-1][:2] == (8, 2 * 8 * 5)
+
+
+def test_detector_honours_a_lowered_basis_budget(brute_force_calls, monkeypatch):
+    spec = ENTRIES["crown"].spec()
+    phi = parse_formula(DETECT_FORMULAS[1], GRAPH_SIG)
+    through_basis = detect_polynomial(spec, phi)
+    assert brute_force_calls == []
+    monkeypatch.setenv("RELPOLY_BASIS_BUDGET", "10")
+    through_brute_force = detect_polynomial(spec, phi)
+    assert len(brute_force_calls) == 10
+    assert through_brute_force == through_basis
+    _assert_matches_brute_force(spec, phi)
 
 
 def test_detector_on_ordered_sums():
