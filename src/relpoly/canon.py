@@ -1,49 +1,58 @@
-"""Canonical keys for small structures.
+"""Canonical keys for small structures: the toolkit's one isomorphism engine.
 
 Two structures over the same signature get equal keys exactly when some
 domain bijection carries every relation onto its namesake.  The key is the
 minimum of a per-vertex encoding stream over all labelings compatible with an
-iterated-refinement coloring; branch-and-bound with twin elimination keeps the
-search tractable for the sizes this toolkit works at.
+iterated-refinement coloring.  The search is a branch and bound with twin
+elimination and automorphism pruning (McKay & Piperno, Practical graph
+isomorphism II, 2014): a leaf that repeats the best stream yields an
+automorphism and a jump back to where its labeling parts from the best one,
+and of the candidates in one orbit of the automorphisms fixing the current
+prefix only the first is tried.  Each search level counts against
+RELPOLY_SEARCH_BUDGET.  A signature with a symbol of arity > 2 goes through
+a brute force over all labelings instead, capped at 8 vertices.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 from itertools import permutations
+from typing import TYPE_CHECKING
 
+from . import budgets
 from .errors import BudgetError
-from .structures import Structure
+
+if TYPE_CHECKING:
+    from .structures import Structure
 
 DEFAULT_CAP = 12
 _BRUTE_CAP = 8
 
 
-def _binary_code(s: Structure, u: int, v: int, binary: list[frozenset]) -> int:
-    code = 0
-    for bit, rel in enumerate(binary):
-        if (u, v) in rel:
-            code |= 1 << (2 * bit)
-        if (v, u) in rel:
-            code |= 1 << (2 * bit + 1)
-    return code
-
-
-def _refine_colors(s: Structure, binary: list[frozenset], unary_mask, loop_mask):
+def _codes(s: Structure, binary: list) -> list[list[int]]:
+    """codes[u][v] has bit 2i set when (u, v) is in the i-th binary relation
+    and bit 2i + 1 when (v, u) is."""
     n = s.domain
-    colors = [0] * n
-    ranking = {}
-    for v in range(n):
-        key = (unary_mask[v], loop_mask[v])
-        colors[v] = ranking.setdefault(key, len(ranking))
+    codes = [[0] * n for _ in range(n)]
+    for bit, rel in enumerate(binary):
+        for u, v in rel:
+            codes[u][v] |= 1 << (2 * bit)
+            codes[v][u] |= 1 << (2 * bit + 1)
+    return codes
+
+
+def _refine_colors(codes: list[list[int]], unary_mask, loop_mask):
+    n = len(codes)
+    # Colours are ranks of sorted keys, never of first appearance: the
+    # stream records them, so they must not depend on the labeling.
+    initial = [(unary_mask[v], loop_mask[v]) for v in range(n)]
+    ranking = {key: rank for rank, key in enumerate(sorted(set(initial)))}
+    colors = [ranking[key] for key in initial]
     while True:
         keys = []
         for v in range(n):
-            neigh = sorted(
-                (_binary_code(s, v, u, binary), colors[u])
-                for u in range(n)
-                if u != v and _binary_code(s, v, u, binary)
-            )
+            row = codes[v]
+            neigh = sorted((row[u], colors[u]) for u in range(n) if u != v and row[u])
             keys.append((colors[v], tuple(neigh)))
         ranking = {}
         for key in sorted(set(keys)):
@@ -54,9 +63,16 @@ def _refine_colors(s: Structure, binary: list[frozenset], unary_mask, loop_mask)
         colors = new
 
 
+def _root(orbit: list[int], v: int) -> int:
+    while orbit[v] != v:
+        orbit[v] = orbit[orbit[v]]
+        v = orbit[v]
+    return v
+
+
 def _canonical_stream(s: Structure) -> tuple:
     n = s.domain
-    binary = [frozenset(s.rel(name)) for name, arity in s.signature.symbols if arity == 2]
+    binary = [s.rel(name) for name, arity in s.signature.symbols if arity == 2]
     unary_names = [name for name, arity in s.signature.symbols if arity == 1]
     unary_mask = [0] * n
     for bit, name in enumerate(unary_names):
@@ -64,34 +80,55 @@ def _canonical_stream(s: Structure) -> tuple:
             unary_mask[v] |= 1 << bit
     loop_mask = [0] * n
     for bit, rel in enumerate(binary):
-        for v in range(n):
-            if (v, v) in rel:
+        for u, v in rel:
+            if u == v:
                 loop_mask[v] |= 1 << bit
-    colors = _refine_colors(s, binary, unary_mask, loop_mask)
+    codes = _codes(s, binary)
+    colors = _refine_colors(codes, unary_mask, loop_mask)
 
     def is_twin(u: int, v: int) -> bool:
         if unary_mask[u] != unary_mask[v] or loop_mask[u] != loop_mask[v]:
             return False
-        if _binary_code(s, u, v, binary) != _binary_code(s, v, u, binary):
+        cu, cv = codes[u], codes[v]
+        if cu[v] != cv[u]:
             return False
-        return all(
-            _binary_code(s, u, w, binary) == _binary_code(s, v, w, binary)
-            for w in range(n)
-            if w != u and w != v
-        )
+        return all(cu[w] == cv[w] for w in range(n) if w != u and w != v)
 
+    budget = budgets.search_budget()
+    nodes = 0
     best: list | None = None
+    best_labeled: list[int] = []
+    automorphisms: list[list[int]] = []
+    jump = -1   # depth the search unwinds to after finding an automorphism
     labeled: list[int] = []
     remaining_by_color: dict[int, set[int]] = {}
     for v in range(n):
         remaining_by_color.setdefault(colors[v], set()).add(v)
 
     def search(stream: list):
-        nonlocal best
-        if len(labeled) == n:
+        nonlocal best, best_labeled, nodes, jump
+        depth = len(labeled)
+        if depth == n:
             if best is None or stream < best:
                 best = list(stream)
+                best_labeled = list(labeled)
+            elif stream == best:
+                # Both labelings give the best stream, so the map from one to
+                # the other is an automorphism.  It carries the subtree where
+                # best was found onto the current one from the depth where
+                # the two labelings part, so the rest of it is skipped.
+                gamma = [0] * n
+                for u, v in zip(best_labeled, labeled):
+                    gamma[u] = v
+                automorphisms.append(gamma)
+                jump = next(i for i in range(n) if best_labeled[i] != labeled[i])
             return
+        nodes += 1
+        if nodes > budget:
+            raise BudgetError(
+                f"canonical form search on {n} vertices explored {nodes} nodes, "
+                f"over the budget of {budget}"
+            )
         # Smallest remaining class first: its vertices are individualized
         # early, so later rows discriminate instead of branching blindly.
         size, color = min(
@@ -99,7 +136,7 @@ def _canonical_stream(s: Structure) -> tuple:
         )
         candidates = []
         for v in remaining_by_color[color]:
-            row = tuple(_binary_code(s, v, u, binary) for u in labeled)
+            row = tuple(codes[v][u] for u in labeled)
             candidates.append((row, v))
         candidates.sort()
         min_row = candidates[0][0]
@@ -110,7 +147,22 @@ def _canonical_stream(s: Structure) -> tuple:
             if any(is_twin(v, w) for w in picked):
                 continue
             picked.append(v)
+        # Orbits of the automorphisms found so far that fix the prefix
+        # pointwise: a candidate in the orbit of one already tried has an
+        # isomorphic subtree.
+        orbit = list(range(n))
+        merged = 0
+        tried: list[int] = []
         for v in picked:
+            if tried:
+                for gamma in automorphisms[merged:]:
+                    if all(gamma[u] == u for u in labeled):
+                        for u in range(n):
+                            orbit[_root(orbit, u)] = _root(orbit, gamma[u])
+                merged = len(automorphisms)
+                if any(_root(orbit, v) == _root(orbit, w) for w in tried):
+                    continue
+            tried.append(v)
             level = (size, color, unary_mask[v], loop_mask[v], min_row)
             stream.append(level)
             if best is not None and stream > best[: len(stream)]:
@@ -122,6 +174,10 @@ def _canonical_stream(s: Structure) -> tuple:
             remaining_by_color[color].add(v)
             labeled.pop()
             stream.pop()
+            if jump >= 0:
+                if jump < depth:
+                    return
+                jump = -1
         return
 
     search([])
@@ -145,9 +201,7 @@ def _brute_stream(s: Structure) -> tuple:
 
 
 @lru_cache(maxsize=65536)
-def _canonical_key(s: Structure, cap: int) -> bytes:
-    if s.domain > cap:
-        raise BudgetError(f"canonical form capped at {cap} vertices (got {s.domain})")
+def _canonical_key(s: Structure) -> bytes:
     if any(arity > 2 for _, arity in s.signature.symbols):
         stream = _brute_stream(s)
     elif s.domain == 0:
@@ -160,4 +214,6 @@ def _canonical_key(s: Structure, cap: int) -> bytes:
 def canonical_form(s: Structure, cap: int = DEFAULT_CAP) -> bytes:
     """Canonical byte-string key; equal keys exactly for structures isomorphic
     under the identity symbol map."""
-    return _canonical_key(s, cap)
+    if s.domain > cap:
+        raise BudgetError(f"canonical form capped at {cap} vertices (got {s.domain})")
+    return _canonical_key(s)

@@ -9,7 +9,7 @@ from itertools import product
 
 from . import budgets
 from .errors import BudgetError, SignatureError
-from .structures import Signature, Structure, lift, make_structure
+from .structures import Signature, Structure, gaifman_components, lift, make_structure
 
 
 # ---------------------------------------------------------------------------
@@ -97,26 +97,6 @@ def _aligned(pattern: Structure, target: Structure) -> tuple[Structure, Structur
             names.add(name)
     combined = Signature(tuple(symbols))
     return lift(pattern, combined), lift(target, combined)
-
-
-def gaifman_components(s: Structure) -> list[list[int]]:
-    """Connected components of the co-occurrence graph over all relations."""
-    parent = list(range(s.domain))
-
-    def find(v):
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
-    for rel in s.relations:
-        for t in rel:
-            for v in t[1:]:
-                parent[find(v)] = find(t[0])
-    groups: dict[int, list[int]] = {}
-    for v in range(s.domain):
-        groups.setdefault(find(v), []).append(v)
-    return [sorted(g) for g in sorted(groups.values(), key=min)]
 
 
 def _search_order(pattern: Structure, vertices: list[int]) -> list[int]:

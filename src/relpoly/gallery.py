@@ -11,7 +11,7 @@ from itertools import combinations
 from typing import Callable
 
 from .canon import canonical_form
-from .counting import gaifman_components, hom_count, inj_count, quotient, set_partitions
+from .counting import hom_count, inj_count, quotient, set_partitions
 from .errors import SignatureError, UnboundedDegreeError, ValidationError
 from .interp import (
     ClassCertificate,
@@ -23,7 +23,14 @@ from .interp import (
     build_formula,
 )
 from .logic import TRUE, atom, conj, disj, eq, neg
-from .polynomials import IntPolynomial, constant, interpolate, parse_polynomial
+from .polynomials import (
+    IntPolynomial,
+    constant,
+    eval_fit,
+    interpolate,
+    lagrange_fit,
+    parse_polynomial,
+)
 from .sequences import (
     BasicSeq,
     CUSTOM_GENERATORS,
@@ -39,8 +46,8 @@ from .structures import (
     GRAPH_SIG,
     Structure,
     basic_signature,
+    component_census,
     disjoint_union,
-    induced,
     isomorphic,
     make_structure,
     structure_to_json,
@@ -921,18 +928,6 @@ class Decomposition:
         }
 
 
-def _component_census(term: Structure) -> dict[bytes, tuple[Structure, int]]:
-    census: dict[bytes, tuple[Structure, int]] = {}
-    for comp in gaifman_components(term):
-        sub = induced(term, comp)
-        key = canonical_form(sub, cap=max(16, sub.domain))
-        if key in census:
-            census[key] = (census[key][0], census[key][1] + 1)
-        else:
-            census[key] = (sub, 1)
-    return census
-
-
 def bounded_decompose(spec: SequenceSpec, degree_cap: int,
                       d_max: int | None = None, held_out: int = 3) -> Decomposition:
     """Write a bounded-degree sequence as a polynomial combination of finitely
@@ -955,7 +950,7 @@ def bounded_decompose(spec: SequenceSpec, degree_cap: int,
                 f"term at n={n} has maximum degree {degree} > cap {degree_cap}; "
                 "degree grows past the cap within the sampled terms"
             )
-        return _component_census(term)
+        return component_census(term)
 
     for n in sample_ns:
         census = census_at(n)
@@ -1027,49 +1022,6 @@ def homomorphic_image_count(pattern: Structure, target: Structure) -> int:
     total = 0
     for image in images.values():
         total += inj_count(image, target).value // automorphism_count(image)
-    return total
-
-
-def lagrange_fit(points) -> tuple[Fraction, ...]:
-    """Exact power-basis coefficients of the interpolating polynomial."""
-    coeffs = [Fraction(0)]
-    for i, (xi, yi) in enumerate(points):
-        basis = [Fraction(1)]
-        denom = Fraction(1)
-        for j, (xj, _) in enumerate(points):
-            if j == i:
-                continue
-            basis = _frac_mul(basis, [Fraction(-xj), Fraction(1)])
-            denom *= Fraction(xi - xj)
-        scale = Fraction(yi) / denom
-        scaled = [scale * c for c in basis]
-        coeffs = _frac_add(coeffs, scaled)
-    while len(coeffs) > 1 and coeffs[-1] == 0:
-        coeffs.pop()
-    return tuple(coeffs)
-
-
-def _frac_mul(a, b):
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return out
-
-
-def _frac_add(a, b):
-    out = [Fraction(0)] * max(len(a), len(b))
-    for i, x in enumerate(a):
-        out[i] += x
-    for i, x in enumerate(b):
-        out[i] += x
-    return out
-
-
-def eval_fit(coeffs, x: int) -> Fraction:
-    total = Fraction(0)
-    for c in reversed(coeffs):
-        total = total * x + c
     return total
 
 

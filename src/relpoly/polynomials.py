@@ -43,7 +43,7 @@ class IntPolynomial:
         for k, c in enumerate(self.coeffs):
             poly = [Fraction(1)]
             for i in range(k):
-                poly = _poly_mul(poly, [Fraction(-i), Fraction(1)])
+                poly = _mul(poly, [Fraction(-i), Fraction(1)])
             scale = Fraction(c, math.factorial(k))
             for i, v in enumerate(poly):
                 if i >= len(out):
@@ -66,14 +66,6 @@ class IntPolynomial:
             term = f"C(n,{k})" if k else "1"
             parts.append(f"{c}*{term}" if k else str(c))
         return " + ".join(parts) if parts else "0"
-
-
-def _poly_mul(a, b):
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return out
 
 
 def _power_to_expression(coeffs: list[int]) -> str:
@@ -132,6 +124,33 @@ def interpolate(samples) -> IntPolynomial:
         coeffs.append(row[0])
         row = [b - a for a, b in zip(row, row[1:])]
     return from_binomial(coeffs)
+
+
+def lagrange_fit(points) -> tuple[Fraction, ...]:
+    """Exact power-basis coefficients of the polynomial through (x, y) points
+    at arbitrary distinct arguments."""
+    coeffs = [Fraction(0)]
+    for i, (xi, yi) in enumerate(points):
+        basis = [Fraction(1)]
+        denom = Fraction(1)
+        for j, (xj, _) in enumerate(points):
+            if j == i:
+                continue
+            basis = _mul(basis, [Fraction(-xj), Fraction(1)])
+            denom *= Fraction(xi - xj)
+        scale = Fraction(yi) / denom
+        coeffs = _add(coeffs, [scale * c for c in basis])
+    while len(coeffs) > 1 and coeffs[-1] == 0:
+        coeffs.pop()
+    return tuple(coeffs)
+
+
+def eval_fit(coeffs, x: int) -> Fraction:
+    """Horner evaluation of power-basis coefficients at x."""
+    total = Fraction(0)
+    for c in reversed(coeffs):
+        total = total * x + c
+    return total
 
 
 # ---------------------------------------------------------------------------

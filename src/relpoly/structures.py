@@ -9,8 +9,9 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from itertools import permutations
+from itertools import permutations, product
 
+from .canon import canonical_form
 from .errors import BudgetError, SignatureError
 
 
@@ -357,67 +358,49 @@ def induced(s: Structure, vertices) -> Structure:
 
 
 # ---------------------------------------------------------------------------
-# Weak isomorphism
+# Components and isomorphism
 
-def _vertex_profile(s: Structure, order: list[str]):
-    profiles = [[] for _ in range(s.domain)]
-    for name in order:
-        arity = s.signature.arity(name)
-        counts = [[0] * arity for _ in range(s.domain)]
-        loops = [0] * s.domain
-        for t in s.rel(name):
-            for pos, v in enumerate(t):
-                counts[v][pos] += 1
-            if len(set(t)) == 1:
-                loops[t[0]] += 1
-        for v in range(s.domain):
-            profiles[v].append((tuple(counts[v]), loops[v]))
-    return [tuple(p) for p in profiles]
+def gaifman_components(s: Structure) -> list[list[int]]:
+    """Connected components of the co-occurrence graph over all relations."""
+    parent = list(range(s.domain))
+
+    def find(v):
+        while parent[v] != v:
+            parent[v] = parent[parent[v]]
+            v = parent[v]
+        return v
+
+    for rel in s.relations:
+        for t in rel:
+            for v in t[1:]:
+                parent[find(v)] = find(t[0])
+    groups: dict[int, list[int]] = {}
+    for v in range(s.domain):
+        groups.setdefault(find(v), []).append(v)
+    return [sorted(g) for g in sorted(groups.values(), key=min)]
 
 
-def _find_vertex_bijection(a: Structure, b: Structure, symbol_map: dict[str, str]) -> bool:
-    order = list(a.signature.names)
-    pa = _vertex_profile(a, order)
-    pb = _vertex_profile(b, [symbol_map[n] for n in order])
-    if sorted(pa) != sorted(pb):
-        return False
-    rel_pairs = [(frozenset(a.rel(n)), frozenset(b.rel(symbol_map[n]))) for n in order]
-    n = a.domain
-    image = [-1] * n
-    preimage = [-1] * n
+def component_census(s: Structure) -> dict[bytes, tuple[Structure, int]]:
+    """Canonical key of each Gaifman component -> (its first component, multiplicity)."""
+    census: dict[bytes, tuple[Structure, int]] = {}
+    for comp in gaifman_components(s):
+        sub = induced(s, comp)
+        key = canonical_form(sub, cap=sub.domain)
+        first, count = census.get(key, (sub, 0))
+        census[key] = (first, count + 1)
+    return census
 
-    def consistent(v: int) -> bool:
-        # Both directions: assigned a-tuples must land in b, and b-tuples fully
-        # inside the current image must pull back into a.
-        for ra, rb in rel_pairs:
-            for t in ra:
-                if all(u <= v for u in t) and tuple(image[u] for u in t) not in rb:
-                    return False
-            for t in rb:
-                if all(preimage[u] >= 0 for u in t) and tuple(preimage[u] for u in t) not in ra:
-                    return False
-        return True
 
-    def extend(v: int) -> bool:
-        if v == n:
-            return True
-        for w in range(n):
-            if preimage[w] >= 0 or pb[w] != pa[v]:
-                continue
-            image[v] = w
-            preimage[w] = v
-            if consistent(v) and extend(v + 1):
-                return True
-            image[v] = -1
-            preimage[w] = -1
-        return False
-
-    return extend(0)
+def _census_counts(s: Structure) -> dict[bytes, int]:
+    return {key: count for key, (_, count) in component_census(s).items()}
 
 
 def weakly_isomorphic(a: Structure, b: Structure, cap: int = 10) -> bool:
     """Search for an arity-preserving symbol bijection plus a domain bijection
-    carrying each relation of a exactly onto its partner in b."""
+    carrying each relation of a exactly onto its partner in b.  Each candidate
+    symbol bijection renames b into a's signature, and the two are compared
+    as in `isomorphic`; a component with a symbol of arity > 2 may have at
+    most 8 vertices."""
     if a.domain != b.domain:
         return False
     if a.domain > cap:
@@ -431,42 +414,40 @@ def weakly_isomorphic(a: Structure, b: Structure, cap: int = 10) -> bool:
     if {k: len(v) for k, v in by_arity_a.items()} != {k: len(v) for k, v in by_arity_b.items()}:
         return False
 
-    arities = sorted(by_arity_a)
     choices_per_arity = []
-    for arity in arities:
+    for arity in sorted(by_arity_a):
         names_a = by_arity_a[arity]
         sizes_a = [len(a.rel(n)) for n in names_a]
         perms = []
         for perm in permutations(by_arity_b[arity]):
             if [len(b.rel(n)) for n in perm] == sizes_a:
-                perms.append(perm)
+                perms.append(list(zip(names_a, perm)))
         if not perms:
             return False
-        choices_per_arity.append((names_a, perms))
+        choices_per_arity.append(perms)
 
-    def assemble(level: int, symbol_map: dict[str, str]) -> bool:
-        if level == len(choices_per_arity):
-            return _find_vertex_bijection(a, b, symbol_map)
-        names_a, perms = choices_per_arity[level]
-        for perm in perms:
-            trial = dict(symbol_map)
-            trial.update(zip(names_a, perm))
-            if assemble(level + 1, trial):
-                return True
-        return False
-
-    return assemble(0, {})
+    census_a = _census_counts(a)
+    for choice in product(*choices_per_arity):
+        symbol_map = dict(pair for pairs in choice for pair in pairs)
+        renamed = make_structure(
+            a.signature, b.domain, {n: b.rel(symbol_map[n]) for n in a.signature.names}
+        )
+        if _census_counts(renamed) == census_a:
+            return True
+    return False
 
 
 def isomorphic(a: Structure, b: Structure, cap: int = 64) -> bool:
-    """Isomorphism under the identity symbol map (signatures must agree)."""
+    """Isomorphism under the identity symbol map (signatures must agree): the
+    Gaifman components of a and b have equal multisets of canonical keys.  A
+    component with a symbol of arity > 2 may have at most 8 vertices."""
     if a.signature != b.signature or a.domain != b.domain:
         return False
     if a.domain > cap:
         raise BudgetError(f"isomorphism search capped at {cap} vertices (got {a.domain})")
     if a.total_tuples() != b.total_tuples():
         return False
-    return _find_vertex_bijection(a, b, {n: n for n in a.signature.names})
+    return _census_counts(a) == _census_counts(b)
 
 
 # ---------------------------------------------------------------------------

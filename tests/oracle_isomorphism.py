@@ -1,0 +1,250 @@
+"""Reference isomorphism engines, kept as oracles for relpoly.canon.
+
+`_canonical_stream` is the canon search relpoly used before automorphism
+pruning: refinement, branch and bound and twin elimination only, with its
+own `_binary_code` lookups.  Its stream is the one `canonical_form` must
+reproduce byte for byte (see `unpruned_key`).  `_refine_colors` ranks the
+initial colours by sorted key; the old code ranked them by first appearance,
+which made keys of structures with unary marks or loops depend on the
+labeling.
+
+`_vertex_profile` and `_find_vertex_bijection` are the profile-guided
+backtracker that `structures.isomorphic` and `weakly_isomorphic` used before
+they became canonical-key comparisons; `backtrack_isomorphic` and
+`backtrack_weakly_isomorphic` are those two functions as they were.
+"""
+
+from itertools import permutations
+
+from relpoly.canon import _brute_stream
+from relpoly.errors import BudgetError
+from relpoly.structures import Structure
+
+
+def _binary_code(s: Structure, u: int, v: int, binary: list[frozenset]) -> int:
+    code = 0
+    for bit, rel in enumerate(binary):
+        if (u, v) in rel:
+            code |= 1 << (2 * bit)
+        if (v, u) in rel:
+            code |= 1 << (2 * bit + 1)
+    return code
+
+
+def _refine_colors(s: Structure, binary: list[frozenset], unary_mask, loop_mask):
+    n = s.domain
+    initial = [(unary_mask[v], loop_mask[v]) for v in range(n)]
+    ranking = {key: rank for rank, key in enumerate(sorted(set(initial)))}
+    colors = [ranking[key] for key in initial]
+    while True:
+        keys = []
+        for v in range(n):
+            neigh = sorted(
+                (_binary_code(s, v, u, binary), colors[u])
+                for u in range(n)
+                if u != v and _binary_code(s, v, u, binary)
+            )
+            keys.append((colors[v], tuple(neigh)))
+        ranking = {}
+        for key in sorted(set(keys)):
+            ranking[key] = len(ranking)
+        new = [ranking[k] for k in keys]
+        if new == colors:
+            return colors
+        colors = new
+
+
+def _canonical_stream(s: Structure) -> tuple:
+    n = s.domain
+    binary = [frozenset(s.rel(name)) for name, arity in s.signature.symbols if arity == 2]
+    unary_names = [name for name, arity in s.signature.symbols if arity == 1]
+    unary_mask = [0] * n
+    for bit, name in enumerate(unary_names):
+        for (v,) in s.rel(name):
+            unary_mask[v] |= 1 << bit
+    loop_mask = [0] * n
+    for bit, rel in enumerate(binary):
+        for v in range(n):
+            if (v, v) in rel:
+                loop_mask[v] |= 1 << bit
+    colors = _refine_colors(s, binary, unary_mask, loop_mask)
+
+    def is_twin(u: int, v: int) -> bool:
+        if unary_mask[u] != unary_mask[v] or loop_mask[u] != loop_mask[v]:
+            return False
+        if _binary_code(s, u, v, binary) != _binary_code(s, v, u, binary):
+            return False
+        return all(
+            _binary_code(s, u, w, binary) == _binary_code(s, v, w, binary)
+            for w in range(n)
+            if w != u and w != v
+        )
+
+    best: list | None = None
+    labeled: list[int] = []
+    remaining_by_color: dict[int, set[int]] = {}
+    for v in range(n):
+        remaining_by_color.setdefault(colors[v], set()).add(v)
+
+    def search(stream: list):
+        nonlocal best
+        if len(labeled) == n:
+            if best is None or stream < best:
+                best = list(stream)
+            return
+        # Smallest remaining class first: its vertices are individualized
+        # early, so later rows discriminate instead of branching blindly.
+        size, color = min(
+            (len(vs), c) for c, vs in remaining_by_color.items() if vs
+        )
+        candidates = []
+        for v in remaining_by_color[color]:
+            row = tuple(_binary_code(s, v, u, binary) for u in labeled)
+            candidates.append((row, v))
+        candidates.sort()
+        min_row = candidates[0][0]
+        picked: list[int] = []
+        for row, v in candidates:
+            if row != min_row:
+                break
+            if any(is_twin(v, w) for w in picked):
+                continue
+            picked.append(v)
+        for v in picked:
+            level = (size, color, unary_mask[v], loop_mask[v], min_row)
+            stream.append(level)
+            if best is not None and stream > best[: len(stream)]:
+                stream.pop()
+                continue
+            labeled.append(v)
+            remaining_by_color[color].discard(v)
+            search(stream)
+            remaining_by_color[color].add(v)
+            labeled.pop()
+            stream.pop()
+        return
+
+    search([])
+    assert best is not None
+    return tuple(best)
+
+
+def unpruned_key(s: Structure) -> bytes:
+    """The key `canonical_form` gave before automorphism pruning."""
+    if any(arity > 2 for _, arity in s.signature.symbols):
+        stream = _brute_stream(s)
+    elif s.domain == 0:
+        stream = ()
+    else:
+        stream = _canonical_stream(s)
+    return repr((s.domain, s.signature.symbols, stream)).encode()
+
+
+def _vertex_profile(s: Structure, order: list[str]):
+    profiles = [[] for _ in range(s.domain)]
+    for name in order:
+        arity = s.signature.arity(name)
+        counts = [[0] * arity for _ in range(s.domain)]
+        loops = [0] * s.domain
+        for t in s.rel(name):
+            for pos, v in enumerate(t):
+                counts[v][pos] += 1
+            if len(set(t)) == 1:
+                loops[t[0]] += 1
+        for v in range(s.domain):
+            profiles[v].append((tuple(counts[v]), loops[v]))
+    return [tuple(p) for p in profiles]
+
+
+def _find_vertex_bijection(a: Structure, b: Structure, symbol_map: dict[str, str]) -> bool:
+    order = list(a.signature.names)
+    pa = _vertex_profile(a, order)
+    pb = _vertex_profile(b, [symbol_map[n] for n in order])
+    if sorted(pa) != sorted(pb):
+        return False
+    rel_pairs = [(frozenset(a.rel(n)), frozenset(b.rel(symbol_map[n]))) for n in order]
+    n = a.domain
+    image = [-1] * n
+    preimage = [-1] * n
+
+    def consistent(v: int) -> bool:
+        # Both directions: assigned a-tuples must land in b, and b-tuples fully
+        # inside the current image must pull back into a.
+        for ra, rb in rel_pairs:
+            for t in ra:
+                if all(u <= v for u in t) and tuple(image[u] for u in t) not in rb:
+                    return False
+            for t in rb:
+                if all(preimage[u] >= 0 for u in t) and tuple(preimage[u] for u in t) not in ra:
+                    return False
+        return True
+
+    def extend(v: int) -> bool:
+        if v == n:
+            return True
+        for w in range(n):
+            if preimage[w] >= 0 or pb[w] != pa[v]:
+                continue
+            image[v] = w
+            preimage[w] = v
+            if consistent(v) and extend(v + 1):
+                return True
+            image[v] = -1
+            preimage[w] = -1
+        return False
+
+    return extend(0)
+
+
+def backtrack_weakly_isomorphic(a: Structure, b: Structure, cap: int = 10) -> bool:
+    """Search for an arity-preserving symbol bijection plus a domain bijection
+    carrying each relation of a exactly onto its partner in b."""
+    if a.domain != b.domain:
+        return False
+    if a.domain > cap:
+        raise BudgetError(f"weak isomorphism capped at {cap} vertices (got {a.domain})")
+    by_arity_a: dict[int, list[str]] = {}
+    by_arity_b: dict[int, list[str]] = {}
+    for name, arity in a.signature.symbols:
+        by_arity_a.setdefault(arity, []).append(name)
+    for name, arity in b.signature.symbols:
+        by_arity_b.setdefault(arity, []).append(name)
+    if {k: len(v) for k, v in by_arity_a.items()} != {k: len(v) for k, v in by_arity_b.items()}:
+        return False
+
+    arities = sorted(by_arity_a)
+    choices_per_arity = []
+    for arity in arities:
+        names_a = by_arity_a[arity]
+        sizes_a = [len(a.rel(n)) for n in names_a]
+        perms = []
+        for perm in permutations(by_arity_b[arity]):
+            if [len(b.rel(n)) for n in perm] == sizes_a:
+                perms.append(perm)
+        if not perms:
+            return False
+        choices_per_arity.append((names_a, perms))
+
+    def assemble(level: int, symbol_map: dict[str, str]) -> bool:
+        if level == len(choices_per_arity):
+            return _find_vertex_bijection(a, b, symbol_map)
+        names_a, perms = choices_per_arity[level]
+        for perm in perms:
+            trial = dict(symbol_map)
+            trial.update(zip(names_a, perm))
+            if assemble(level + 1, trial):
+                return True
+        return False
+
+    return assemble(0, {})
+
+
+def backtrack_isomorphic(a: Structure, b: Structure, cap: int = 64) -> bool:
+    """Isomorphism under the identity symbol map (signatures must agree)."""
+    if a.signature != b.signature or a.domain != b.domain:
+        return False
+    if a.domain > cap:
+        raise BudgetError(f"isomorphism search capped at {cap} vertices (got {a.domain})")
+    if a.total_tuples() != b.total_tuples():
+        return False
+    return _find_vertex_bijection(a, b, {n: n for n in a.signature.names})

@@ -1,5 +1,6 @@
 import math
 import random
+import time
 
 import pytest
 
@@ -161,6 +162,24 @@ def test_gallery_default_range_checks():
             continue
         report = gallery_check(name)
         assert report.ok, (name, report.to_dict())
+
+
+def test_gallery_check_past_each_canonical_cap():
+    # The first n whose construction outgrows the entry's canonical cap:
+    # gallery_check falls back to the isomorphism test there.
+    for name, entry in ENTRIES.items():
+        n = entry.default_range[1] + 1
+        while entry.oracle(n).domain <= entry.canonical_cap:
+            n += 1
+        start = time.perf_counter()
+        report = gallery_check(name, n_range=(n, n))
+        elapsed = time.perf_counter() - start
+        (row,) = report.rows
+        if entry.expect_mismatch:
+            assert not report.ok, name
+        else:
+            assert (row.method, report.ok) == ("isomorphism", True), (name, n)
+        assert elapsed < 2.0, (name, n, elapsed)
 
 
 def test_gallery_check_with_detector():
