@@ -8,6 +8,7 @@ import random
 import re
 from dataclasses import dataclass
 from itertools import product
+from math import prod
 
 from . import budgets
 from .errors import BindingError, BudgetError, FormulaParseError, SignatureError, ValidationError
@@ -133,6 +134,10 @@ class GraphicalScheme:
         return self.iota.signature
 
     @property
+    def target(self) -> Signature:
+        return GRAPH_SIG
+
+    @property
     def quantifier_free(self) -> bool:
         return self.iota.is_quantifier_free and self.rho.is_quantifier_free
 
@@ -191,40 +196,90 @@ Scheme = InterpretationScheme | GraphicalScheme | QuotientScheme
 # ---------------------------------------------------------------------------
 # Application
 
-def _domain_tuples(rho0: Formula, a: Structure, p: int, budget: int | None):
-    limit = budget if budget is not None else budgets.tuple_budget()
-    if a.domain ** p > limit:
-        raise BudgetError(f"{a.domain}^{p} candidate tuples exceed the budget of {limit}")
-    test = evaluator(rho0, a)
-    return [t for t in product(range(a.domain), repeat=p) if test(t)]
+# Representative choices spot-checked per class tuple when there are more.
+_COMPAT_SAMPLES = 32
+
+_EQUIV_SIG = sig(("equiv", 2))
 
 
-def _check_source(scheme, a: Structure):
+def _domain_tuples(scheme: Scheme, domain: Formula, a: Structure,
+                   budget: int | None) -> tuple[list[tuple[int, ...]], int]:
+    """The p-tuples satisfying the domain formula in lexicographic order, and
+    the resolved tuple budget."""
     if a.signature != scheme.source:
         raise SignatureError(
             f"structure signature {a.signature.symbols} does not match the "
             f"scheme source {scheme.source.symbols}"
         )
+    limit = budget if budget is not None else budgets.tuple_budget()
+    if a.domain ** scheme.p > limit:
+        raise BudgetError(f"{a.domain}^{scheme.p} candidate tuples exceed the budget of {limit}")
+    test = evaluator(domain, a)
+    return [t for t in product(range(a.domain), repeat=scheme.p) if test(t)], limit
+
+
+def _spot_check(test, value: bool, choices, rng: random.Random, name: str) -> None:
+    """Other representatives of one class tuple must give the same truth
+    value: all choices when there are at most _COMPAT_SAMPLES, else that many
+    seeded random picks."""
+    alternatives = prod(map(len, choices))
+    if alternatives == 1:
+        return
+    if alternatives <= _COMPAT_SAMPLES:
+        picks = product(*choices)
+    else:
+        picks = (tuple(map(rng.choice, choices)) for _ in range(_COMPAT_SAMPLES))
+    for pick in picks:
+        if test(sum(pick, ())) != value:
+            raise ValidationError(
+                f"relation {name!r} is not compatible with the equivalence",
+                witness=(tuple(c[0] for c in choices), pick),
+            )
+
+
+def _relations(target: Signature, rhos, a: Structure, tuples, classes, limit: int,
+               seed: int) -> dict[str, list[tuple[int, ...]]]:
+    """The one relation loop of every scheme kind.  Each formula is evaluated
+    on every tuple of classes through the first domain tuple of each class,
+    with other representatives spot-checked where classes have several; a
+    relation of arity r may have at most len(classes)**r candidates."""
+    members = [[tuples[i] for i in c] for c in classes]
+    reps = [m[0] for m in members]
+    spot = any(len(m) > 1 for m in members)
+    rng = random.Random(seed)
+    relations = {}
+    for (name, arity), rho in zip(target.symbols, rhos):
+        if len(classes) ** arity > limit:
+            raise BudgetError(
+                f"{len(classes)}^{arity} candidates for {name!r} exceed the budget of {limit}"
+            )
+        test = evaluator(rho, a)
+        rel = []
+        # The last position varies fastest, so the loop extends one prefix.
+        for head, parts in zip(product(range(len(classes)), repeat=arity - 1),
+                               product(reps, repeat=arity - 1)):
+            prefix = sum(parts, ())
+            for last, rep in enumerate(reps):
+                value = test(prefix + rep)
+                if spot:
+                    choices = [members[c] for c in head] + [members[last]]
+                    _spot_check(test, value, choices, rng, name)
+                if value:
+                    rel.append(head + (last,))
+        relations[name] = rel
+    return relations
+
+
+def _singletons(tuples) -> list[tuple[int]]:
+    return [(i,) for i in range(len(tuples))]
 
 
 def apply_interpretation_with_map(
     scheme: InterpretationScheme, a: Structure, budget: int | None = None
 ) -> tuple[Structure, tuple[tuple[int, ...], ...]]:
     """Interpret and also return the vertex-index -> source-tuple table."""
-    _check_source(scheme, a)
-    tuples = _domain_tuples(scheme.rho0, a, scheme.p, budget)
-    limit = budget if budget is not None else budgets.tuple_budget()
-    relations = {}
-    for (name, arity), rho in zip(scheme.target.symbols, scheme.rhos):
-        if len(tuples) ** arity > limit:
-            raise BudgetError(f"{len(tuples)}^{arity} relation candidates exceed the budget")
-        test = evaluator(rho, a)
-        rel = []
-        for combo in product(range(len(tuples)), repeat=arity):
-            flat = tuple(v for idx in combo for v in tuples[idx])
-            if test(flat):
-                rel.append(combo)
-        relations[name] = rel
+    tuples, limit = _domain_tuples(scheme, scheme.rho0, a, budget)
+    relations = _relations(scheme.target, scheme.rhos, a, tuples, _singletons(tuples), limit, 0)
     return make_structure(scheme.target, len(tuples), relations), tuple(tuples)
 
 
@@ -240,31 +295,18 @@ def apply_graphical(scheme: GraphicalScheme, a: Structure,
                     budget: int | None = None) -> Structure:
     """Undirected graph on the vertex tuples; the edge formula is certified
     symmetric on this input, with a witness reported on violation."""
-    _check_source(scheme, a)
-    tuples = _domain_tuples(scheme.iota, a, scheme.p, budget)
-    test = evaluator(scheme.rho, a)
-    m = len(tuples)
-    limit = budget if budget is not None else budgets.tuple_budget()
-    if m * m > limit:
-        raise BudgetError(f"{m}^2 edge candidates exceed the budget")
-    edges = []
-    for i in range(m):
-        for j in range(i, m):
-            forward = test(tuples[i] + tuples[j])
-            if i == j:
-                if scheme.loop_policy == "keep" and forward:
-                    edges.append((i, i))
-                continue
-            backward = test(tuples[j] + tuples[i])
-            if forward != backward:
-                raise ValidationError(
-                    f"edge formula of {scheme.name!r} is not symmetric",
-                    witness=(tuples[i], tuples[j]),
-                )
-            if forward:
-                edges.append((i, j))
-                edges.append((j, i))
-    return make_structure(GRAPH_SIG, m, {"E": edges})
+    tuples, limit = _domain_tuples(scheme, scheme.iota, a, budget)
+    edges = _relations(scheme.target, (scheme.rho,), a, tuples, _singletons(tuples), limit, 0)["E"]
+    present = set(edges)
+    one_way = [tuple(sorted(e)) for e in edges if e[::-1] not in present]
+    if one_way:
+        i, j = min(one_way)
+        raise ValidationError(
+            f"edge formula of {scheme.name!r} is not symmetric", witness=(tuples[i], tuples[j])
+        )
+    if scheme.loop_policy != "keep":
+        present.difference_update(zip(range(len(tuples)), range(len(tuples))))
+    return make_structure(scheme.target, len(tuples), {"E": present})
 
 
 @dataclass(frozen=True)
@@ -281,63 +323,38 @@ def apply_quotient_with_report(
     a: Structure,
     n: int | None = None,
     budget: int | None = None,
-    compat_samples: int = 32,
     seed: int = 0,
 ) -> QuotientReport:
     """Interpret with one vertex per equivalence class of the tuple relation.
 
-    The equivalence formula is validated exhaustively on this input's domain
-    tuples, relation formulas are evaluated on lexicographically least
-    representatives, well-definedness is spot-checked on other representative
-    choices, and declared class-size certificates are checked where they
-    apply (a non-constant size needs the sequence index n).
+    The equivalence formula is evaluated on all pairs of domain tuples and
+    validated exhaustively: grouping the tuples by the set they are related
+    to must give each group exactly that set.  Relation formulas are
+    evaluated on lexicographically least representatives, well-definedness is
+    spot-checked on other representative choices, and declared class-size
+    certificates are checked where they apply (a non-constant size needs the
+    sequence index n).
     """
-    import random
-
     base = qs.base
-    _check_source(base, a)
-    tuples = _domain_tuples(base.rho0, a, base.p, budget)
-    m = len(tuples)
-    limit = budget if budget is not None else budgets.tuple_budget()
-    if m * m > limit:
-        raise BudgetError(f"{m}^2 equivalence candidates exceed the budget")
-    related = evaluator(qs.varpi, a)
-
-    matrix = [[related(tuples[i] + tuples[j]) for j in range(m)] for i in range(m)]
-    for i in range(m):
-        if not matrix[i][i]:
-            raise ValidationError("equivalence formula is not reflexive", witness=tuples[i])
-        for j in range(i + 1, m):
-            if matrix[i][j] != matrix[j][i]:
-                raise ValidationError(
-                    "equivalence formula is not symmetric", witness=(tuples[i], tuples[j])
-                )
-    # Union connected components, then insist every component is a clique;
-    # that is exactly transitivity given reflexivity and symmetry.
-    assignment = [-1] * m
-    classes: list[list[int]] = []
-    for i in range(m):
-        if assignment[i] >= 0:
-            continue
-        stack = [i]
-        members = []
-        assignment[i] = len(classes)
-        while stack:
-            v = stack.pop()
-            members.append(v)
-            for w in range(m):
-                if assignment[w] < 0 and matrix[v][w]:
-                    assignment[w] = len(classes)
-                    stack.append(w)
-        classes.append(sorted(members))
-    for members in classes:
-        for i in members:
-            for j in members:
-                if not matrix[i][j]:
-                    raise ValidationError(
-                        "equivalence formula is not transitive",
-                        witness=(tuples[i], tuples[j]),
-                    )
+    tuples, limit = _domain_tuples(base, base.rho0, a, budget)
+    pairs = _relations(_EQUIV_SIG, (qs.varpi,), a, tuples, _singletons(tuples), limit, seed)
+    rows: list[set[int]] = [set() for _ in tuples]
+    for i, j in pairs["equiv"]:
+        rows[i].add(j)
+    groups: dict[frozenset[int], list[int]] = {}
+    for i, row in enumerate(rows):
+        groups.setdefault(frozenset(row), []).append(i)
+    for row, members in groups.items():
+        if row != set(members):
+            i = members[0]
+            if i not in row:
+                raise ValidationError("equivalence formula is not reflexive", witness=tuples[i])
+            j = min(row.symmetric_difference(members))
+            kind = "symmetric" if (i in rows[j]) != (j in row) else "transitive"
+            raise ValidationError(
+                f"equivalence formula is not {kind}", witness=(tuples[i], tuples[j])
+            )
+    classes = list(groups.values())
 
     labels: list[str | None] = []
     if qs.certificates:
@@ -368,36 +385,7 @@ def apply_quotient_with_report(
     else:
         labels = [None] * len(classes)
 
-    rng = random.Random(seed)
-    relations = {}
-    for (name, arity), rho in zip(base.target.symbols, base.rhos):
-        test = evaluator(rho, a)
-        rel = []
-        for combo in product(range(len(classes)), repeat=arity):
-            reps = tuple(tuples[classes[c][0]] for c in combo)
-            value = test(tuple(v for t in reps for v in t))
-            # Compatibility spot-check: other representatives must agree.
-            alternatives = 1
-            for c in combo:
-                alternatives *= len(classes[c])
-            if alternatives > 1:
-                if alternatives <= compat_samples:
-                    picks = product(*(classes[c] for c in combo))
-                else:
-                    picks = (
-                        tuple(rng.choice(classes[c]) for c in combo)
-                        for _ in range(compat_samples)
-                    )
-                for pick in picks:
-                    alt = tuple(v for idx in pick for v in tuples[idx])
-                    if test(alt) != value:
-                        raise ValidationError(
-                            f"relation {name!r} is not compatible with the equivalence",
-                            witness=(reps, tuple(tuples[idx] for idx in pick)),
-                        )
-            if value:
-                rel.append(combo)
-        relations[name] = rel
+    relations = _relations(base.target, base.rhos, a, tuples, classes, limit, seed)
     structure = make_structure(base.target, len(classes), relations)
     return QuotientReport(
         structure,
@@ -422,16 +410,6 @@ def apply_scheme(scheme: Scheme, a: Structure, n: int | None = None,
     if isinstance(scheme, QuotientScheme):
         return apply_quotient(scheme, a, n=n, budget=budget)
     raise TypeError(f"not a scheme: {scheme!r}")
-
-
-def scheme_target(scheme: Scheme) -> Signature:
-    if isinstance(scheme, GraphicalScheme):
-        return GRAPH_SIG
-    return scheme.target
-
-
-def scheme_exponent(scheme: Scheme) -> int:
-    return scheme.p
 
 
 # ---------------------------------------------------------------------------

@@ -18,8 +18,6 @@ from .interp import (
     mark_scheme,
     parse_scheme,
     product_scheme,
-    scheme_exponent,
-    scheme_target,
     scheme_to_text,
     PRODUCT_OPS,
 )
@@ -182,7 +180,7 @@ def signature_of(spec: SequenceSpec) -> Signature:
         combined, _ = disjoint_union_signature([inner, Signature((("S", 2), ("U", 1)))])
         return combined
     if isinstance(spec, InterpretedSeq):
-        return scheme_target(spec.scheme)
+        return spec.scheme.target
     if isinstance(spec, StrongSumSeq):
         combined, _ = disjoint_union_signature([signature_of(m) for m in spec.members])
         return combined
@@ -200,7 +198,7 @@ def domain_degree(spec: SequenceSpec) -> int:
     if isinstance(spec, OrderedSumSeq):
         return (domain_degree(spec.inner) + 1) * max(spec.length.degree, 0)
     if isinstance(spec, InterpretedSeq):
-        factor = scheme_exponent(spec.scheme)
+        factor = spec.scheme.p
         if isinstance(spec.scheme, QuotientScheme):
             cert_deg = max(
                 (c.size.degree for c in spec.scheme.certificates), default=0
@@ -301,24 +299,13 @@ def ordered_sum(inner: SequenceSpec, n: int, budget: int | None = None) -> Struc
 
 def telescoped_inj(component_fits, n: int) -> int:
     """Sum over 1 <= i_1 < ... < i_k <= n of prod_j P_j(i_j), evaluated by the
-    nested telescoping recurrence with exact integers."""
-    polys = list(component_fits)
+    nested telescoping recurrence with exact integers.  Each P_j is any
+    callable from an index to an integer, such as an `IntPolynomial`."""
     suffix = [1] * (n + 2)
-    for poly in reversed(polys):
+    for poly in reversed(list(component_fits)):
         new = [0] * (n + 2)
         for i in range(n - 1, -1, -1):
             new[i] = new[i + 1] + poly(i + 1) * suffix[i + 1]
-        suffix = new
-    return suffix[0]
-
-
-def _telescoped_values(value_fns, n: int) -> int:
-    """Same recurrence with arbitrary per-index integer functions."""
-    suffix = [1] * (n + 2)
-    for fn in reversed(list(value_fns)):
-        new = [0] * (n + 2)
-        for i in range(n - 1, -1, -1):
-            new[i] = new[i + 1] + fn(i + 1) * suffix[i + 1]
         suffix = new
     return suffix[0]
 
@@ -473,7 +460,7 @@ def predict_inj_into_ordered_sum(pattern: Structure, inner: SequenceSpec, n: int
             (lambda i, sp=sp: inj_count(sp, block(i)).value)
             for sp in sub_patterns
         ]
-        total += _telescoped_values(fns, n)
+        total += telescoped_inj(fns, n)
     return total
 
 

@@ -9,8 +9,9 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from itertools import permutations, product
+from itertools import permutations
 
+from . import budgets
 from .canon import canonical_form
 from .errors import BudgetError, SignatureError
 
@@ -395,40 +396,57 @@ def _census_counts(s: Structure) -> dict[bytes, int]:
     return {key: count for key, (_, count) in component_census(s).items()}
 
 
+def _symbol_invariants(s: Structure) -> dict[str, tuple]:
+    """Per symbol: its arity and the sorted tuples of Gaifman degrees of the
+    vertices in its tuples, which any weak isomorphism preserves."""
+    neighbours: list[set[int]] = [set() for _ in range(s.domain)]
+    for rel in s.relations:
+        for t in rel:
+            for v in t:
+                neighbours[v].update(t)
+    return {
+        name: (arity, tuple(sorted(tuple(len(neighbours[v]) for v in t) for t in s.rel(name))))
+        for name, arity in s.signature.symbols
+    }
+
+
+def _bijections(groups):
+    """Every symbol map pairing each group of a's names with a permutation of
+    the matching group of b's names."""
+    if not groups:
+        yield {}
+        return
+    (names_a, names_b), rest = groups[0], groups[1:]
+    for perm in permutations(names_b):
+        for tail in _bijections(rest):
+            yield dict(zip(names_a, perm), **tail)
+
+
 def weakly_isomorphic(a: Structure, b: Structure, cap: int = 10) -> bool:
-    """Search for an arity-preserving symbol bijection plus a domain bijection
-    carrying each relation of a exactly onto its partner in b.  Each candidate
-    symbol bijection renames b into a's signature, and the two are compared
-    as in `isomorphic`; a component with a symbol of arity > 2 may have at
-    most 8 vertices."""
+    """Search for a symbol bijection plus a domain bijection carrying each
+    relation of a exactly onto its partner in b.  Symbols are paired only when
+    their arity, size and sorted Gaifman degrees agree, and each symbol
+    bijection tried counts against `RELPOLY_SEARCH_BUDGET`; it renames b into
+    a's signature, and the two are compared as in `isomorphic`.  A component
+    with a symbol of arity > 2 may have at most 8 vertices."""
     if a.domain != b.domain:
         return False
     if a.domain > cap:
         raise BudgetError(f"weak isomorphism capped at {cap} vertices (got {a.domain})")
-    by_arity_a: dict[int, list[str]] = {}
-    by_arity_b: dict[int, list[str]] = {}
-    for name, arity in a.signature.symbols:
-        by_arity_a.setdefault(arity, []).append(name)
-    for name, arity in b.signature.symbols:
-        by_arity_b.setdefault(arity, []).append(name)
-    if {k: len(v) for k, v in by_arity_a.items()} != {k: len(v) for k, v in by_arity_b.items()}:
+    groups_a: dict[tuple, list[str]] = {}
+    groups_b: dict[tuple, list[str]] = {}
+    for groups, s in ((groups_a, a), (groups_b, b)):
+        for name, key in _symbol_invariants(s).items():
+            groups.setdefault(key, []).append(name)
+    if {k: len(v) for k, v in groups_a.items()} != {k: len(v) for k, v in groups_b.items()}:
         return False
 
-    choices_per_arity = []
-    for arity in sorted(by_arity_a):
-        names_a = by_arity_a[arity]
-        sizes_a = [len(a.rel(n)) for n in names_a]
-        perms = []
-        for perm in permutations(by_arity_b[arity]):
-            if [len(b.rel(n)) for n in perm] == sizes_a:
-                perms.append(list(zip(names_a, perm)))
-        if not perms:
-            return False
-        choices_per_arity.append(perms)
-
+    limit = budgets.search_budget()
     census_a = _census_counts(a)
-    for choice in product(*choices_per_arity):
-        symbol_map = dict(pair for pairs in choice for pair in pairs)
+    pairs = [(names, groups_b[key]) for key, names in groups_a.items()]
+    for tried, symbol_map in enumerate(_bijections(pairs), 1):
+        if tried > limit:
+            raise BudgetError(f"weak isomorphism tried more than {limit} symbol bijections")
         renamed = make_structure(
             a.signature, b.domain, {n: b.rel(symbol_map[n]) for n in a.signature.names}
         )

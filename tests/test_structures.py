@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -159,6 +160,30 @@ def test_weak_isomorphism():
     with pytest.raises(BudgetError):
         weakly_isomorphic(graph(11, []), graph(11, []))
     assert weakly_isomorphic(graph(11, []), graph(11, []), cap=12)
+
+
+def test_weak_isomorphism_pairs_symbols_by_invariants():
+    # k singleton marks and an edge, against the same marks and a loop: the
+    # marks' Gaifman degrees differ, so none of the k! bijections is tried.
+    k = 7
+    signature = sig(*[(f"U{i}", 1) for i in range(k)], ("E", 2))
+    marks = {f"U{i}": [(i,)] for i in range(k)}
+    edge = make_structure(signature, k, {**marks, "E": [(0, 1)]})
+    loop = make_structure(signature, k, {**marks, "E": [(0, 0)]})
+    start = time.perf_counter()
+    assert not weakly_isomorphic(edge, loop)
+    assert time.perf_counter() - start < 0.1
+
+
+def test_weak_isomorphism_search_budget(monkeypatch):
+    # E and F have equal invariants, so both bijections are tried, and fail.
+    two = sig(("E", 2), ("F", 2))
+    reverse = make_structure(two, 2, {"E": [(0, 1)], "F": [(1, 0)]})
+    same = make_structure(two, 2, {"E": [(0, 1)], "F": [(0, 1)]})
+    assert not weakly_isomorphic(reverse, same)
+    monkeypatch.setenv("RELPOLY_SEARCH_BUDGET", "1")
+    with pytest.raises(BudgetError):
+        weakly_isomorphic(reverse, same)
 
 
 def test_structure_validation():
