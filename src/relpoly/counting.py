@@ -18,24 +18,39 @@ from .structures import Signature, Structure, gaifman_components, lift, make_str
 def set_partitions(n: int):
     """All partitions of range(n), blocks ordered by minimum element.
 
-    Generated lazily from restricted-growth strings.
+    Generated lazily from restricted-growth strings in lexicographic order.
     """
     if n == 0:
         yield ()
         return
-
-    def grow(prefix, maxval):
-        depth = len(prefix)
-        if depth == n:
-            blocks: list[list[int]] = [[] for _ in range(maxval + 1)]
-            for v, b in enumerate(prefix):
-                blocks[b].append(v)
-            yield tuple(tuple(b) for b in blocks)
+    growth = [0] * n      # growth[v]: the block of vertex v
+    highest = [0] * n     # highest[v]: the largest block among vertices 0..v
+    while True:
+        blocks: list[list[int]] = [[] for _ in range(highest[-1] + 1)]
+        for v, b in enumerate(growth):
+            blocks[b].append(v)
+        yield tuple(tuple(b) for b in blocks)
+        v = n - 1
+        while v > 0 and growth[v] == highest[v - 1] + 1:
+            v -= 1
+        if v == 0:
             return
-        for b in range(maxval + 2):
-            yield from grow(prefix + [b], max(maxval, b))
+        growth[v] += 1
+        highest[v] = max(highest[v - 1], growth[v])
+        for u in range(v + 1, n):
+            growth[u] = 0
+            highest[u] = highest[v]
 
-    yield from grow([0], 0)
+
+def bell(n: int) -> int:
+    """Number of partitions of an n-set, by the Bell triangle."""
+    row = [1]
+    for _ in range(n):
+        nxt = [row[-1]]
+        for x in row:
+            nxt.append(nxt[-1] + x)
+        row = nxt
+    return row[0]
 
 
 def validate_partition(theta, n: int) -> tuple[tuple[int, ...], ...]:
@@ -170,6 +185,24 @@ def _compile_lookups(pattern: Structure, target: Structure, order: list[int]) ->
     return [list(at.values()) for at in lookups]
 
 
+def _absent_tuples(pattern: Structure, target: Structure, order: list[int]) -> list[list]:
+    """Per depth, the (target tuple set, pattern tuple) pairs for the tuples
+    that hold the vertex placed at that depth, lie over placed vertices only
+    and are missing from the pattern; an induced map must send each of them
+    to a tuple missing from the target."""
+    pattern_sets, target_sets = pattern.rel_sets(), target.rel_sets()
+    absent: list[list] = []
+    for depth, v in enumerate(order):
+        placed = order[:depth + 1]
+        here = []
+        for (_, arity), have, tset in zip(pattern.signature.symbols, pattern_sets, target_sets):
+            if tset:
+                here.extend((tset, t) for t in product(placed, repeat=arity)
+                            if v in t and t not in have)
+        absent.append(here)
+    return absent
+
+
 def _count_maps(pattern: Structure, target: Structure, vertices: list[int],
                 mode: str, nodes: int, budget: int) -> tuple[int, int]:
     """Count relation-preserving maps of `vertices` into the target by an
@@ -180,29 +213,24 @@ def _count_maps(pattern: Structure, target: Structure, vertices: list[int],
     with BudgetError once it exceeds `budget`.
     """
     injective = mode != "hom"
-    induced_check = mode == "ind"
+    induced = mode == "ind"
     order = _search_order(pattern, vertices)
     lookups = _compile_lookups(pattern, target, order)
+    absent = _absent_tuples(pattern, target, order) if induced else None
     last = len(order) - 1
     n = target.domain
     everything = frozenset(range(n)) if injective else range(n)
-    pattern_sets = pattern.rel_sets() if induced_check else ()
     image = [0] * pattern.domain
     used: set[int] = set()
 
-    def verify_induced() -> bool:
-        inverse = {image[v]: v for v in order}
-        for rel, pattern_rel in zip(target.relations, pattern_sets):
-            for t in rel:
-                if all(w in inverse for w in t):
-                    if tuple(inverse[w] for w in t) not in pattern_rel:
-                        return False
-        return True
+    def stays_induced(depth: int, v: int, w: int) -> bool:
+        image[v] = w
+        return not any(tuple([image[u] for u in t]) in tset for tset, t in absent[depth])
 
     def extend(depth: int) -> int:
         nonlocal nodes
         if depth > last:
-            return 0 if induced_check and not verify_induced() else 1
+            return 1
         checks = lookups[depth]
         if checks:
             sets = []
@@ -225,7 +253,10 @@ def _count_maps(pattern: Structure, target: Structure, vertices: list[int],
             raise BudgetError(
                 f"{mode} search explored {nodes} nodes, over the budget of {budget}"
             )
-        if depth == last and not induced_check:
+        if induced and absent[depth]:
+            v = order[depth]
+            candidates = [w for w in candidates if stays_induced(depth, v, w)]
+        if depth == last:
             return len(candidates)
         v = order[depth]
         total = 0

@@ -10,9 +10,10 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Callable
 
+from .budgets import basis_budget
 from .canon import canonical_form
-from .counting import hom_count, inj_count, quotient, set_partitions
-from .errors import SignatureError, UnboundedDegreeError, ValidationError
+from .counting import bell, hom_count, inj_count, quotient, set_partitions
+from .errors import BudgetError, SignatureError, UnboundedDegreeError, ValidationError
 from .interp import (
     ClassCertificate,
     GraphicalScheme,
@@ -1012,7 +1013,14 @@ def automorphism_count(g: Structure) -> int:
 def homomorphic_image_count(pattern: Structure, target: Structure) -> int:
     """Number of subgraphs of the target that arise as the image of some
     homomorphism from the pattern: one subgraph count per loop-free quotient
-    of the pattern, quotients deduplicated up to isomorphism."""
+    of the pattern, quotients deduplicated up to isomorphism.  The Bell(|F|)
+    quotients count against `RELPOLY_BASIS_BUDGET`."""
+    limit = basis_budget()
+    if bell(pattern.domain) > limit:
+        raise BudgetError(
+            f"{bell(pattern.domain)} quotients of a {pattern.domain}-vertex pattern "
+            f"exceed the basis budget of {limit}"
+        )
     images: dict[bytes, Structure] = {}
     for theta in set_partitions(pattern.domain):
         q = quotient(pattern, theta)

@@ -16,7 +16,7 @@ from itertools import product
 
 from . import budgets
 from .canon import canonical_form
-from .counting import hom_count, mobius, quotient, set_partitions, super_patterns
+from .counting import bell, hom_count, mobius, quotient, set_partitions
 from .errors import BindingError, BudgetError, FormulaParseError
 from .structures import Signature, Structure, make_structure
 
@@ -185,14 +185,15 @@ def is_quantifier_free(node: Node) -> bool:
     return all(is_quantifier_free(c) for c in _children(node))
 
 
-def atom_symbols(node: Node) -> set[str]:
+def _atoms(node: Node):
     if isinstance(node, Atom):
-        out = {node.symbol}
-    else:
-        out = set()
+        yield node
     for child in _children(node):
-        out |= atom_symbols(child)
-    return out
+        yield from _atoms(child)
+
+
+def atom_symbols(node: Node) -> set[str]:
+    return {a.symbol for a in _atoms(node)}
 
 
 def rename_symbols(node: Node, mapping: dict[str, str]) -> Node:
@@ -752,28 +753,14 @@ class HomBasis:
         return sum(c * hom_count(f, target).value for c, f in self.terms)
 
 
-def _all_diagrams(signature: Signature, k: int, budget: int):
-    """Every structure on k vertices over the signature."""
-    spaces = []
-    total = 1
-    for name, arity in signature.symbols:
-        tuples = list(product(range(k), repeat=arity))
-        total <<= len(tuples)
-        if total > budget:
-            raise BudgetError("diagram enumeration exceeds the basis budget")
-        spaces.append((name, tuples))
-
-    def rec(level: int, chosen: dict):
-        if level == len(spaces):
-            yield make_structure(signature, k, chosen)
-            return
-        name, tuples = spaces[level]
-        for mask in range(1 << len(tuples)):
-            chosen[name] = [t for i, t in enumerate(tuples) if mask >> i & 1]
-            yield from rec(level + 1, chosen)
-        del chosen[name]
-
-    yield from rec(0, {})
+def _subset_moebius(a: list[int]) -> None:
+    """In place, a[S] becomes the sum over T subset of S of (-1)^|S - T| a[T]."""
+    bit = 1
+    while bit < len(a):
+        for mask in range(len(a)):
+            if mask & bit:
+                a[mask] -= a[mask ^ bit]
+        bit <<= 1
 
 
 def qf_to_hom_basis(phi: Formula, budget: int | None = None) -> HomBasis:
@@ -784,6 +771,10 @@ def qf_to_hom_basis(phi: Formula, budget: int | None = None) -> HomBasis:
     count, induced counts convert to injective ones by inclusion-exclusion
     over super-patterns, and injective ones to homomorphism counts by Moebius
     inversion over quotient partitions; like terms merge by canonical key.
+    A diagram on k vertices is a bitmask over its N_k cells (symbol, tuple),
+    so the inclusion-exclusion is one subset Moebius transform of N_k * 2^N_k
+    integer steps, and only diagrams with a nonzero injective coefficient are
+    built as structures; 2^N_k > budget for some k is a BudgetError.
     The result is cached per formula and resolved budget.
     """
     if not phi.is_quantifier_free:
@@ -799,34 +790,67 @@ def _decompose(phi: Formula, limit: int) -> HomBasis:
     occurring = atom_symbols(phi.root)
     base_sig = phi.signature.restrict([n for n in phi.signature.names if n in occurring])
     base = Formula(phi.root, base_sig, phi.free_vars)
+    test = _compiled(base)
+    position = {v: i for i, v in enumerate(phi.free_vars)}
+    atoms = [(base_sig.index(a.symbol), [position[v] for v in a.args])
+             for a in _atoms(phi.root)]
 
-    ind_coeffs: dict[Structure, int] = {}
+    # A diagram on k vertices is a bitmask over its cells (symbol, tuple);
+    # coeffs[k][mask] counts the partitions with k blocks whose assignment
+    # satisfies phi in that diagram.
+    cells: dict[int, list[tuple[int, tuple[int, ...]]]] = {}
+    coeffs: dict[int, list[int]] = {}
     for theta in set_partitions(p):
-        block_of: dict[int, int] = {}
+        k = len(theta)
+        if k not in cells:
+            cells[k] = [(i, t) for i, (_, arity) in enumerate(base_sig.symbols)
+                        for t in product(range(k), repeat=arity)]
+            if cells[k] and 1 << len(cells[k]) > limit:
+                raise BudgetError("diagram enumeration exceeds the basis budget")
+            coeffs[k] = [0] * (1 << len(cells[k]))
+        block_of = [0] * p
         for b, block in enumerate(theta):
             for v in block:
                 block_of[v] = b
-        assignment = tuple(block_of[i] for i in range(p))
-        k = len(theta)
-        for diagram in _all_diagrams(base_sig, k, limit):
-            if evaluator(base, diagram)(assignment):
-                ind_coeffs[diagram] = ind_coeffs.get(diagram, 0) + 1
+        # phi reads only the cells of its atoms: decide it on each choice of
+        # those cells, then credit every diagram that agrees with a
+        # satisfying choice.
+        bit = {cell: j for j, cell in enumerate(cells[k])}
+        read = sorted({bit[i, tuple(block_of[v] for v in args)] for i, args in atoms})
+        satisfying = set()
+        for choice in range(1 << len(read)):
+            on = [j for n, j in enumerate(read) if choice >> n & 1]
+            rels = [set() for _ in base_sig.symbols]
+            for j in on:
+                i, t = cells[k][j]
+                rels[i].add(t)
+            if test(block_of, k, *rels):
+                satisfying.add(sum(1 << j for j in on))
+        seen = sum(1 << j for j in read)
+        diagram_coeffs = coeffs[k]
+        for mask in range(len(diagram_coeffs)):
+            if mask & seen in satisfying:
+                diagram_coeffs[mask] += 1
 
-    inj_coeffs: dict[Structure, int] = {}
-    for pattern, coeff in ind_coeffs.items():
-        for bigger, added in super_patterns(pattern, budget=limit):
-            sign = -1 if added % 2 else 1
-            inj_coeffs[bigger] = inj_coeffs.get(bigger, 0) + coeff * sign
-
+    # Induced counts become injective ones by inclusion-exclusion over the
+    # super-patterns of each diagram, a subset Moebius transform; only the
+    # diagrams left with a nonzero count are built as structures.
     merged: dict[bytes, list] = {}
-    for pattern, coeff in inj_coeffs.items():
-        if coeff == 0:
-            continue
-        for theta in set_partitions(pattern.domain):
-            q = quotient(pattern, theta)
-            key = canonical_form(q)
-            entry = merged.setdefault(key, [0, q])
-            entry[0] += coeff * mobius(theta)
+    for k, diagram_coeffs in coeffs.items():
+        _subset_moebius(diagram_coeffs)
+        for mask, coeff in enumerate(diagram_coeffs):
+            if not coeff:
+                continue
+            relations: dict[str, list] = {}
+            for j, (i, t) in enumerate(cells[k]):
+                if mask >> j & 1:
+                    relations.setdefault(base_sig.names[i], []).append(t)
+            pattern = make_structure(base_sig, k, relations)
+            for theta in set_partitions(k):
+                q = quotient(pattern, theta)
+                key = canonical_form(q)
+                entry = merged.setdefault(key, [0, q])
+                entry[0] += coeff * mobius(theta)
 
     terms = [
         (coeff, pattern)
@@ -850,17 +874,18 @@ def basis_work(phi: Formula, cap: int | None = None) -> int:
     """Bound W(phi) on the terms qf_to_hom_basis enumerates for phi.
 
     With p free variables and N_k = sum of k^arity over the symbols occurring
-    in phi, W = sum_{k=1..p} (S(p,k) + 1 + Bell(k)) * 3^N_k: at most
-    S(p,k) * 2^N_k diagrams, 3^N_k super-patterns of distinct diagrams and
-    Bell(k) * 2^N_k quotients on k vertices.  The sum stops once it passes
-    `cap`, so an oversized formula is refused without the whole bound.
+    in phi, W = sum_{k=1..p} (S(p,k) + 1 + Bell(k)) * 3^N_k: S(p,k) passes
+    over 2^N_k diagrams, the Moebius transform and Bell(k) quotients of each
+    of at most 2^N_k diagrams on k vertices.  The 3^N_k factor, the number
+    of (diagram, super-pattern) pairs, is a conservative bound: the
+    transform takes N_k * 2^N_k steps.  The sum stops once it passes `cap`,
+    so an oversized formula is refused without the whole bound.
     """
     p = len(phi.free_vars)
     arities = [phi.signature.arity(name) for name in atom_symbols(phi.root)]
     total = 0
     for k in range(1, p + 1):
-        bell = sum(_stirling2(k, j) for j in range(k + 1))
-        total += (_stirling2(p, k) + 1 + bell) * 3 ** sum(k ** a for a in arities)
+        total += (_stirling2(p, k) + 1 + bell(k)) * 3 ** sum(k ** a for a in arities)
         if cap is not None and total > cap:
             break
     return total

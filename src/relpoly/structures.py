@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from itertools import permutations
+from itertools import combinations
 
 from . import budgets
 from .canon import canonical_form
@@ -411,21 +411,28 @@ def _symbol_invariants(s: Structure) -> dict[str, tuple]:
 
 
 def _bijections(groups):
-    """Every symbol map pairing each group of a's names with a permutation of
-    the matching group of b's names."""
+    """Every symbol map dealing each group of b's names out to the classes of
+    the matching group of a's names, one subset of each class's size per
+    class.  Symbols of a class have equal tuple sets, so the order of their
+    partners does not matter and one representative order is tried."""
     if not groups:
         yield {}
         return
-    (names_a, names_b), rest = groups[0], groups[1:]
-    for perm in permutations(names_b):
-        for tail in _bijections(rest):
-            yield dict(zip(names_a, perm), **tail)
+    (classes, names), rest = groups[0], groups[1:]
+    if not classes:
+        yield from _bijections(rest)
+        return
+    for chosen in combinations(names, len(classes[0])):
+        left = [n for n in names if n not in chosen]
+        for tail in _bijections([(classes[1:], left)] + rest):
+            yield {**dict(zip(classes[0], chosen)), **tail}
 
 
 def weakly_isomorphic(a: Structure, b: Structure, cap: int = 10) -> bool:
     """Search for a symbol bijection plus a domain bijection carrying each
     relation of a exactly onto its partner in b.  Symbols are paired only when
-    their arity, size and sorted Gaifman degrees agree, and each symbol
+    their arity, size and sorted Gaifman degrees agree, a's symbols with equal
+    tuple sets take their partners in one order only, and each symbol
     bijection tried counts against `RELPOLY_SEARCH_BUDGET`; it renames b into
     a's signature, and the two are compared as in `isomorphic`.  A component
     with a symbol of arity > 2 may have at most 8 vertices."""
@@ -443,7 +450,12 @@ def weakly_isomorphic(a: Structure, b: Structure, cap: int = 10) -> bool:
 
     limit = budgets.search_budget()
     census_a = _census_counts(a)
-    pairs = [(names, groups_b[key]) for key, names in groups_a.items()]
+    pairs = []
+    for key, names in groups_a.items():
+        classes: dict[tuple, list[str]] = {}
+        for name in names:
+            classes.setdefault(a.rel(name), []).append(name)
+        pairs.append((list(classes.values()), groups_b[key]))
     for tried, symbol_map in enumerate(_bijections(pairs), 1):
         if tried > limit:
             raise BudgetError(f"weak isomorphism tried more than {limit} symbol bijections")

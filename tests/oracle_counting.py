@@ -95,3 +95,24 @@ def oracle_ind(pattern, target) -> tuple[int, int]:
     if pattern.domain > target.domain:
         return 0, 0
     return _count_maps(pattern, target, list(range(pattern.domain)), True, True)
+
+
+def oracle_set_partitions(n: int):
+    """Partitions of range(n) from restricted-growth strings, generated
+    recursively (one level per vertex) in lexicographic order."""
+    if n == 0:
+        yield ()
+        return
+
+    def grow(prefix, maxval):
+        depth = len(prefix)
+        if depth == n:
+            blocks: list[list[int]] = [[] for _ in range(maxval + 1)]
+            for v, b in enumerate(prefix):
+                blocks[b].append(v)
+            yield tuple(tuple(b) for b in blocks)
+            return
+        for b in range(maxval + 2):
+            yield from grow(prefix + [b], max(maxval, b))
+
+    yield from grow([0], 0)

@@ -1,0 +1,114 @@
+"""Differential tests of the bitmask hom-basis decomposition against the
+diagram and super-pattern enumeration kept in oracle_logic.
+
+Terms are compared as (coefficient, canonical key) lists: a term's
+representative may be a different but isomorphic structure on each side."""
+
+import random
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from relpoly import BudgetError, canonical_form, parse_formula, qf_to_hom_basis, sig
+from relpoly.budgets import basis_budget
+from relpoly.logic import (
+    FALSE,
+    TRUE,
+    Atom,
+    FalseNode,
+    TrueNode,
+    _children,
+    build_formula,
+    conj,
+    disj,
+)
+
+from genutil import random_qf_formula, random_qf_node
+from oracle_logic import decompose
+
+SIG_R = sig(("R", 2))
+SIG_RW = sig(("R", 2), ("W", 1))
+
+
+def _keys(basis):
+    return [(c, canonical_form(f)) for c, f in basis.terms]
+
+
+def _agree(phi):
+    assert _keys(qf_to_hom_basis(phi)) == _keys(decompose(phi, basis_budget())), phi
+
+
+def _has_constant(node) -> bool:
+    return isinstance(node, (TrueNode, FalseNode)) or any(map(_has_constant, _children(node)))
+
+
+def test_decomposition_agrees_on_binary_formulas():
+    rng = random.Random(71)
+    for p, count in ((1, 10), (2, 10), (3, 8)):
+        for _ in range(count):
+            _agree(random_qf_formula(rng, SIG_R, p))
+
+
+def test_decomposition_agrees_on_unary_and_binary_formulas():
+    rng = random.Random(72)
+    for p in (1, 2):
+        for _ in range(10):
+            _agree(random_qf_formula(rng, SIG_RW, p))
+    _agree(parse_formula("W(x) & R(x,y) & !W(y) & !(x = y)", SIG_RW, ["x", "y"]))
+
+
+def test_decomposition_agrees_on_formulas_with_true_and_false():
+    texts = ["true", "false", "R(x,y) & true", "R(x,y) | false", "!false -> R(y,x)",
+             "(x = y) <-> false", "(R(x,x) | true) & !(y = x)"]
+    for text in texts:
+        _agree(parse_formula(text, SIG_R, ["x", "y"]))
+    _agree(parse_formula("true", SIG_RW, ["x", "y", "z"]))
+    _agree(parse_formula("W(x) & !true | R(x,y) & true", SIG_RW, ["x", "y"]))
+    rng = random.Random(73)
+    seen = 0
+    while seen < 12:
+        phi = random_qf_formula(rng, SIG_RW, rng.randrange(1, 3))
+        if _has_constant(phi.root):
+            _agree(phi)
+            seen += 1
+    variables = ["x1", "x2"]
+    for constant in (TRUE, FALSE):
+        for _ in range(4):
+            node = random_qf_node(rng, SIG_R, variables)
+            _agree(build_formula(disj(conj(node, constant), Atom("R", ("x2", "x1"))),
+                                 SIG_R, variables))
+
+
+@pytest.mark.parametrize("limit", [1, 2, 15, 16, 63, 64, 511, 512])
+def test_decomposition_budget_errors_agree(monkeypatch, limit):
+    monkeypatch.setenv("RELPOLY_BASIS_BUDGET", str(limit))
+    rng = random.Random(74 + limit)
+    formulas = [random_qf_formula(rng, SIG_R, p) for p in (1, 2, 3) for _ in range(3)]
+    formulas += [random_qf_formula(rng, SIG_RW, p) for p in (1, 2) for _ in range(3)]
+    formulas.append(parse_formula("x = y", SIG_R))
+    raised = 0
+    for phi in formulas:
+        try:
+            expected = _keys(decompose(phi, limit))
+        except BudgetError:
+            with pytest.raises(BudgetError, match="diagram enumeration exceeds the basis budget"):
+                qf_to_hom_basis(phi)
+            raised += 1
+        else:
+            assert _keys(qf_to_hom_basis(phi)) == expected, phi
+    assert (raised > 0) == (limit < 512)
+
+
+@st.composite
+def _formulas(draw):
+    rng = draw(st.randoms(use_true_random=False))
+    signature = draw(st.sampled_from((SIG_R, SIG_RW)))
+    p = draw(st.integers(1, 3 if signature is SIG_R else 2))
+    return random_qf_formula(rng, signature, p, depth=draw(st.integers(1, 4)))
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=40)
+@given(_formulas())
+def test_decomposition_matches_oracle_property(phi):
+    _agree(phi)

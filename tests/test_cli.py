@@ -213,6 +213,16 @@ def test_paley_command(files, capsys):
     _cli(capsys, ["paley", "--primes", "5"], expect=2)
 
 
+def test_paley_image_count_over_budget_fails(capsys):
+    # Bell(13) = 27644437 quotients of C13 exceed the basis budget at once
+    # instead of hanging
+    captured = _cli(capsys, ["paley", "--cycle", "13", "--primes", "5", "--fit-count", "1"],
+                    expect=1)
+    assert captured.out == ""
+    assert "check failed" in captured.err and "27644437 quotients" in captured.err
+    _cli(capsys, ["paley", "--cycle", "13", "--primes", "5", "--fit-count", "1", "--no-images"])
+
+
 def test_usage_errors_keep_stdout_empty(files, tmp_path, capsys):
     junk = tmp_path / "junk.json"
     junk.write_text("{nope")

@@ -1,4 +1,5 @@
 import random
+import time
 from itertools import product
 
 import pytest
@@ -23,10 +24,11 @@ from relpoly import (
     sig,
     super_patterns,
 )
-from relpoly.counting import gaifman_components, validate_partition
+from relpoly.counting import bell, gaifman_components, validate_partition
+from relpoly.gallery import paley_graph
 
-from genutil import K1, K2, K3, P3, graph, random_graph, random_structure
-from oracle_counting import oracle_hom, oracle_ind, oracle_inj
+from genutil import C4, K1, K2, K3, P3, graph, random_graph, random_structure
+from oracle_counting import oracle_hom, oracle_ind, oracle_inj, oracle_set_partitions
 
 
 def test_hom_examples():
@@ -92,6 +94,18 @@ def test_set_partitions_counts():
     for theta in set_partitions(4):
         assert sorted(v for block in theta for v in block) == [0, 1, 2, 3]
         assert list(theta) == sorted(theta, key=min)
+
+
+def test_set_partitions_match_the_recursive_generator():
+    for n in range(9):
+        partitions = list(set_partitions(n))
+        assert partitions == list(oracle_set_partitions(n))
+        assert len(partitions) == bell(n)
+    assert [bell(n) for n in (10, 13)] == [115975, 27644437]
+    # no recursion per vertex: a 1200-vertex pattern starts at once
+    first = set_partitions(1200)
+    assert next(first) == (tuple(range(1200)),)
+    assert next(first) == (tuple(range(1199)), (1199,))
 
 
 def test_inversion_identities_random():
@@ -248,3 +262,16 @@ def test_search_budget(monkeypatch):
         with pytest.raises(BudgetError, match=f"{mode} search explored 2[1-9] nodes"):
             count(f, graph(6, [(i, j) for i in range(6) for j in range(i + 1, 6)]))
     assert hom_count(K2, K3).value == 6
+
+
+def test_ind_count_on_paley_matches_oracle():
+    # the induced check runs per depth against the placed vertices; a scan of
+    # every target tuple at every injective leaf takes about 6.4 s here
+    g = paley_graph(29)
+    start = time.perf_counter()
+    report = ind_count(C4, g)
+    assert time.perf_counter() - start < 2.0
+    by_inclusion_exclusion = sum((-1) ** k * oracle_inj(f, g)[0]
+                                 for f, k in super_patterns(C4, closure="simple"))
+    assert report.value == by_inclusion_exclusion == 9744
+    assert ind_count(C4, paley_graph(17)).value == oracle_ind(C4, paley_graph(17))[0] == 816

@@ -5,6 +5,7 @@ import time
 import pytest
 
 from relpoly import (
+    BudgetError,
     SignatureError,
     UnboundedDegreeError,
     ValidationError,
@@ -258,6 +259,15 @@ def test_homomorphic_image_count_c4():
     p3_subs = 12
     e_subs = 6
     assert homomorphic_image_count(cycle_graph(4), k4) == c4_subs + p3_subs + e_subs
+
+
+def test_homomorphic_image_count_budget(monkeypatch):
+    # the Bell(|F|) quotients count against the basis budget: Bell(4) = 15
+    monkeypatch.setenv("RELPOLY_BASIS_BUDGET", "14")
+    with pytest.raises(BudgetError, match="15 quotients of a 4-vertex pattern"):
+        homomorphic_image_count(cycle_graph(4), paley_graph(5))
+    monkeypatch.setenv("RELPOLY_BASIS_BUDGET", "15")
+    assert homomorphic_image_count(cycle_graph(4), paley_graph(5)) == 10
 
 
 def test_paley_experiment_quartic_fit_verifies():

@@ -175,6 +175,24 @@ def test_weak_isomorphism_pairs_symbols_by_invariants():
     assert time.perf_counter() - start < 0.1
 
 
+def test_weak_isomorphism_tries_equal_symbols_once():
+    # k identical full marks: the k! orders of their partners rename b to the
+    # same structure, so one is tried (k = 6 took 0.24 s when all were)
+    k = 8
+    signature = sig(("E", 2), *[(f"U{i}", 1) for i in range(k)])
+    marks = {f"U{i}": [(v,) for v in range(6)] for i in range(k)}
+
+    def marked(edges):
+        return make_structure(signature, 6, {**marks, "E": edges + [(v, u) for u, v in edges]})
+
+    hexagon = marked([(i, (i + 1) % 6) for i in range(6)])
+    triangles = marked([(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)])
+    start = time.perf_counter()
+    assert not weakly_isomorphic(hexagon, triangles)
+    assert weakly_isomorphic(hexagon, permute(hexagon, [3, 1, 5, 0, 2, 4]))
+    assert time.perf_counter() - start < 0.1
+
+
 def test_weak_isomorphism_search_budget(monkeypatch):
     # E and F have equal invariants, so both bijections are tried, and fail.
     two = sig(("E", 2), ("F", 2))
