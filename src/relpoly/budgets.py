@@ -2,6 +2,8 @@
 
 import os
 
+from .errors import ToolkitError
+
 _DEFAULTS = {
     "RELPOLY_ASSIGNMENT_BUDGET": 10**8,   # assignments enumerated by count_satisfying
     "RELPOLY_TUPLE_BUDGET": 10**7,        # candidate tuples |A|^p per interpretation
@@ -15,6 +17,8 @@ def get(name: str) -> int:
     raw = os.environ.get(name)
     if raw is None:
         return _DEFAULTS[name]
+    if not (raw.isascii() and raw.isdigit()):
+        raise ToolkitError(f"{name} must be a non-negative integer, got {raw!r}")
     return int(raw)
 
 

@@ -306,7 +306,10 @@ def _cmd_gallery(args, out) -> int:
     n_range = None
     if args.range:
         lo, _, hi = args.range.partition(":")
-        n_range = (int(lo), int(hi))
+        try:
+            n_range = (int(lo), int(hi))
+        except ValueError:
+            raise UsageError(f"--range needs two integers a:b, got {args.range!r}") from None
     elif args.n is not None:
         n_range = (args.n, args.n)
     report = gallery_check(args.name, params, n_range, detect=args.detect)

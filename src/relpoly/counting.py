@@ -288,24 +288,24 @@ def hom_count(pattern: Structure, target: Structure) -> CountReport:
     return CountReport(value, "hom", nodes)
 
 
-def inj_count(pattern: Structure, target: Structure) -> CountReport:
-    """Injective relation-preserving maps (no component factorization)."""
+def _injective_count(pattern: Structure, target: Structure, mode: str) -> CountReport:
+    """The "inj" or "ind" count, over the whole pattern at once."""
     pattern, target = _aligned(pattern, target)
     if pattern.domain > target.domain:
-        return CountReport(0, "inj", 0)
-    value, nodes = _count_maps(pattern, target, list(range(pattern.domain)), "inj", 0,
+        return CountReport(0, mode, 0)
+    value, nodes = _count_maps(pattern, target, list(range(pattern.domain)), mode, 0,
                                budgets.search_budget())
-    return CountReport(value, "inj", nodes)
+    return CountReport(value, mode, nodes)
+
+
+def inj_count(pattern: Structure, target: Structure) -> CountReport:
+    """Injective relation-preserving maps (no component factorization)."""
+    return _injective_count(pattern, target, "inj")
 
 
 def ind_count(pattern: Structure, target: Structure) -> CountReport:
     """Injective maps whose image induces exactly the pattern's relations."""
-    pattern, target = _aligned(pattern, target)
-    if pattern.domain > target.domain:
-        return CountReport(0, "ind", 0)
-    value, nodes = _count_maps(pattern, target, list(range(pattern.domain)), "ind", 0,
-                               budgets.search_budget())
-    return CountReport(value, "ind", nodes)
+    return _injective_count(pattern, target, "ind")
 
 
 def hom(pattern: Structure, target: Structure) -> int:

@@ -34,13 +34,17 @@ from .polynomials import (
 )
 from .sequences import (
     BasicSeq,
-    CUSTOM_GENERATORS,
     InterpretedSeq,
     SequenceSpec,
+    complete_graph,
     custom_seq,
+    cycle_graph,
     detect_polynomial,
     domain_degree,
+    empty_graph,
     generate_term,
+    graph_from_edges,
+    path_graph,
     register_scheme_builder,
 )
 from .structures import (
@@ -58,14 +62,6 @@ from .structures import (
 # ---------------------------------------------------------------------------
 # Small named graphs
 
-def graph_from_edges(n: int, edges) -> Structure:
-    sym = []
-    for u, v in edges:
-        sym.append((u, v))
-        sym.append((v, u))
-    return make_structure(GRAPH_SIG, n, {"E": sym})
-
-
 def edge_count(g: Structure) -> int:
     rel = g.rel("E")
     loops = sum(1 for t in rel if t[0] == t[1])
@@ -82,26 +78,6 @@ def max_degree(g: Structure) -> int:
                 neighbors[u].add(v)
                 neighbors[v].add(u)
     return max((len(s) for s in neighbors.values()), default=0)
-
-
-def complete_graph(n: int) -> Structure:
-    return graph_from_edges(n, combinations(range(n), 2))
-
-
-def empty_graph(n: int) -> Structure:
-    return graph_from_edges(n, ())
-
-
-def path_graph(n: int) -> Structure:
-    return graph_from_edges(n, [(i, i + 1) for i in range(n - 1)])
-
-
-def cycle_graph(n: int) -> Structure:
-    if n == 1:
-        return make_structure(GRAPH_SIG, 1, {"E": [(0, 0)]})
-    if n == 2:
-        return graph_from_edges(2, [(0, 1)])
-    return graph_from_edges(n, [(i, (i + 1) % n) for i in range(n)]) if n else empty_graph(0)
 
 
 def star_graph(n: int) -> Structure:
@@ -157,20 +133,7 @@ def johnson_scheme(k: int, d_set) -> GraphicalScheme:
     iota = build_formula(
         conj(*[atom("S1", xs[i], xs[i + 1]) for i in range(k - 1)]), src, xs
     )
-    disjuncts = []
-    for m in d_set:
-        for i_set in combinations(range(k), m):
-            for j_set in combinations(range(k), m):
-                parts = [
-                    neg(eq(xs[i], ys[j]))
-                    for i in range(k) if i not in i_set
-                    for j in range(k) if j not in j_set
-                ]
-                parts += [
-                    disj(*[eq(xs[i], ys[j]) for j in j_set]) for i in i_set
-                ]
-                disjuncts.append(conj(*parts))
-    rho = build_formula(disj(*disjuncts), src, xs + ys)
+    rho = build_formula(_share_exactly(xs, ys, d_set), src, xs + ys)
     name = f"johnson(k={k},D={list(d_set)})"
     return GraphicalScheme(name, k, iota, rho, origin=("johnson", (("D", d_set), ("k", k))))
 
@@ -282,6 +245,25 @@ def chord_graph_scheme() -> GraphicalScheme:
     return GraphicalScheme("chordGraph", 2, iota, rho, origin=("chordGraph", ()))
 
 
+def _share_exactly(xs, ys, d_set):
+    """The k-tuples xs and ys, each of distinct elements, share exactly d
+    elements for some d in d_set: d positions of xs meet d positions of ys
+    and no other position of xs equals another position of ys."""
+    k = len(xs)
+    disjuncts = []
+    for m in d_set:
+        for i_set in combinations(range(k), m):
+            for j_set in combinations(range(k), m):
+                parts = [
+                    neg(eq(xs[i], ys[j]))
+                    for i in range(k) if i not in i_set
+                    for j in range(k) if j not in j_set
+                ]
+                parts += [disj(*[eq(xs[i], ys[j]) for j in j_set]) for i in i_set]
+                disjuncts.append(conj(*parts))
+    return disj(*disjuncts)
+
+
 def _same_set_formula(xs, ys):
     left = conj(*[disj(*[eq(x, y) for y in ys]) for x in xs])
     right = conj(*[disj(*[eq(x, y) for x in xs]) for y in ys])
@@ -300,19 +282,8 @@ def clique_intersection_scheme(k: int, d_set) -> QuotientScheme:
         conj(*[atom("E", xs[i], xs[j]) for i in range(k) for j in range(i + 1, k)]),
         src, xs,
     )
-    disjuncts = []
-    for m in d_set:
-        for i_set in combinations(range(k), m):
-            for j_set in combinations(range(k), m):
-                parts = [
-                    neg(eq(xs[i], ys[j]))
-                    for i in range(k) if i not in i_set
-                    for j in range(k) if j not in j_set
-                ]
-                parts += [disj(*[eq(xs[i], ys[j]) for j in j_set]) for i in i_set]
-                disjuncts.append(conj(*parts))
     rho = build_formula(
-        conj(disj(*disjuncts), neg(_same_set_formula(xs, ys))), src, xs + ys
+        conj(_share_exactly(xs, ys, d_set), neg(_same_set_formula(xs, ys))), src, xs + ys
     )
     base = InterpretationScheme(
         f"cliqueIntersection(k={k},D={list(d_set)})", k, src, GRAPH_SIG, rho0, (rho,)
@@ -516,17 +487,13 @@ def _tournament_seq(order="n") -> BasicSeq:
 
 
 def _complete_seq(order="n") -> InterpretedSeq:
-    scheme = forget_orientation_scheme()
-    scheme = GraphicalScheme(
-        scheme.name, scheme.p, scheme.iota, scheme.rho, origin=("underlyingGraph", ())
-    )
-    return InterpretedSeq(scheme, _tournament_seq(order))
+    return InterpretedSeq(forget_orientation_scheme(), _tournament_seq(order))
 
 
 _INNER_GRAPHS = {
-    "complete": (_complete_seq, lambda n: complete_graph(n)),
-    "cycle": (lambda: custom_seq("cycle"), lambda n: CUSTOM_GENERATORS["cycle"].make({}, n)),
-    "path": (lambda: custom_seq("path"), lambda n: CUSTOM_GENERATORS["path"].make({}, n)),
+    "complete": (_complete_seq, complete_graph),
+    "cycle": (lambda: custom_seq("cycle"), cycle_graph),
+    "path": (lambda: custom_seq("path"), path_graph),
 }
 
 
@@ -743,13 +710,7 @@ def _register_scheme_builders():
     )
     register_scheme_builder("lineGraph", lambda p: line_graph_scheme())
     register_scheme_builder("subdivision", lambda p: subdivision_scheme())
-    register_scheme_builder("underlyingGraph", lambda p: GraphicalScheme(
-        "underlyingGraph",
-        1,
-        forget_orientation_scheme().iota,
-        forget_orientation_scheme().rho,
-        origin=("underlyingGraph", ()),
-    ))
+    register_scheme_builder("underlyingGraph", lambda p: forget_orientation_scheme())
 
 
 _register_scheme_builders()

@@ -27,6 +27,8 @@ from .logic import (
     Or,
     TrueNode,
     FalseNode,
+    _children,
+    _rebuild,
     atom,
     build_formula,
     conj,
@@ -202,20 +204,18 @@ _COMPAT_SAMPLES = 32
 _EQUIV_SIG = sig(("equiv", 2))
 
 
-def _domain_tuples(scheme: Scheme, domain: Formula, a: Structure,
-                   budget: int | None) -> tuple[list[tuple[int, ...]], int]:
-    """The p-tuples satisfying the domain formula in lexicographic order, and
-    the resolved tuple budget."""
+def _domain_tuples(scheme: Scheme, domain: Formula, a: Structure) -> list[tuple[int, ...]]:
+    """The p-tuples satisfying the domain formula in lexicographic order."""
     if a.signature != scheme.source:
         raise SignatureError(
             f"structure signature {a.signature.symbols} does not match the "
             f"scheme source {scheme.source.symbols}"
         )
-    limit = budget if budget is not None else budgets.tuple_budget()
+    limit = budgets.tuple_budget()
     if a.domain ** scheme.p > limit:
         raise BudgetError(f"{a.domain}^{scheme.p} candidate tuples exceed the budget of {limit}")
     test = evaluator(domain, a)
-    return [t for t in product(range(a.domain), repeat=scheme.p) if test(t)], limit
+    return [t for t in product(range(a.domain), repeat=scheme.p) if test(t)]
 
 
 def _spot_check(test, value: bool, choices, rng: random.Random, name: str) -> None:
@@ -237,12 +237,14 @@ def _spot_check(test, value: bool, choices, rng: random.Random, name: str) -> No
             )
 
 
-def _relations(target: Signature, rhos, a: Structure, tuples, classes, limit: int,
+def _relations(target: Signature, rhos, a: Structure, tuples, classes,
                seed: int) -> dict[str, list[tuple[int, ...]]]:
     """The one relation loop of every scheme kind.  Each formula is evaluated
     on every tuple of classes through the first domain tuple of each class,
     with other representatives spot-checked where classes have several; a
-    relation of arity r may have at most len(classes)**r candidates."""
+    relation of arity r may have at most len(classes)**r candidates, counted
+    against the tuple budget."""
+    limit = budgets.tuple_budget()
     members = [[tuples[i] for i in c] for c in classes]
     reps = [m[0] for m in members]
     spot = any(len(m) > 1 for m in members)
@@ -275,28 +277,26 @@ def _singletons(tuples) -> list[tuple[int]]:
 
 
 def apply_interpretation_with_map(
-    scheme: InterpretationScheme, a: Structure, budget: int | None = None
+    scheme: InterpretationScheme, a: Structure
 ) -> tuple[Structure, tuple[tuple[int, ...], ...]]:
     """Interpret and also return the vertex-index -> source-tuple table."""
-    tuples, limit = _domain_tuples(scheme, scheme.rho0, a, budget)
-    relations = _relations(scheme.target, scheme.rhos, a, tuples, _singletons(tuples), limit, 0)
+    tuples = _domain_tuples(scheme, scheme.rho0, a)
+    relations = _relations(scheme.target, scheme.rhos, a, tuples, _singletons(tuples), 0)
     return make_structure(scheme.target, len(tuples), relations), tuple(tuples)
 
 
-def apply_interpretation(scheme: InterpretationScheme, a: Structure,
-                         budget: int | None = None) -> Structure:
+def apply_interpretation(scheme: InterpretationScheme, a: Structure) -> Structure:
     """Domain = satisfying p-tuples of the domain formula in lexicographic
     order; each target relation holds where its formula holds on the
     concatenated tuples."""
-    return apply_interpretation_with_map(scheme, a, budget)[0]
+    return apply_interpretation_with_map(scheme, a)[0]
 
 
-def apply_graphical(scheme: GraphicalScheme, a: Structure,
-                    budget: int | None = None) -> Structure:
+def apply_graphical(scheme: GraphicalScheme, a: Structure) -> Structure:
     """Undirected graph on the vertex tuples; the edge formula is certified
     symmetric on this input, with a witness reported on violation."""
-    tuples, limit = _domain_tuples(scheme, scheme.iota, a, budget)
-    edges = _relations(scheme.target, (scheme.rho,), a, tuples, _singletons(tuples), limit, 0)["E"]
+    tuples = _domain_tuples(scheme, scheme.iota, a)
+    edges = _relations(scheme.target, (scheme.rho,), a, tuples, _singletons(tuples), 0)["E"]
     present = set(edges)
     one_way = [tuple(sorted(e)) for e in edges if e[::-1] not in present]
     if one_way:
@@ -322,7 +322,6 @@ def apply_quotient_with_report(
     qs: QuotientScheme,
     a: Structure,
     n: int | None = None,
-    budget: int | None = None,
     seed: int = 0,
 ) -> QuotientReport:
     """Interpret with one vertex per equivalence class of the tuple relation.
@@ -336,8 +335,8 @@ def apply_quotient_with_report(
     sequence index n).
     """
     base = qs.base
-    tuples, limit = _domain_tuples(base, base.rho0, a, budget)
-    pairs = _relations(_EQUIV_SIG, (qs.varpi,), a, tuples, _singletons(tuples), limit, seed)
+    tuples = _domain_tuples(base, base.rho0, a)
+    pairs = _relations(_EQUIV_SIG, (qs.varpi,), a, tuples, _singletons(tuples), seed)
     rows: list[set[int]] = [set() for _ in tuples]
     for i, j in pairs["equiv"]:
         rows[i].add(j)
@@ -385,7 +384,7 @@ def apply_quotient_with_report(
     else:
         labels = [None] * len(classes)
 
-    relations = _relations(base.target, base.rhos, a, tuples, classes, limit, seed)
+    relations = _relations(base.target, base.rhos, a, tuples, classes, seed)
     structure = make_structure(base.target, len(classes), relations)
     return QuotientReport(
         structure,
@@ -396,19 +395,17 @@ def apply_quotient_with_report(
     )
 
 
-def apply_quotient(qs: QuotientScheme, a: Structure, n: int | None = None,
-                   budget: int | None = None) -> Structure:
-    return apply_quotient_with_report(qs, a, n=n, budget=budget).structure
+def apply_quotient(qs: QuotientScheme, a: Structure, n: int | None = None) -> Structure:
+    return apply_quotient_with_report(qs, a, n=n).structure
 
 
-def apply_scheme(scheme: Scheme, a: Structure, n: int | None = None,
-                 budget: int | None = None) -> Structure:
+def apply_scheme(scheme: Scheme, a: Structure, n: int | None = None) -> Structure:
     if isinstance(scheme, InterpretationScheme):
-        return apply_interpretation(scheme, a, budget)
+        return apply_interpretation(scheme, a)
     if isinstance(scheme, GraphicalScheme):
-        return apply_graphical(scheme, a, budget)
+        return apply_graphical(scheme, a)
     if isinstance(scheme, QuotientScheme):
-        return apply_quotient(scheme, a, n=n, budget=budget)
+        return apply_quotient(scheme, a, n=n)
     raise TypeError(f"not a scheme: {scheme!r}")
 
 
@@ -427,29 +424,13 @@ def _fresh_tuple_names(base: str, p: int, used: set[str]) -> tuple[str, ...]:
 
 
 def _all_variables(node: Node) -> set[str]:
-    out: set[str] = set()
-
-    def walk(n: Node):
-        if isinstance(n, Eq):
-            out.add(n.left)
-            out.add(n.right)
-        elif isinstance(n, Atom):
-            out.update(n.args)
-        elif isinstance(n, (Exists, Forall)):
-            out.add(n.var)
-            walk(n.body)
-        else:
-            if isinstance(n, Not):
-                walk(n.body)
-            elif isinstance(n, (And, Or)):
-                for p_ in n.parts:
-                    walk(p_)
-            elif isinstance(n, (Implies, Iff)):
-                walk(n.left)
-                walk(n.right)
-
-    walk(node)
-    return out
+    """Every variable name in the formula, free, bound or quantified."""
+    if isinstance(node, Eq):
+        return {node.left, node.right}
+    if isinstance(node, Atom):
+        return set(node.args)
+    own = {node.var} if isinstance(node, (Exists, Forall)) else set()
+    return own.union(*map(_all_variables, _children(node)))
 
 
 def translate_formula(scheme: InterpretationScheme, phi: Formula) -> Formula:
@@ -476,16 +457,12 @@ def translate_formula(scheme: InterpretationScheme, phi: Formula) -> Formula:
             rho = scheme.rho(node.symbol)
             flat = [name for v in node.args for name in mapping[v]]
             return instantiate(rho, flat)
-        if isinstance(node, Not):
-            return Not(tr(node.body, mapping))
         if isinstance(node, And):
             return conj(*[tr(x, mapping) for x in node.parts])
         if isinstance(node, Or):
             return disj(*[tr(x, mapping) for x in node.parts])
-        if isinstance(node, Implies):
-            return Implies(tr(node.left, mapping), tr(node.right, mapping))
-        if isinstance(node, Iff):
-            return Iff(tr(node.left, mapping), tr(node.right, mapping))
+        if isinstance(node, (Not, Implies, Iff)):
+            return _rebuild(node, lambda child: tr(child, mapping))
         if isinstance(node, (Exists, Forall)):
             names = _fresh_tuple_names(node.var, p, used)
             inner = dict(mapping)
@@ -613,7 +590,7 @@ def forget_orientation_scheme() -> GraphicalScheme:
     source = basic_signature(1, 0)
     iota = build_formula(TRUE, source, ["x1"])
     rho = parse_formula("S1(x1,y1) | S1(y1,x1)", source, ["x1", "y1"])
-    return GraphicalScheme("underlyingGraph", 1, iota, rho)
+    return GraphicalScheme("underlyingGraph", 1, iota, rho, origin=("underlyingGraph", ()))
 
 
 PRODUCT_SOURCE_SIG = sig(("E", 2), ("UA", 1), ("E'", 2), ("UB", 1))

@@ -153,6 +153,19 @@ def _children(node: Node):
     return ()
 
 
+def _rebuild(node: Node, f) -> Node:
+    """The node with f applied to each direct subformula."""
+    if isinstance(node, Not):
+        return Not(f(node.body))
+    if isinstance(node, (And, Or)):
+        return type(node)(tuple(f(p) for p in node.parts))
+    if isinstance(node, (Implies, Iff)):
+        return type(node)(f(node.left), f(node.right))
+    if isinstance(node, (Exists, Forall)):
+        return type(node)(node.var, f(node.body))
+    return node
+
+
 def free_variables(node: Node, bound: frozenset = frozenset()) -> list[str]:
     """Free variables in first-occurrence order."""
     out: list[str] = []
@@ -199,21 +212,7 @@ def atom_symbols(node: Node) -> set[str]:
 def rename_symbols(node: Node, mapping: dict[str, str]) -> Node:
     if isinstance(node, Atom):
         return Atom(mapping.get(node.symbol, node.symbol), node.args)
-    if isinstance(node, Not):
-        return Not(rename_symbols(node.body, mapping))
-    if isinstance(node, And):
-        return And(tuple(rename_symbols(p, mapping) for p in node.parts))
-    if isinstance(node, Or):
-        return Or(tuple(rename_symbols(p, mapping) for p in node.parts))
-    if isinstance(node, Implies):
-        return Implies(rename_symbols(node.left, mapping), rename_symbols(node.right, mapping))
-    if isinstance(node, Iff):
-        return Iff(rename_symbols(node.left, mapping), rename_symbols(node.right, mapping))
-    if isinstance(node, Exists):
-        return Exists(node.var, rename_symbols(node.body, mapping))
-    if isinstance(node, Forall):
-        return Forall(node.var, rename_symbols(node.body, mapping))
-    return node
+    return _rebuild(node, lambda child: rename_symbols(child, mapping))
 
 
 def substitute(node: Node, mapping: dict[str, str], fresh_counter: list[int] | None = None) -> Node:
@@ -236,19 +235,7 @@ def substitute(node: Node, mapping: dict[str, str], fresh_counter: list[int] | N
             var = fresh
         body = substitute(node.body, inner, fresh_counter)
         return Exists(var, body) if isinstance(node, Exists) else Forall(var, body)
-    if isinstance(node, Not):
-        return Not(substitute(node.body, mapping, fresh_counter))
-    if isinstance(node, And):
-        return And(tuple(substitute(p, mapping, fresh_counter) for p in node.parts))
-    if isinstance(node, Or):
-        return Or(tuple(substitute(p, mapping, fresh_counter) for p in node.parts))
-    if isinstance(node, Implies):
-        return Implies(substitute(node.left, mapping, fresh_counter),
-                       substitute(node.right, mapping, fresh_counter))
-    if isinstance(node, Iff):
-        return Iff(substitute(node.left, mapping, fresh_counter),
-                   substitute(node.right, mapping, fresh_counter))
-    return node
+    return _rebuild(node, lambda child: substitute(child, mapping, fresh_counter))
 
 
 # ---------------------------------------------------------------------------
@@ -293,21 +280,7 @@ def _bind(node: Node, signature: Signature) -> Node:
                 f"symbol {resolved!r} has arity {arity}, got {len(node.args)} arguments"
             )
         return Atom(resolved, node.args)
-    if isinstance(node, Not):
-        return Not(_bind(node.body, signature))
-    if isinstance(node, And):
-        return And(tuple(_bind(p, signature) for p in node.parts))
-    if isinstance(node, Or):
-        return Or(tuple(_bind(p, signature) for p in node.parts))
-    if isinstance(node, Implies):
-        return Implies(_bind(node.left, signature), _bind(node.right, signature))
-    if isinstance(node, Iff):
-        return Iff(_bind(node.left, signature), _bind(node.right, signature))
-    if isinstance(node, Exists):
-        return Exists(node.var, _bind(node.body, signature))
-    if isinstance(node, Forall):
-        return Forall(node.var, _bind(node.body, signature))
-    return node
+    return _rebuild(node, lambda child: _bind(child, signature))
 
 
 def build_formula(root: Node, signature: Signature,
@@ -631,12 +604,12 @@ def quantifier_depth(node: Node) -> int:
     return deepest
 
 
-def _charge_assignments(phi: Formula, s: Structure, p: int, budget: int | None) -> None:
+def _charge_assignments(phi: Formula, s: Structure, p: int) -> None:
     """Refuse an evaluation whose |A|^(p+d) assignments, with p free and d
     nested quantified variables, exceed the assignment budget."""
     exponent = p + quantifier_depth(phi.root)
     total = s.domain ** exponent
-    limit = budget if budget is not None else budgets.assignment_budget()
+    limit = budgets.assignment_budget()
     if total > limit:
         raise BudgetError(
             f"{total} assignments (|A|^{exponent}) exceed the budget of {limit}"
@@ -649,14 +622,14 @@ def eval_formula(phi: Formula, s: Structure, assignment: dict[str, int]) -> bool
         a = tuple(assignment[v] for v in phi.free_vars)
     except KeyError as exc:
         raise BindingError(f"assignment is missing variable {exc.args[0]!r}") from exc
-    _charge_assignments(phi, s, 0, None)
+    _charge_assignments(phi, s, 0)
     return evaluator(phi, s)(a)
 
 
-def satisfying_tuples(phi: Formula, s: Structure, budget: int | None = None):
+def satisfying_tuples(phi: Formula, s: Structure):
     """Stream the satisfying assignments in lexicographic order."""
     p = len(phi.free_vars)
-    _charge_assignments(phi, s, p, budget)
+    _charge_assignments(phi, s, p)
     test = evaluator(phi, s)
     if p == 0:
         if test(()):
@@ -667,9 +640,9 @@ def satisfying_tuples(phi: Formula, s: Structure, budget: int | None = None):
             yield a
 
 
-def count_satisfying(phi: Formula, s: Structure, budget: int | None = None) -> int:
+def count_satisfying(phi: Formula, s: Structure) -> int:
     """|phi(A)| by brute-force enumeration of |A|^p assignments."""
-    return sum(1 for _ in satisfying_tuples(phi, s, budget))
+    return sum(1 for _ in satisfying_tuples(phi, s))
 
 
 # ---------------------------------------------------------------------------
@@ -729,13 +702,12 @@ def _dnf_terms(node: Node, budget: int) -> list[list[Node]]:
     return [[node]]
 
 
-def to_dnf(phi: Formula, budget: int | None = None) -> Formula:
+def to_dnf(phi: Formula) -> Formula:
     """Equivalent disjunction of conjunctions of possibly negated atoms."""
     if not phi.is_quantifier_free:
         raise BindingError("DNF is defined for quantifier-free formulas only")
-    limit = budget if budget is not None else budgets.dnf_budget()
     flat = _nnf(_desugar(phi.root), False)
-    terms = _dnf_terms(flat, limit)
+    terms = _dnf_terms(flat, budgets.dnf_budget())
     root = disj(*(conj(*term) for term in terms))
     return Formula(root, phi.signature, phi.free_vars)
 
@@ -763,7 +735,7 @@ def _subset_moebius(a: list[int]) -> None:
         bit <<= 1
 
 
-def qf_to_hom_basis(phi: Formula, budget: int | None = None) -> HomBasis:
+def qf_to_hom_basis(phi: Formula) -> HomBasis:
     """Decompose a quantifier-free satisfaction count into hom counts.
 
     Satisfying assignments are split by the partition their equalities induce,
@@ -774,14 +746,14 @@ def qf_to_hom_basis(phi: Formula, budget: int | None = None) -> HomBasis:
     A diagram on k vertices is a bitmask over its N_k cells (symbol, tuple),
     so the inclusion-exclusion is one subset Moebius transform of N_k * 2^N_k
     integer steps, and only diagrams with a nonzero injective coefficient are
-    built as structures; 2^N_k > budget for some k is a BudgetError.
-    The result is cached per formula and resolved budget.
+    built as structures; 2^N_k > RELPOLY_BASIS_BUDGET for some k is a
+    BudgetError.  The result is cached per formula and budget.
     """
     if not phi.is_quantifier_free:
         raise BindingError("hom-basis decomposition needs a quantifier-free formula")
     if not phi.free_vars:
         raise BindingError("hom-basis decomposition needs at least one free variable")
-    return _decompose(phi, budget if budget is not None else budgets.basis_budget())
+    return _decompose(phi, budgets.basis_budget())
 
 
 @lru_cache(maxsize=256)
@@ -891,17 +863,17 @@ def basis_work(phi: Formula, cap: int | None = None) -> int:
     return total
 
 
-def satisfying_counter(phi: Formula, budget: int | None = None):
+def satisfying_counter(phi: Formula):
     """The way to count |phi(A)| for many structures A: a function from a
     structure to its count.
 
     A quantifier-free phi with free variables whose basis_work fits the
     basis budget is counted through its (cached) hom basis, a few hom counts
     per structure; anything else by count_satisfying under the assignment
-    budget `budget`.
+    budget.
     """
     if phi.free_vars and phi.is_quantifier_free:
         limit = budgets.basis_budget()
         if basis_work(phi, cap=limit) <= limit:
-            return qf_to_hom_basis(phi, limit).value
-    return lambda s: count_satisfying(phi, s, budget)
+            return qf_to_hom_basis(phi).value
+    return lambda s: count_satisfying(phi, s)

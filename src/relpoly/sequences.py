@@ -1,11 +1,13 @@
-"""Structure-sequence recipes, the polynomial-growth detector, ordered sums,
-and the telescoped evaluation of injective counts into them."""
+"""Structure-sequence recipes and the small graphs they start from, the
+polynomial-growth detector, ordered sums, and the telescoped evaluation of
+injective counts into them."""
 
 from __future__ import annotations
 
 import json
 import logging
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Callable, Union
 
 from .counting import hom_count, inj_count
@@ -30,8 +32,10 @@ from .structures import (
     BasicStructureSpec,
     build_basic,
     basic_signature,
-    disjoint_union,
+    copies,
     disjoint_union_signature,
+    forget,
+    gaifman_components,
     induced,
     lift,
     make_structure,
@@ -117,44 +121,38 @@ class CustomGenerator:
     make: Callable
 
 
-def _cycle(params, n: int) -> Structure:
-    edges = []
-    if n == 1:
-        edges = [(0, 0)]
-    elif n == 2:
-        edges = [(0, 1), (1, 0)]
-    elif n >= 3:
-        for i in range(n):
-            edges += [(i, (i + 1) % n), ((i + 1) % n, i)]
-    return make_structure(GRAPH_SIG, n, {"E": edges})
+def graph_from_edges(n: int, edges) -> Structure:
+    """Graph on n vertices with each listed edge in both directions."""
+    sym = []
+    for u, v in edges:
+        sym.append((u, v))
+        sym.append((v, u))
+    return make_structure(GRAPH_SIG, n, {"E": sym})
 
 
-def _path(params, n: int) -> Structure:
-    edges = []
-    for i in range(n - 1):
-        edges += [(i, i + 1), (i + 1, i)]
-    return make_structure(GRAPH_SIG, n, {"E": edges})
+def complete_graph(n: int) -> Structure:
+    return graph_from_edges(n, combinations(range(n), 2))
 
 
-def _complete(params, n: int) -> Structure:
-    edges = [(i, j) for i in range(n) for j in range(n) if i != j]
-    return make_structure(GRAPH_SIG, n, {"E": edges})
+def empty_graph(n: int) -> Structure:
+    return graph_from_edges(n, ())
 
 
-def _empty_graph(params, n: int) -> Structure:
-    return make_structure(GRAPH_SIG, n, {})
+def path_graph(n: int) -> Structure:
+    return graph_from_edges(n, [(i, i + 1) for i in range(n - 1)])
 
 
-def _constant(params, n: int) -> Structure:
-    return params["structure"]
+def cycle_graph(n: int) -> Structure:
+    """The n-cycle; C_1 is a loop and C_2 a single edge."""
+    return graph_from_edges(n, [(i, (i + 1) % n) for i in range(n)])
 
 
 CUSTOM_GENERATORS: dict[str, CustomGenerator] = {
-    "cycle": CustomGenerator(GRAPH_SIG, 1, _cycle),
-    "path": CustomGenerator(GRAPH_SIG, 1, _path),
-    "complete": CustomGenerator(GRAPH_SIG, 1, _complete),
-    "emptyGraph": CustomGenerator(GRAPH_SIG, 1, _empty_graph),
-    "constant": CustomGenerator(GRAPH_SIG, 0, _constant),
+    "cycle": CustomGenerator(GRAPH_SIG, 1, lambda params, n: cycle_graph(n)),
+    "path": CustomGenerator(GRAPH_SIG, 1, lambda params, n: path_graph(n)),
+    "complete": CustomGenerator(GRAPH_SIG, 1, lambda params, n: complete_graph(n)),
+    "emptyGraph": CustomGenerator(GRAPH_SIG, 1, lambda params, n: empty_graph(n)),
+    "constant": CustomGenerator(GRAPH_SIG, 0, lambda params, n: params["structure"]),
 }
 
 
@@ -225,7 +223,7 @@ def _poly_value(poly: IntPolynomial, n: int, what: str) -> int:
     return value
 
 
-def generate_term(spec: SequenceSpec, n: int, budget: int | None = None) -> Structure:
+def generate_term(spec: SequenceSpec, n: int) -> Structure:
     """Materialize the n-th term of the sequence."""
     if n < 0:
         raise SignatureError("sequence index must be non-negative")
@@ -233,19 +231,16 @@ def generate_term(spec: SequenceSpec, n: int, budget: int | None = None) -> Stru
         orders = tuple(_poly_value(q, n, "tournament order") for q in spec.orders)
         return build_basic(BasicStructureSpec(spec.k, spec.l, orders))
     if isinstance(spec, OrderedSumSeq):
-        return ordered_sum(spec.inner, _poly_value(spec.length, n, "length"), budget)
+        return ordered_sum(spec.inner, _poly_value(spec.length, n, "length"))
     if isinstance(spec, InterpretedSeq):
-        return apply_scheme(spec.scheme, generate_term(spec.inner, n, budget), n=n, budget=budget)
+        return apply_scheme(spec.scheme, generate_term(spec.inner, n), n=n)
     if isinstance(spec, StrongSumSeq):
-        return strong_sum(*(generate_term(m, n, budget) for m in spec.members))
+        return strong_sum(*(generate_term(m, n) for m in spec.members))
     if isinstance(spec, CopiesSeq):
         m = _poly_value(spec.count, n, "copy count")
-        term = generate_term(spec.inner, n, budget)
-        if m == 0:
-            return make_structure(term.signature, 0)
-        return disjoint_union(*([term] * m))
+        return copies(generate_term(spec.inner, n), m)
     if isinstance(spec, ReindexedSeq):
-        return generate_term(spec.inner, _poly_value(spec.by, n, "reindexing"), budget)
+        return generate_term(spec.inner, _poly_value(spec.by, n, "reindexing"))
     if isinstance(spec, CustomSeq):
         if spec.name not in CUSTOM_GENERATORS:
             raise SignatureError(f"unknown custom sequence {spec.name!r}")
@@ -291,9 +286,9 @@ def ordered_sum_of(blocks, inner_signature: Signature) -> Structure:
     return make_structure(combined, total, relations)
 
 
-def ordered_sum(inner: SequenceSpec, n: int, budget: int | None = None) -> Structure:
+def ordered_sum(inner: SequenceSpec, n: int) -> Structure:
     """Blocks are the inner sequence's terms at indices 1..n."""
-    blocks = [generate_term(inner, i, budget) for i in range(1, n + 1)]
+    blocks = [generate_term(inner, i) for i in range(1, n + 1)]
     return ordered_sum_of(blocks, signature_of(inner))
 
 
@@ -317,30 +312,8 @@ def ordered_splits(pattern: Structure, s_name: str = "S"):
     one.  Yields tuples of parts (each a tuple of vertices)."""
     if not pattern.signature.has(s_name):
         raise SignatureError(f"pattern has no order relation {s_name!r}")
-    n = pattern.domain
-    parent = list(range(n))
-
-    def find(v):
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
-    for name in pattern.signature.names:
-        if name == s_name:
-            continue
-        for t in pattern.rel(name):
-            for v in t[1:]:
-                parent[find(v)] = find(t[0])
-    comp_of = {}
-    comps: list[list[int]] = []
-    for v in range(n):
-        root = find(v)
-        if root not in comp_of:
-            comp_of[root] = len(comps)
-            comps.append([])
-        comps[comp_of[root]].append(v)
-    comp_index = {v: comp_of[find(v)] for v in range(n)}
+    comps = gaifman_components(forget(pattern, [s_name]))
+    comp_index = {v: i for i, comp in enumerate(comps) for v in comp}
 
     edges: set[tuple[int, int]] = set()
     for (x, y) in pattern.rel(s_name):
@@ -381,57 +354,6 @@ def is_nice(pattern: Structure, s_name: str = "S") -> bool:
     for _ in ordered_splits(pattern, s_name):
         return True
     return False
-
-
-def strict_nice_partition(pattern: Structure, s_name: str = "S",
-                          u_name: str = "U") -> tuple[tuple[int, ...], ...] | None:
-    """The unique ordered partition with the order relation holding exactly
-    between earlier and later parts and the mark on every vertex, when one
-    exists.  This is the stricter book-keeping notion; the split-based
-    predictor above is the one that matches injective counting."""
-    n = pattern.domain
-    if pattern.signature.has(u_name) and len(pattern.rel(u_name)) != n:
-        return None
-    s_rel = set(pattern.rel(s_name))
-    parent = list(range(n))
-
-    def find(v):
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
-    for u in range(n):
-        for v in range(u + 1, n):
-            if (u, v) not in s_rel and (v, u) not in s_rel:
-                parent[find(u)] = find(v)
-    groups: dict[int, list[int]] = {}
-    for v in range(n):
-        groups.setdefault(find(v), []).append(v)
-    parts = list(groups.values())
-    # order parts by the order relation; verify exactness
-    order_between: dict[tuple[int, int], bool] = {}
-    for i, a in enumerate(parts):
-        for j, b in enumerate(parts):
-            if i == j:
-                continue
-            all_s = all((x, y) in s_rel for x in a for y in b)
-            any_s = any((x, y) in s_rel for x in a for y in b)
-            if all_s != any_s:
-                return None
-            order_between[(i, j)] = all_s
-    for i, a in enumerate(parts):
-        if any((x, y) in s_rel for x in a for y in a):
-            return None
-    for i in range(len(parts)):
-        for j in range(i + 1, len(parts)):
-            if order_between[(i, j)] == order_between[(j, i)]:
-                return None
-    ordered = sorted(
-        range(len(parts)),
-        key=lambda i: sum(1 for j in range(len(parts)) if j != i and order_between[(j, i)]),
-    )
-    return tuple(tuple(sorted(parts[i])) for i in ordered)
 
 
 def predict_inj_into_ordered_sum(pattern: Structure, inner: SequenceSpec, n: int,
@@ -497,14 +419,13 @@ def _query_degree(query, spec: SequenceSpec) -> int:
     raise TypeError("query must be a pattern structure or a formula")
 
 
-def _query_counter(query, budget):
+def _query_counter(query):
     if isinstance(query, Structure):
         return lambda term: hom_count(query, term).value
-    return satisfying_counter(query, budget)
+    return satisfying_counter(query)
 
 
-def detect_polynomial(spec: SequenceSpec, query, verify_count: int = 5,
-                      budget: int | None = None) -> PolynomialFit:
+def detect_polynomial(spec: SequenceSpec, query, verify_count: int = 5) -> PolynomialFit:
     """Sample the count at n = 0..degree bound, interpolate in the binomial
     basis, and verify on held-out indices; a mismatch is a counterexample
     witness, and a blown budget yields an Inconclusive verdict with the data
@@ -517,13 +438,13 @@ def detect_polynomial(spec: SequenceSpec, query, verify_count: int = 5,
     samples: list[tuple[int, int]] = []
     verifies: list[tuple[int, int, bool]] = []
     try:
-        count = _query_counter(query, budget)
+        count = _query_counter(query)
         for n in range(d_bound + 1):
-            samples.append((n, count(generate_term(spec, n, budget))))
+            samples.append((n, count(generate_term(spec, n))))
         fit = interpolate(samples)
         ok = True
         for n in range(d_bound + 1, d_bound + 1 + verify_count):
-            value = count(generate_term(spec, n, budget))
+            value = count(generate_term(spec, n))
             match = value == fit(n)
             verifies.append((n, value, match))
             ok = ok and match
@@ -647,28 +568,33 @@ def spec_from_obj(obj: dict) -> SequenceSpec:
         variant = obj["variant"]
     except (KeyError, TypeError):
         raise SignatureError("sequence spec object needs a 'variant' key") from None
-    if variant == "Basic":
-        return BasicSeq(
-            obj["k"], obj["l"], tuple(parse_polynomial(q) for q in obj["orders"])
-        )
-    if variant == "OrderedSum":
-        return OrderedSumSeq(spec_from_obj(obj["inner"]), parse_polynomial(obj["length"]))
-    if variant == "Interpreted":
-        return InterpretedSeq(_scheme_from_obj(obj["scheme"]), spec_from_obj(obj["inner"]))
-    if variant == "StrongSum":
-        return StrongSumSeq(tuple(spec_from_obj(m) for m in obj["members"]))
-    if variant == "Copies":
-        return CopiesSeq(parse_polynomial(obj["count"]), spec_from_obj(obj["inner"]))
-    if variant == "Reindexed":
-        return ReindexedSeq(parse_polynomial(obj["by"]), spec_from_obj(obj["inner"]))
-    if variant == "Custom":
-        params = {}
-        for key, value in obj.get("params", {}).items():
-            if isinstance(value, dict) and {"signature", "domain"} <= set(value):
-                params[key] = structure_from_json(json.dumps(value))
-            else:
-                params[key] = value
-        return custom_seq(obj["name"], **params)
+    try:
+        if variant == "Basic":
+            return BasicSeq(
+                obj["k"], obj["l"], tuple(parse_polynomial(q) for q in obj["orders"])
+            )
+        if variant == "OrderedSum":
+            return OrderedSumSeq(spec_from_obj(obj["inner"]), parse_polynomial(obj["length"]))
+        if variant == "Interpreted":
+            return InterpretedSeq(_scheme_from_obj(obj["scheme"]), spec_from_obj(obj["inner"]))
+        if variant == "StrongSum":
+            return StrongSumSeq(tuple(spec_from_obj(m) for m in obj["members"]))
+        if variant == "Copies":
+            return CopiesSeq(parse_polynomial(obj["count"]), spec_from_obj(obj["inner"]))
+        if variant == "Reindexed":
+            return ReindexedSeq(parse_polynomial(obj["by"]), spec_from_obj(obj["inner"]))
+        if variant == "Custom":
+            params = {}
+            for key, value in obj.get("params", {}).items():
+                if isinstance(value, dict) and {"signature", "domain"} <= set(value):
+                    params[key] = structure_from_json(json.dumps(value))
+                else:
+                    params[key] = value
+            return custom_seq(obj["name"], **params)
+    except KeyError as exc:
+        raise SignatureError(f"{variant!r} spec is missing the key {exc}") from None
+    except (TypeError, AttributeError) as exc:
+        raise SignatureError(f"malformed {variant!r} spec: {exc}") from None
     raise SignatureError(f"unknown sequence variant {variant!r}")
 
 

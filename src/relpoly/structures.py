@@ -505,4 +505,7 @@ def structure_from_json(text: str) -> Structure:
                      for name, tuples in payload.get("relations", {}).items()}
     except (KeyError, TypeError) as exc:
         raise SignatureError(f"malformed structure JSON: {exc}") from exc
+    for value in (domain, *(v for tuples in relations.values() for t in tuples for v in t)):
+        if type(value) is not int:
+            raise SignatureError(f"malformed structure JSON: {value!r} is not an integer")
     return make_structure(signature, domain, relations)

@@ -305,3 +305,39 @@ def test_detect_formula_from_file(tmp_path, capsys):
     out = _cli(capsys, ["detect", "--spec", str(spec_path),
                         "--formula", str(formula_path)])
     assert json.loads(out.out)["verdict"] == "Polynomial"
+
+
+def test_malformed_budget_is_a_usage_error(files, capsys, monkeypatch):
+    monkeypatch.setenv("RELPOLY_SEARCH_BUDGET", "abc")
+    captured = _cli(capsys, ["count", "--mode", "hom",
+                             "--pattern", files["k2"], "--target", files["k3"]], expect=2)
+    assert captured.out == ""
+    assert "error:" in captured.err and "RELPOLY_SEARCH_BUDGET" in captured.err
+    assert "Traceback" not in captured.err
+
+
+HOSTILE_SPECS = {
+    "basic-without-l": {"variant": "Basic", "k": 1},
+    "copies-count-not-text": {"variant": "Copies", "count": 3,
+                              "inner": {"variant": "Custom", "name": "cycle"}},
+    "custom-params-not-object": {"variant": "Custom", "name": "cycle", "params": []},
+}
+
+
+@pytest.mark.parametrize("case", [*HOSTILE_SPECS, "domain-not-integer", "range-without-colon"])
+def test_hostile_inputs_exit_2(case, files, tmp_path, capsys):
+    if case in HOSTILE_SPECS:
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(HOSTILE_SPECS[case]))
+        args = ["detect", "--spec", str(spec_path), "--pattern", files["k2"]]
+    elif case == "domain-not-integer":
+        bad = json.loads(structure_to_json(K2))
+        bad["domain"] = "x"
+        bad_path = tmp_path / "bad.json"
+        bad_path.write_text(json.dumps(bad))
+        args = ["count", "--mode", "hom", "--pattern", files["k2"], "--target", str(bad_path)]
+    else:
+        args = ["gallery", "run", "crown", "--range", "3"]
+    captured = _cli(capsys, args, expect=2)
+    assert captured.out == ""
+    assert captured.err.startswith("error:")

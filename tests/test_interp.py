@@ -133,13 +133,14 @@ def test_apply_interpretation_records_tuple_map():
     assert out.rel("E") == ((0, 1), (1, 0))
 
 
-def test_apply_interpretation_signature_and_budget():
+def test_apply_interpretation_signature_and_budget(monkeypatch):
     scheme = complement_scheme()
     with pytest.raises(SignatureError):
         apply_graphical(scheme, build_basic(BasicStructureSpec(1, 0, (2,))))
     big = graph(40, [])
+    monkeypatch.setenv("RELPOLY_TUPLE_BUDGET", "100")
     with pytest.raises(BudgetError):
-        apply_graphical(crown_scheme(), _crown_base(200), budget=100)
+        apply_graphical(crown_scheme(), _crown_base(200))
     del big
 
 

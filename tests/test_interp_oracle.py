@@ -67,18 +67,21 @@ def _outcome(module, fn, *args, **kwargs):
 
 def _agree(scheme, a, n=None, budget=None):
     """Apply the scheme both ways and assert equal outcomes and, where both
-    succeed, equal predicate calls; return the outcome."""
-    if isinstance(scheme, QuotientScheme):
-        new = _outcome(interp, interp.apply_quotient_with_report, scheme, a, n=n, budget=budget)
-        old = _outcome(oracle_interp, oracle_interp.apply_quotient_with_report, scheme, a,
-                       n=n, budget=budget)
-    elif isinstance(scheme, GraphicalScheme):
-        new = _outcome(interp, interp.apply_graphical, scheme, a, budget)
-        old = _outcome(oracle_interp, oracle_interp.apply_graphical, scheme, a, budget)
-    else:
-        new = _outcome(interp, interp.apply_interpretation_with_map, scheme, a, budget)
-        old = _outcome(oracle_interp, oracle_interp.apply_interpretation_with_map, scheme, a,
-                       budget)
+    succeed, equal predicate calls; return the outcome.  A given budget is
+    the tuple budget of both sides."""
+    with pytest.MonkeyPatch.context() as mp:
+        if budget is not None:
+            mp.setenv("RELPOLY_TUPLE_BUDGET", str(budget))
+        if isinstance(scheme, QuotientScheme):
+            new = _outcome(interp, interp.apply_quotient_with_report, scheme, a, n=n)
+            old = _outcome(oracle_interp, oracle_interp.apply_quotient_with_report, scheme, a,
+                           n=n)
+        elif isinstance(scheme, GraphicalScheme):
+            new = _outcome(interp, interp.apply_graphical, scheme, a)
+            old = _outcome(oracle_interp, oracle_interp.apply_graphical, scheme, a)
+        else:
+            new = _outcome(interp, interp.apply_interpretation_with_map, scheme, a)
+            old = _outcome(oracle_interp, oracle_interp.apply_interpretation_with_map, scheme, a)
     # QuotientReport compares structure, tuples, classes, sizes and labels.
     assert new == old, (scheme.name, a)
     return new[0]

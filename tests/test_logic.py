@@ -110,7 +110,7 @@ def test_eval_formula():
         eval_formula(s, t3, {"x1": 0})
 
 
-def test_count_satisfying():
+def test_count_satisfying(monkeypatch):
     t4 = build_transitive_tournament(4)
     assert count_satisfying(parse_formula("S(x1,x2)", t4.signature), t4) == 6
     assert count_satisfying(parse_formula("x1 = x2", sig()), t4) == 4
@@ -118,11 +118,12 @@ def test_count_satisfying():
     assert count_satisfying(parse_formula("U(x)", e.signature), e) == 1
     tuples = list(satisfying_tuples(parse_formula("S(x1,x2)", t4.signature), t4))
     assert tuples == [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
+    monkeypatch.setenv("RELPOLY_ASSIGNMENT_BUDGET", "3")
     with pytest.raises(BudgetError):
-        count_satisfying(parse_formula("S(x1,x2)", t4.signature), t4, budget=3)
+        count_satisfying(parse_formula("S(x1,x2)", t4.signature), t4)
 
 
-def test_quantifiers_count_against_the_assignment_budget():
+def test_quantifiers_count_against_the_assignment_budget(monkeypatch):
     edge = sig(("E", 2))
     g = random_graph(random.Random(3), 3)
     deep = parse_formula("exists z (" * 99 + "E(x,y)" + ")" * 99, edge)
@@ -134,9 +135,12 @@ def test_quantifiers_count_against_the_assignment_budget():
         eval_formula(deep, g, {"x": 0, "y": 1})
     # |A|^(p+d) = 3^3 = 27: one quantifier over two free variables
     one = parse_formula("exists z (E(x,z) & E(z,y))", edge)
-    assert count_satisfying(one, g, budget=27) == count_satisfying(one, g)
+    unbounded = count_satisfying(one, g)
+    monkeypatch.setenv("RELPOLY_ASSIGNMENT_BUDGET", "27")
+    assert count_satisfying(one, g) == unbounded
+    monkeypatch.setenv("RELPOLY_ASSIGNMENT_BUDGET", "26")
     with pytest.raises(BudgetError):
-        count_satisfying(one, g, budget=26)
+        count_satisfying(one, g)
 
 
 def test_compiled_matches_reference_interpreter():
@@ -193,13 +197,14 @@ def test_dnf_shape_and_equivalence():
                     assert eval_formula(phi, s, env) == eval_formula(dnf, s, env)
 
 
-def test_dnf_rejects_quantifiers_and_budget():
+def test_dnf_rejects_quantifiers_and_budget(monkeypatch):
     with pytest.raises(BindingError):
         to_dnf(parse_formula("exists z (R(x,z))", SIG_R))
     big = " | ".join(f"R(x{i},y{i}) & R(y{i},x{i})" for i in range(12))
     phi = parse_formula(f"!({big})", SIG_R)
+    monkeypatch.setenv("RELPOLY_DNF_BUDGET", "50")
     with pytest.raises(BudgetError):
-        to_dnf(phi, budget=50)
+        to_dnf(phi)
 
 
 def test_hom_basis_identity_formula():
@@ -267,11 +272,12 @@ def test_basis_work_bound():
     assert basis_work(many, cap=10**6) > 10**6
 
 
-def test_hom_basis_is_cached_per_budget():
+def test_hom_basis_is_cached_per_budget(monkeypatch):
     phi = parse_formula("R(x1,x2) & !R(x2,x1)", SIG_R)
     assert qf_to_hom_basis(phi) is qf_to_hom_basis(phi)
+    monkeypatch.setenv("RELPOLY_BASIS_BUDGET", "2")
     with pytest.raises(BudgetError):
-        qf_to_hom_basis(phi, budget=2)
+        qf_to_hom_basis(phi)
 
 
 def test_hom_basis_rejects_bad_inputs():

@@ -37,7 +37,6 @@ from relpoly import (
     signature_of,
     spec_from_json,
     spec_to_json,
-    strict_nice_partition,
     telescoped_inj,
     weakly_isomorphic,
 )
@@ -166,10 +165,6 @@ def test_ordered_splits_and_niceness():
     free_pair = _pattern(lam, 2, U=(0, 1))
     assert len(list(ordered_splits(free_pair))) == 3  # together, or split both ways
 
-    assert strict_nice_partition(chain) == ((0,), (1,))
-    assert strict_nice_partition(free_pair) == ((0, 1),)
-    assert strict_nice_partition(_pattern(lam, 1)) is None  # missing mark
-
 
 def test_ordered_sum_injective_counts_match_prediction():
     lam = signature_of(OrderedSumSeq(constant_seq(K2), N))
@@ -203,8 +198,6 @@ def test_ordered_sum_single_part_bookkeeping_undercounts():
     true_count = inj(pattern, target)
     assert true_count == 20
     assert predict_inj_into_ordered_sum(pattern, inner, n) == true_count
-    strict = strict_nice_partition(pattern)
-    assert strict == ((0, 1),)
     single_part_value = telescoped_inj([constant(0)], n)  # inj of a 2-vertex
     assert single_part_value == 0                          # part into K1 blocks
     assert single_part_value != true_count
@@ -246,10 +239,17 @@ def test_detector_more_verify_points_same_fit():
     assert len(fit8.verify_points) == 8
 
 
-def test_detector_budget_inconclusive():
+def test_detector_budget_inconclusive(monkeypatch):
     kn = InterpretedSeq(forget_orientation_scheme(), BasicSeq(1, 0, (N,)))
-    fit = detect_polynomial(kn, K3, budget=20)
+    monkeypatch.setenv("RELPOLY_TUPLE_BUDGET", "20")
+    fit = detect_polynomial(kn, K3)
     assert fit.verdict == "Inconclusive"
+
+
+def test_detector_pattern_query_charges_no_assignments(monkeypatch):
+    kn = InterpretedSeq(forget_orientation_scheme(), BasicSeq(1, 0, (N,)))
+    monkeypatch.setenv("RELPOLY_ASSIGNMENT_BUDGET", "20")
+    assert detect_polynomial(kn, K3).verdict == "Polynomial"
 
 
 def test_detector_respects_copies_and_reindexing():
@@ -374,9 +374,9 @@ def brute_force_calls(monkeypatch):
     """Count the detector's calls of count_satisfying (the brute-force route)."""
     calls = []
 
-    def spy(phi, s, budget=None):
+    def spy(phi, s):
         calls.append(phi)
-        return count_satisfying(phi, s, budget)
+        return count_satisfying(phi, s)
 
     monkeypatch.setattr(logic, "count_satisfying", spy)
     return calls
