@@ -33,7 +33,6 @@ from .interp import (
     apply_interpretation_with_map,
     apply_quotient_with_report,
     parse_scheme,
-    scheme_to_text,
 )
 from .logic import count_satisfying, eval_formula, parse_formula, satisfying_tuples
 from .sequences import detect_polynomial, generate_term, signature_of, spec_from_json
@@ -68,16 +67,8 @@ def load_structure(path: str) -> Structure:
     return structure_from_json(_load_text(path))
 
 
-def save_structure(path: str, s: Structure):
-    Path(path).write_text(structure_to_json(s))
-
-
 def load_scheme(path: str):
     return parse_scheme(_load_text(path))
-
-
-def save_scheme(path: str, scheme):
-    Path(path).write_text(scheme_to_text(scheme))
 
 
 def load_spec(path: str):
@@ -291,6 +282,8 @@ def _cmd_gallery(args, out) -> int:
         _emit_json(out, gallery_list())
         return 0
     params = json.loads(args.params) if args.params else None
+    if params is not None and not isinstance(params, dict):
+        raise UsageError(f"--params must be a JSON object, got {args.params!r}")
     if args.name not in ENTRIES:
         raise UsageError(f"unknown gallery entry {args.name!r}")
     if args.n is not None and not args.check:

@@ -4,7 +4,6 @@ and the Paley-graph polynomial experiment."""
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
@@ -15,18 +14,21 @@ from .canon import canonical_form
 from .counting import bell, hom_count, inj_count, quotient, set_partitions
 from .errors import BudgetError, SignatureError, UnboundedDegreeError, ValidationError
 from .interp import (
-    ClassCertificate,
-    GraphicalScheme,
-    InterpretationScheme,
-    QuotientScheme,
+    _normalize_parents,
+    chord_graph_scheme,
+    clique_intersection_scheme,
+    crown_scheme,
     forget_orientation_scheme,
-    parse_formula,
-    build_formula,
+    half_graph_scheme,
+    johnson_scheme,
+    line_graph_scheme,
+    star_union_scheme,
+    subdivision_scheme,
+    tree_blowup_scheme,
+    vertex_blowup_scheme,
 )
-from .logic import TRUE, atom, conj, disj, eq, neg
 from .polynomials import (
     IntPolynomial,
-    constant,
     eval_fit,
     interpolate,
     lagrange_fit,
@@ -45,12 +47,10 @@ from .sequences import (
     generate_term,
     graph_from_edges,
     path_graph,
-    register_scheme_builder,
 )
 from .structures import (
     GRAPH_SIG,
     Structure,
-    basic_signature,
     component_census,
     disjoint_union,
     isomorphic,
@@ -101,238 +101,6 @@ def nonisomorphic_graphs(n: int) -> list[Structure]:
         if key not in seen:
             seen[key] = g
     return list(seen.values())
-
-
-# ---------------------------------------------------------------------------
-# Scheme builders for the concrete constructions
-
-def _vars(prefix: str, count: int) -> list[str]:
-    return [f"{prefix}{i}" for i in range(1, count + 1)]
-
-
-def crown_scheme() -> GraphicalScheme:
-    src = basic_signature(1, 2)
-    iota = parse_formula("U1T(x1) & !U1T(x2)", src, ["x1", "x2"])
-    rho = parse_formula(
-        "!(x1 = y1) & !(U1E(x2) <-> U1E(y2))", src, ["x1", "x2", "y1", "y2"]
-    )
-    return GraphicalScheme("crown", 2, iota, rho, origin=("crown", ()))
-
-
-def johnson_scheme(k: int, d_set) -> GraphicalScheme:
-    """Vertices are increasing k-tuples of a marked linear order; adjacency
-    holds when the two underlying sets share exactly d elements for some d in
-    the given set."""
-    if k < 1:
-        raise SignatureError("k must be positive")
-    d_set = tuple(sorted(set(int(d) for d in d_set)))
-    if any(d < 0 or d > k for d in d_set):
-        raise SignatureError("intersection sizes must lie in 0..k")
-    src = basic_signature(1, 0)
-    xs, ys = _vars("x", k), _vars("y", k)
-    iota = build_formula(
-        conj(*[atom("S1", xs[i], xs[i + 1]) for i in range(k - 1)]), src, xs
-    )
-    rho = build_formula(_share_exactly(xs, ys, d_set), src, xs + ys)
-    name = f"johnson(k={k},D={list(d_set)})"
-    return GraphicalScheme(name, k, iota, rho, origin=("johnson", (("D", d_set), ("k", k))))
-
-
-def vertex_blowup_scheme(edges, k: int) -> GraphicalScheme:
-    """Independent-set substitution into a fixed graph on vertices 0..k-1."""
-    src = basic_signature(k, 0)
-    undirected = set()
-    for u, v in edges:
-        undirected.add((u, v))
-        undirected.add((v, u))
-    iota = build_formula(TRUE, src, ["x1"])
-    rho = build_formula(
-        disj(*[conj(atom(f"U{u + 1}T", "x1"), atom(f"U{v + 1}T", "y1"))
-               for u, v in sorted(undirected)]),
-        src, ["x1", "y1"],
-    )
-    frozen = tuple(sorted(tuple(e) for e in undirected))
-    return GraphicalScheme(
-        f"vertexBlowup(k={k})", 1, iota, rho, origin=("vertexBlowup", (("edges", frozen), ("k", k)))
-    )
-
-
-def _tree_paths(parents: dict[int, int], k: int) -> list[list[int]]:
-    children: dict[int, list[int]] = {i: [] for i in range(1, k + 1)}
-    for e in range(2, k + 1):
-        parent = parents[e]
-        children[parent].append(e)
-    paths = []
-
-    def walk(path):
-        paths.append(list(path))
-        for child in sorted(children[path[-1]]):
-            walk(path + [child])
-
-    walk([1])
-    return paths
-
-
-def tree_blowup_scheme(parents: dict[int, int], k: int) -> GraphicalScheme:
-    """Recursive sibling-copy replacement along a rooted tree whose nodes are
-    1..k (1 the root, node e attached under parents[e])."""
-    src = basic_signature(k, 0)
-    xs, ys = _vars("x", k), _vars("y", k)
-    path_disjuncts = []
-    for path in _tree_paths(parents, k):
-        t = len(path)
-        parts = [atom(f"U{a}T", xs[i]) for i, a in enumerate(path)]
-        parts += [eq(xs[i], xs[t - 1]) for i in range(t, k)]
-        path_disjuncts.append(conj(*parts))
-    iota = build_formula(disj(*path_disjuncts), src, xs)
-
-    def rho_prime(a, b):
-        out = []
-        for i in range(1, k):
-            parts = [eq(a[j], b[j]) for j in range(i)]
-            parts.append(eq(a[i - 1], a[k - 1]))
-            parts.append(neg(eq(b[i - 1], b[k - 1])))
-            parts.append(eq(b[i], b[k - 1]))
-            out.append(conj(*parts))
-        return disj(*out)
-
-    rho = build_formula(disj(rho_prime(xs, ys), rho_prime(ys, xs)), src, xs + ys)
-    frozen = tuple(sorted(parents.items()))
-    return GraphicalScheme(
-        f"treeBlowup(k={k})", k, iota, rho, origin=("treeBlowup", (("k", k), ("parents", frozen)))
-    )
-
-
-def star_union_scheme(repaired: bool = True) -> GraphicalScheme:
-    """Union of stars of orders 1..P(n) over a single marked linear order.
-
-    The literal variant keeps the printed vertex formula, whose orientation
-    contradicts the edge formula and yields an edgeless graph; the repaired
-    variant lets a vertex pair with itself to encode star centers and flips
-    the leaf orientation to match the edge formula."""
-    src = basic_signature(1, 0)
-    if repaired:
-        iota = parse_formula("S1(x1,x2) | x1 = x2", src, ["x1", "x2"])
-    else:
-        iota = parse_formula("S1(x2,x1)", src, ["x1", "x2"])
-    rho = parse_formula(
-        "y1 = y2 & (x1 = y1 & S1(x2,y2) | x2 = y2 & S1(x1,y1))",
-        src, ["x1", "y1", "x2", "y2"],
-    )
-    name = "starUnion" if repaired else "starUnionLiteral"
-    return GraphicalScheme(name, 2, iota, rho, origin=(name, ()))
-
-
-def half_graph_scheme() -> GraphicalScheme:
-    src = basic_signature(1, 2)
-    iota = parse_formula("U1T(x1) & !U1T(x2)", src, ["x1", "x2"])
-    rho = parse_formula(
-        "S1(x1,y1) & U1E(x2) & U2E(y2) | S1(y1,x1) & U1E(y2) & U2E(x2)",
-        src, ["x1", "x2", "y1", "y2"],
-    )
-    return GraphicalScheme("halfGraph", 2, iota, rho, origin=("halfGraph", ()))
-
-
-def chord_graph_scheme() -> GraphicalScheme:
-    """Crossing chords of a convex polygon; the one-sided interleaving formula
-    is symmetrized so the edge formula certifies symmetric."""
-    src = basic_signature(1, 0)
-    iota = parse_formula("S1(x1,x2)", src, ["x1", "x2"])
-    rho = parse_formula(
-        "S1(x1,y1) & S1(y1,x2) & S1(x2,y2) | S1(y1,x1) & S1(x1,y2) & S1(y2,x2)",
-        src, ["x1", "x2", "y1", "y2"],
-    )
-    return GraphicalScheme("chordGraph", 2, iota, rho, origin=("chordGraph", ()))
-
-
-def _share_exactly(xs, ys, d_set):
-    """The k-tuples xs and ys, each of distinct elements, share exactly d
-    elements for some d in d_set: d positions of xs meet d positions of ys
-    and no other position of xs equals another position of ys."""
-    k = len(xs)
-    disjuncts = []
-    for m in d_set:
-        for i_set in combinations(range(k), m):
-            for j_set in combinations(range(k), m):
-                parts = [
-                    neg(eq(xs[i], ys[j]))
-                    for i in range(k) if i not in i_set
-                    for j in range(k) if j not in j_set
-                ]
-                parts += [disj(*[eq(xs[i], ys[j]) for j in j_set]) for i in i_set]
-                disjuncts.append(conj(*parts))
-    return disj(*disjuncts)
-
-
-def _same_set_formula(xs, ys):
-    left = conj(*[disj(*[eq(x, y) for y in ys]) for x in xs])
-    right = conj(*[disj(*[eq(x, y) for x in xs]) for y in ys])
-    return conj(left, right)
-
-
-def clique_intersection_scheme(k: int, d_set) -> QuotientScheme:
-    """Vertices are k-cliques of a graph (tuples up to reordering); adjacency
-    holds when the cliques share exactly d elements for some d in the set."""
-    if k < 1:
-        raise SignatureError("k must be positive")
-    d_set = tuple(sorted(set(int(d) for d in d_set)))
-    src = GRAPH_SIG
-    xs, ys = _vars("x", k), _vars("y", k)
-    rho0 = build_formula(
-        conj(*[atom("E", xs[i], xs[j]) for i in range(k) for j in range(i + 1, k)]),
-        src, xs,
-    )
-    rho = build_formula(
-        conj(_share_exactly(xs, ys, d_set), neg(_same_set_formula(xs, ys))), src, xs + ys
-    )
-    base = InterpretationScheme(
-        f"cliqueIntersection(k={k},D={list(d_set)})", k, src, GRAPH_SIG, rho0, (rho,)
-    )
-    varpi = build_formula(_same_set_formula(xs, ys), src, xs + ys)
-    certs = (ClassCertificate("clique", build_formula(TRUE, src, xs),
-                              constant(math.factorial(k))),)
-    return QuotientScheme(
-        base, varpi, certs, origin=("cliqueIntersection", (("D", d_set), ("k", k)))
-    )
-
-
-def line_graph_scheme() -> QuotientScheme:
-    """Oriented edges up to reversal; adjacency = sharing an endpoint."""
-    src = GRAPH_SIG
-    rho0 = parse_formula("E(x1,x2)", src, ["x1", "x2"])
-    rho = parse_formula(
-        "(x1 = y1 | x1 = y2 | x2 = y1 | x2 = y2) & !(x1 = y1 & x2 = y2) "
-        "& !(x1 = y2 & x2 = y1)",
-        src, ["x1", "x2", "y1", "y2"],
-    )
-    base = InterpretationScheme("lineGraph", 2, src, GRAPH_SIG, rho0, (rho,))
-    varpi = parse_formula(
-        "x1 = y1 & x2 = y2 | x1 = y2 & x2 = y1", src, ["x1", "x2", "y1", "y2"]
-    )
-    certs = (ClassCertificate(
-        "edge", parse_formula("true", src, ["x1", "x2"]), constant(2)),)
-    return QuotientScheme(base, varpi, certs, origin=("lineGraph", ()))
-
-
-def subdivision_scheme() -> QuotientScheme:
-    """One vertex per original vertex (diagonal pairs) and one per edge
-    (oriented edges up to reversal), joined when incident."""
-    src = GRAPH_SIG
-    rho0 = parse_formula("x1 = x2 | E(x1,x2)", src, ["x1", "x2"])
-    rho = parse_formula(
-        "x1 = x2 & !(y1 = y2) & (x1 = y1 | x1 = y2)"
-        " | !(x1 = x2) & y1 = y2 & (y1 = x1 | y1 = x2)",
-        src, ["x1", "x2", "y1", "y2"],
-    )
-    base = InterpretationScheme("subdivision", 2, src, GRAPH_SIG, rho0, (rho,))
-    varpi = parse_formula(
-        "x1 = y1 & x2 = y2 | x1 = y2 & x2 = y1", src, ["x1", "x2", "y1", "y2"]
-    )
-    certs = (
-        ClassCertificate("vertex", parse_formula("x1 = x2", src, ["x1", "x2"]), constant(1)),
-        ClassCertificate("edge", parse_formula("!(x1 = x2)", src, ["x1", "x2"]), constant(2)),
-    )
-    return QuotientScheme(base, varpi, certs, origin=("subdivision", ()))
 
 
 # ---------------------------------------------------------------------------
@@ -471,11 +239,20 @@ class GalleryEntry:
             merged.update(params)
         return merged
 
+    def _build(self, make, params: dict | None):
+        """Call `make` on the merged parameters; a parameter of the wrong
+        type or shape is a SignatureError, as in spec_from_obj."""
+        merged = self.params_with_defaults(params)
+        try:
+            return make(merged)
+        except (TypeError, ValueError, KeyError) as exc:
+            raise SignatureError(f"malformed parameters for {self.name!r}: {exc}") from None
+
     def spec(self, params: dict | None = None) -> SequenceSpec:
-        return self.make_spec(self.params_with_defaults(params))
+        return self._build(self.make_spec, params)
 
     def oracle(self, n: int, params: dict | None = None) -> Structure:
-        return self.make_oracle(self.params_with_defaults(params), n)
+        return self._build(lambda p: self.make_oracle(p, n), params)
 
 
 def _poly(p) -> IntPolynomial:
@@ -505,10 +282,6 @@ def _inner_spec(name: str) -> SequenceSpec:
 
 def _inner_oracle(name: str, n: int) -> Structure:
     return _INNER_GRAPHS[name][1](n)
-
-
-def _normalize_parents(raw) -> dict[int, int]:
-    return {int(k): int(v) for k, v in dict(raw).items()}
 
 
 def _normalize_polys(raw) -> dict[int, IntPolynomial]:
@@ -577,7 +350,7 @@ _register(GalleryEntry(
                   "polys": "order polynomial per node label 1..k"},
     defaults={"parents": ((2, 1),), "polys": ((1, "n"), (2, "n"))},
     make_spec=lambda p: InterpretedSeq(
-        tree_blowup_scheme(_normalize_parents(p["parents"]), len(dict(p["polys"]))),
+        tree_blowup_scheme(p["parents"], len(dict(p["polys"]))),
         BasicSeq(
             len(dict(p["polys"])), 0,
             tuple(_poly(v) for _, v in sorted(_normalize_polys(p["polys"]).items())),
@@ -685,35 +458,6 @@ _register(GalleryEntry(
     make_oracle=lambda p, n: complete_graph(n),
     default_range=(0, 6),
 ))
-
-
-def _register_scheme_builders():
-    register_scheme_builder("crown", lambda p: crown_scheme())
-    register_scheme_builder("johnson", lambda p: johnson_scheme(p.get("k", 2), p.get("D", (1,))))
-    register_scheme_builder(
-        "vertexBlowup",
-        lambda p: vertex_blowup_scheme(
-            tuple(tuple(e) for e in p["edges"]), p["k"]
-        ),
-    )
-    register_scheme_builder(
-        "treeBlowup",
-        lambda p: tree_blowup_scheme(_normalize_parents(p["parents"]), p["k"]),
-    )
-    register_scheme_builder("starUnion", lambda p: star_union_scheme(True))
-    register_scheme_builder("starUnionLiteral", lambda p: star_union_scheme(False))
-    register_scheme_builder("halfGraph", lambda p: half_graph_scheme())
-    register_scheme_builder("chordGraph", lambda p: chord_graph_scheme())
-    register_scheme_builder(
-        "cliqueIntersection",
-        lambda p: clique_intersection_scheme(p.get("k", 2), p.get("D", (1,))),
-    )
-    register_scheme_builder("lineGraph", lambda p: line_graph_scheme())
-    register_scheme_builder("subdivision", lambda p: subdivision_scheme())
-    register_scheme_builder("underlyingGraph", lambda p: forget_orientation_scheme())
-
-
-_register_scheme_builders()
 
 
 def gallery_list() -> dict:

@@ -4,11 +4,13 @@ an interpreted structure back to its source."""
 
 from __future__ import annotations
 
+import math
 import random
 import re
 from dataclasses import dataclass
-from itertools import product
+from itertools import combinations, product
 from math import prod
+from typing import Callable
 
 from . import budgets
 from .errors import BindingError, BudgetError, FormulaParseError, SignatureError, ValidationError
@@ -36,11 +38,12 @@ from .logic import (
     eq,
     evaluator,
     formula_to_text,
+    neg,
     parse_formula,
     rename_symbols,
     substitute,
 )
-from .polynomials import IntPolynomial, parse_polynomial
+from .polynomials import IntPolynomial, constant, parse_polynomial
 from .structures import (
     GRAPH_SIG,
     Signature,
@@ -555,16 +558,6 @@ def merge_marked_schemes(schemes, marks) -> InterpretationScheme:
 # ---------------------------------------------------------------------------
 # Built-in schemes
 
-def identity_scheme(source: Signature, name: str = "identity") -> InterpretationScheme:
-    xs = ["x1"]
-    rho0 = build_formula(TRUE, source, xs)
-    rhos = []
-    for sym, arity in source.symbols:
-        ys = [f"x{i}" for i in range(1, arity + 1)]
-        rhos.append(build_formula(atom(sym, *ys), source, ys))
-    return InterpretationScheme(name, 1, source, source, rho0, tuple(rhos))
-
-
 def mark_scheme(source: Signature, mark_name: str, name: str = "mark") -> InterpretationScheme:
     if source.has(mark_name):
         raise SignatureError(f"mark name {mark_name!r} clashes with the source signature")
@@ -620,6 +613,271 @@ def product_scheme(op: str) -> GraphicalScheme:
     else:
         raise SignatureError(f"unknown product operation {op!r}")
     return GraphicalScheme(op, 2, iota, rho, origin=(op, ()))
+
+
+def _vars(prefix: str, count: int) -> list[str]:
+    return [f"{prefix}{i}" for i in range(1, count + 1)]
+
+
+def crown_scheme() -> GraphicalScheme:
+    src = basic_signature(1, 2)
+    iota = parse_formula("U1T(x1) & !U1T(x2)", src, ["x1", "x2"])
+    rho = parse_formula(
+        "!(x1 = y1) & !(U1E(x2) <-> U1E(y2))", src, ["x1", "x2", "y1", "y2"]
+    )
+    return GraphicalScheme("crown", 2, iota, rho, origin=("crown", ()))
+
+
+def johnson_scheme(k: int, d_set) -> GraphicalScheme:
+    """Vertices are increasing k-tuples of a marked linear order; adjacency
+    holds when the two underlying sets share exactly d elements for some d in
+    the given set."""
+    if k < 1:
+        raise SignatureError("k must be positive")
+    d_set = tuple(sorted(set(int(d) for d in d_set)))
+    if any(d < 0 or d > k for d in d_set):
+        raise SignatureError("intersection sizes must lie in 0..k")
+    src = basic_signature(1, 0)
+    xs, ys = _vars("x", k), _vars("y", k)
+    iota = build_formula(
+        conj(*[atom("S1", xs[i], xs[i + 1]) for i in range(k - 1)]), src, xs
+    )
+    rho = build_formula(_share_exactly(xs, ys, d_set), src, xs + ys)
+    name = f"johnson(k={k},D={list(d_set)})"
+    return GraphicalScheme(name, k, iota, rho, origin=("johnson", (("D", d_set), ("k", k))))
+
+
+def vertex_blowup_scheme(edges, k: int) -> GraphicalScheme:
+    """Independent-set substitution into a fixed graph on vertices 0..k-1."""
+    src = basic_signature(k, 0)
+    undirected = set()
+    for u, v in edges:
+        undirected.add((u, v))
+        undirected.add((v, u))
+    iota = build_formula(TRUE, src, ["x1"])
+    rho = build_formula(
+        disj(*[conj(atom(f"U{u + 1}T", "x1"), atom(f"U{v + 1}T", "y1"))
+               for u, v in sorted(undirected)]),
+        src, ["x1", "y1"],
+    )
+    frozen = tuple(sorted(tuple(e) for e in undirected))
+    return GraphicalScheme(
+        f"vertexBlowup(k={k})", 1, iota, rho, origin=("vertexBlowup", (("edges", frozen), ("k", k)))
+    )
+
+
+def _normalize_parents(raw) -> dict[int, int]:
+    return {int(k): int(v) for k, v in dict(raw).items()}
+
+
+def _tree_paths(parents: dict[int, int], k: int) -> list[list[int]]:
+    children: dict[int, list[int]] = {i: [] for i in range(1, k + 1)}
+    for e in range(2, k + 1):
+        parent = parents[e]
+        children[parent].append(e)
+    paths = []
+
+    def walk(path):
+        paths.append(list(path))
+        for child in sorted(children[path[-1]]):
+            walk(path + [child])
+
+    walk([1])
+    return paths
+
+
+def tree_blowup_scheme(parents, k: int) -> GraphicalScheme:
+    """Recursive sibling-copy replacement along a rooted tree whose nodes are
+    1..k (1 the root, node e attached under parents[e]); parents is a mapping
+    or a list of (node, parent) pairs, with keys and values coercible to int."""
+    parents = _normalize_parents(parents)
+    src = basic_signature(k, 0)
+    xs, ys = _vars("x", k), _vars("y", k)
+    path_disjuncts = []
+    for path in _tree_paths(parents, k):
+        t = len(path)
+        parts = [atom(f"U{a}T", xs[i]) for i, a in enumerate(path)]
+        parts += [eq(xs[i], xs[t - 1]) for i in range(t, k)]
+        path_disjuncts.append(conj(*parts))
+    iota = build_formula(disj(*path_disjuncts), src, xs)
+
+    def rho_prime(a, b):
+        out = []
+        for i in range(1, k):
+            parts = [eq(a[j], b[j]) for j in range(i)]
+            parts.append(eq(a[i - 1], a[k - 1]))
+            parts.append(neg(eq(b[i - 1], b[k - 1])))
+            parts.append(eq(b[i], b[k - 1]))
+            out.append(conj(*parts))
+        return disj(*out)
+
+    rho = build_formula(disj(rho_prime(xs, ys), rho_prime(ys, xs)), src, xs + ys)
+    frozen = tuple(sorted(parents.items()))
+    return GraphicalScheme(
+        f"treeBlowup(k={k})", k, iota, rho, origin=("treeBlowup", (("k", k), ("parents", frozen)))
+    )
+
+
+def star_union_scheme(repaired: bool = True) -> GraphicalScheme:
+    """Union of stars of orders 1..P(n) over a single marked linear order.
+
+    The literal variant keeps the printed vertex formula, whose orientation
+    contradicts the edge formula and yields an edgeless graph; the repaired
+    variant lets a vertex pair with itself to encode star centers and flips
+    the leaf orientation to match the edge formula."""
+    src = basic_signature(1, 0)
+    if repaired:
+        iota = parse_formula("S1(x1,x2) | x1 = x2", src, ["x1", "x2"])
+    else:
+        iota = parse_formula("S1(x2,x1)", src, ["x1", "x2"])
+    rho = parse_formula(
+        "y1 = y2 & (x1 = y1 & S1(x2,y2) | x2 = y2 & S1(x1,y1))",
+        src, ["x1", "y1", "x2", "y2"],
+    )
+    name = "starUnion" if repaired else "starUnionLiteral"
+    return GraphicalScheme(name, 2, iota, rho, origin=(name, ()))
+
+
+def half_graph_scheme() -> GraphicalScheme:
+    src = basic_signature(1, 2)
+    iota = parse_formula("U1T(x1) & !U1T(x2)", src, ["x1", "x2"])
+    rho = parse_formula(
+        "S1(x1,y1) & U1E(x2) & U2E(y2) | S1(y1,x1) & U1E(y2) & U2E(x2)",
+        src, ["x1", "x2", "y1", "y2"],
+    )
+    return GraphicalScheme("halfGraph", 2, iota, rho, origin=("halfGraph", ()))
+
+
+def chord_graph_scheme() -> GraphicalScheme:
+    """Crossing chords of a convex polygon; the one-sided interleaving formula
+    is symmetrized so the edge formula certifies symmetric."""
+    src = basic_signature(1, 0)
+    iota = parse_formula("S1(x1,x2)", src, ["x1", "x2"])
+    rho = parse_formula(
+        "S1(x1,y1) & S1(y1,x2) & S1(x2,y2) | S1(y1,x1) & S1(x1,y2) & S1(y2,x2)",
+        src, ["x1", "x2", "y1", "y2"],
+    )
+    return GraphicalScheme("chordGraph", 2, iota, rho, origin=("chordGraph", ()))
+
+
+def _share_exactly(xs, ys, d_set):
+    """The k-tuples xs and ys, each of distinct elements, share exactly d
+    elements for some d in d_set: d positions of xs meet d positions of ys
+    and no other position of xs equals another position of ys.  Its
+    literals count against the DNF budget before anything is built."""
+    k = len(xs)
+    literals = sum(math.comb(k, m) ** 2 * ((k - m) ** 2 + m ** 2) for m in d_set)
+    limit = budgets.dnf_budget()
+    if literals > limit:
+        raise BudgetError(
+            f"{literals} literals for intersection sizes {list(d_set)} of {k}-tuples "
+            f"exceed the DNF budget of {limit}"
+        )
+    disjuncts = []
+    for m in d_set:
+        for i_set in combinations(range(k), m):
+            for j_set in combinations(range(k), m):
+                parts = [
+                    neg(eq(xs[i], ys[j]))
+                    for i in range(k) if i not in i_set
+                    for j in range(k) if j not in j_set
+                ]
+                parts += [disj(*[eq(xs[i], ys[j]) for j in j_set]) for i in i_set]
+                disjuncts.append(conj(*parts))
+    return disj(*disjuncts)
+
+
+def _same_set_formula(xs, ys):
+    left = conj(*[disj(*[eq(x, y) for y in ys]) for x in xs])
+    right = conj(*[disj(*[eq(x, y) for x in xs]) for y in ys])
+    return conj(left, right)
+
+
+def clique_intersection_scheme(k: int, d_set) -> QuotientScheme:
+    """Vertices are k-cliques of a graph (tuples of distinct vertices up to
+    reordering, so a loop is no clique); adjacency holds when the cliques
+    share exactly d elements for some d in the set."""
+    if k < 1:
+        raise SignatureError("k must be positive")
+    d_set = tuple(sorted(set(int(d) for d in d_set)))
+    src = GRAPH_SIG
+    xs, ys = _vars("x", k), _vars("y", k)
+    rho0 = build_formula(
+        conj(*[conj(atom("E", xs[i], xs[j]), neg(eq(xs[i], xs[j])))
+               for i in range(k) for j in range(i + 1, k)]),
+        src, xs,
+    )
+    rho = build_formula(
+        conj(_share_exactly(xs, ys, d_set), neg(_same_set_formula(xs, ys))), src, xs + ys
+    )
+    base = InterpretationScheme(
+        f"cliqueIntersection(k={k},D={list(d_set)})", k, src, GRAPH_SIG, rho0, (rho,)
+    )
+    varpi = build_formula(_same_set_formula(xs, ys), src, xs + ys)
+    certs = (ClassCertificate("clique", build_formula(TRUE, src, xs),
+                              constant(math.factorial(k))),)
+    return QuotientScheme(
+        base, varpi, certs, origin=("cliqueIntersection", (("D", d_set), ("k", k)))
+    )
+
+
+def line_graph_scheme() -> QuotientScheme:
+    """Oriented edges up to reversal, loops excluded; adjacency = sharing an
+    endpoint."""
+    src = GRAPH_SIG
+    rho0 = parse_formula("E(x1,x2) & !(x1 = x2)", src, ["x1", "x2"])
+    rho = parse_formula(
+        "(x1 = y1 | x1 = y2 | x2 = y1 | x2 = y2) & !(x1 = y1 & x2 = y2) "
+        "& !(x1 = y2 & x2 = y1)",
+        src, ["x1", "x2", "y1", "y2"],
+    )
+    base = InterpretationScheme("lineGraph", 2, src, GRAPH_SIG, rho0, (rho,))
+    varpi = parse_formula(
+        "x1 = y1 & x2 = y2 | x1 = y2 & x2 = y1", src, ["x1", "x2", "y1", "y2"]
+    )
+    certs = (ClassCertificate(
+        "edge", parse_formula("true", src, ["x1", "x2"]), constant(2)),)
+    return QuotientScheme(base, varpi, certs, origin=("lineGraph", ()))
+
+
+def subdivision_scheme() -> QuotientScheme:
+    """One vertex per original vertex (diagonal pairs) and one per edge
+    (oriented edges up to reversal), joined when incident."""
+    src = GRAPH_SIG
+    rho0 = parse_formula("x1 = x2 | E(x1,x2)", src, ["x1", "x2"])
+    rho = parse_formula(
+        "x1 = x2 & !(y1 = y2) & (x1 = y1 | x1 = y2)"
+        " | !(x1 = x2) & y1 = y2 & (y1 = x1 | y1 = x2)",
+        src, ["x1", "x2", "y1", "y2"],
+    )
+    base = InterpretationScheme("subdivision", 2, src, GRAPH_SIG, rho0, (rho,))
+    varpi = parse_formula(
+        "x1 = y1 & x2 = y2 | x1 = y2 & x2 = y1", src, ["x1", "x2", "y1", "y2"]
+    )
+    certs = (
+        ClassCertificate("vertex", parse_formula("x1 = x2", src, ["x1", "x2"]), constant(1)),
+        ClassCertificate("edge", parse_formula("!(x1 = x2)", src, ["x1", "x2"]), constant(2)),
+    )
+    return QuotientScheme(base, varpi, certs, origin=("subdivision", ()))
+
+
+# Every builtin scheme a JSON spec can name, keyed by the first component of
+# the scheme's `origin`; each builder takes that origin's params as a dict.
+BUILTIN_SCHEMES: dict[str, Callable[[dict], Scheme]] = {
+    "crown": lambda p: crown_scheme(),
+    "johnson": lambda p: johnson_scheme(p.get("k", 2), p.get("D", (1,))),
+    "vertexBlowup": lambda p: vertex_blowup_scheme(tuple(tuple(e) for e in p["edges"]), p["k"]),
+    "treeBlowup": lambda p: tree_blowup_scheme(p["parents"], p["k"]),
+    "starUnion": lambda p: star_union_scheme(True),
+    "starUnionLiteral": lambda p: star_union_scheme(False),
+    "halfGraph": lambda p: half_graph_scheme(),
+    "chordGraph": lambda p: chord_graph_scheme(),
+    "cliqueIntersection": lambda p: clique_intersection_scheme(p.get("k", 2), p.get("D", (1,))),
+    "lineGraph": lambda p: line_graph_scheme(),
+    "subdivision": lambda p: subdivision_scheme(),
+    "underlyingGraph": lambda p: forget_orientation_scheme(),
+    **{op: (lambda p, op=op: product_scheme(op)) for op in PRODUCT_OPS},
+}
 
 
 # ---------------------------------------------------------------------------

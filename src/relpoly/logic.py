@@ -316,18 +316,24 @@ MAX_NESTING = 100
 
 
 class _Tokens:
-    def __init__(self, text: str):
+    """Token stream of one parser: (kind, text, 1-based offset) triples cut
+    by the named groups of `pattern`, plus the nesting counter that bounds
+    recursion.  `language` names the parsed language in error messages."""
+
+    def __init__(self, text: str, pattern: re.Pattern, language: str):
         self.text = text
+        self.language = language
         self.tokens: list[tuple[str, str, int]] = []
         pos = 0
         while pos < len(text):
-            m = _TOKEN.match(text, pos)
+            m = pattern.match(text, pos)
             if m is None or m.end() == m.start():
                 stripped = text[pos:].lstrip()
                 if not stripped:
                     break
                 offset = len(text) - len(stripped) + 1
-                raise FormulaParseError(f"unexpected character {stripped[0]!r}", offset)
+                where = "" if language == "formula" else f" in {language}"
+                raise FormulaParseError(f"unexpected character {stripped[0]!r}{where}", offset)
             kind = m.lastgroup
             value = m.group(kind)
             self.tokens.append((kind, value, m.start(kind) + 1))
@@ -355,7 +361,8 @@ class _Tokens:
         """Enter one nesting level; the caller leaves it with `depth -= 1`."""
         self.depth += 1
         if self.depth > MAX_NESTING:
-            raise FormulaParseError(f"formula nested deeper than {MAX_NESTING} levels", offset)
+            raise FormulaParseError(
+                f"{self.language} nested deeper than {MAX_NESTING} levels", offset)
 
 
 def _parse_formula_node(tk: _Tokens) -> Node:
@@ -448,7 +455,7 @@ def _parse_atom(tk: _Tokens) -> Node:
 
 def parse_formula(text: str, signature: Signature, declared_vars=None) -> Formula:
     """Parse formula text and bind it against the signature."""
-    tk = _Tokens(text)
+    tk = _Tokens(text, _TOKEN, "formula")
     root = _parse_formula_node(tk)
     trailing = tk.peek()
     if trailing[0] != "eof":

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import FormulaParseError, SignatureError
-from .logic import MAX_NESTING
+from .logic import _Tokens
 
 
 @dataclass(frozen=True)
@@ -37,21 +37,10 @@ class IntPolynomial:
         return len(self.coeffs) <= 1
 
     def power_coeffs(self) -> tuple[Fraction, ...]:
-        """Exact power-basis coefficients (may be non-integer)."""
-        out = [Fraction(0)] * max(len(self.coeffs), 1)
-        # C(n, k) = n(n-1)...(n-k+1)/k!
-        for k, c in enumerate(self.coeffs):
-            poly = [Fraction(1)]
-            for i in range(k):
-                poly = _mul(poly, [Fraction(-i), Fraction(1)])
-            scale = Fraction(c, math.factorial(k))
-            for i, v in enumerate(poly):
-                if i >= len(out):
-                    out.extend([Fraction(0)] * (i - len(out) + 1))
-                out[i] += scale * v
-        while len(out) > 1 and out[-1] == 0:
-            out.pop()
-        return tuple(out)
+        """Exact power-basis coefficients (may be non-integer): C(n, k) is
+        the k-th Newton basis polynomial over nodes 0, 1, 2, ... divided by k!."""
+        newton = [Fraction(c, math.factorial(k)) for k, c in enumerate(self.coeffs)]
+        return _newton_to_power(range(len(newton)), newton)
 
     def to_expression(self) -> str:
         """Render as an integer-coefficient expression in n when possible,
@@ -107,42 +96,51 @@ def constant(value: int) -> IntPolynomial:
     return from_binomial([value])
 
 
+def _divided_differences(points) -> list[Fraction]:
+    """Newton coefficients c_0..c_{m-1} of the polynomial through (x, y)
+    points at distinct arguments x_0..x_{m-1}:
+    p(x) = sum_k c_k (x - x_0)...(x - x_{k-1})."""
+    xs = [x for x, _ in points]
+    row = [Fraction(y) for _, y in points]
+    coeffs = []
+    for k in range(len(xs)):
+        coeffs.append(row[0])
+        row = [(b - a) / (xs[i + k + 1] - xs[i]) for i, (a, b) in enumerate(zip(row, row[1:]))]
+    return coeffs
+
+
+def _newton_to_power(nodes, coeffs) -> tuple[Fraction, ...]:
+    """Power-basis coefficients of the Newton form sum_k coeffs[k] *
+    (x - nodes[0])...(x - nodes[k-1]), by Horner's rule; trailing zeros are
+    dropped."""
+    out = [coeffs[-1]] if coeffs else [Fraction(0)]
+    for k in range(len(coeffs) - 2, -1, -1):
+        out = _add(_mul(out, [-nodes[k], 1]), [coeffs[k]])
+    while len(out) > 1 and out[-1] == 0:
+        out.pop()
+    return tuple(out)
+
+
 def interpolate(samples) -> IntPolynomial:
-    """Newton forward-difference interpolation of samples (n, value) taken at
-    consecutive arguments 0, 1, 2, ...; binomial coefficients are the leading
-    finite differences and are automatically integers."""
+    """Interpolation of samples (n, value) taken at consecutive arguments
+    0, 1, 2, ...; the binomial coefficient of C(n, k) is k! times the k-th
+    divided difference, which is the k-th forward difference and so an
+    integer."""
     samples = list(samples)
     if not samples:
         raise SignatureError("interpolation needs at least one sample")
     for i, (n, _) in enumerate(samples):
         if n != i:
             raise SignatureError(f"samples must sit at consecutive n from 0; got n={n} at index {i}")
-    values = [int(v) for _, v in samples]
-    coeffs = []
-    row = values
-    while row:
-        coeffs.append(row[0])
-        row = [b - a for a, b in zip(row, row[1:])]
-    return from_binomial(coeffs)
+    newton = _divided_differences(samples)
+    return from_binomial(int(c * math.factorial(k)) for k, c in enumerate(newton))
 
 
 def lagrange_fit(points) -> tuple[Fraction, ...]:
     """Exact power-basis coefficients of the polynomial through (x, y) points
     at arbitrary distinct arguments."""
-    coeffs = [Fraction(0)]
-    for i, (xi, yi) in enumerate(points):
-        basis = [Fraction(1)]
-        denom = Fraction(1)
-        for j, (xj, _) in enumerate(points):
-            if j == i:
-                continue
-            basis = _mul(basis, [Fraction(-xj), Fraction(1)])
-            denom *= Fraction(xi - xj)
-        scale = Fraction(yi) / denom
-        coeffs = _add(coeffs, [scale * c for c in basis])
-    while len(coeffs) > 1 and coeffs[-1] == 0:
-        coeffs.pop()
-    return tuple(coeffs)
+    points = list(points)
+    return _newton_to_power([x for x, _ in points], _divided_differences(points))
 
 
 def eval_fit(coeffs, x: int) -> Fraction:
@@ -159,39 +157,12 @@ def eval_fit(coeffs, x: int) -> Fraction:
 _POLY_TOKEN = re.compile(r"\s*(?:(?P<int>\d+)|(?P<n>n)|(?P<op>[-+*^()])|(?P<C>C))")
 
 
-class _PolyParser:
+class _PolyParser(_Tokens):
     """Grammar: expr := term (('+'|'-') term)*; term := factor ('*' factor)*;
     factor := base ('^' INT)?; base := INT | 'n' | '(' expr ')' | '-' factor."""
 
     def __init__(self, text: str):
-        self.text = text
-        self.tokens = []
-        pos = 0
-        while pos < len(text):
-            m = _POLY_TOKEN.match(text, pos)
-            if m is None or m.end() == m.start():
-                stripped = text[pos:].lstrip()
-                if not stripped:
-                    break
-                raise FormulaParseError(
-                    f"unexpected character {stripped[0]!r} in polynomial",
-                    len(text) - len(stripped) + 1,
-                )
-            kind = m.lastgroup
-            self.tokens.append((kind, m.group(kind), m.start(kind) + 1))
-            pos = m.end()
-        self.pos = 0
-        self.depth = 0
-
-    def peek(self):
-        if self.pos < len(self.tokens):
-            return self.tokens[self.pos]
-        return ("eof", "", len(self.text) + 1)
-
-    def next(self):
-        tok = self.peek()
-        self.pos += 1
-        return tok
+        super().__init__(text, _POLY_TOKEN, "polynomial")
 
     def parse(self):
         value = self.expr()
@@ -236,10 +207,7 @@ class _PolyParser:
             return [0, 1]
         if value not in ("(", "-"):
             raise FormulaParseError("expected a polynomial term", offset)
-        self.depth += 1
-        if self.depth > MAX_NESTING:
-            raise FormulaParseError(
-                f"polynomial nested deeper than {MAX_NESTING} levels", offset)
+        self.nest(offset)
         if value == "(":
             inner = self.expr()
             tok = self.next()

@@ -13,6 +13,7 @@ from typing import Callable, Union
 from .counting import hom_count, inj_count
 from .errors import BindingError, BudgetError, SignatureError, ValidationError
 from .interp import (
+    BUILTIN_SCHEMES,
     GraphicalScheme,
     QuotientScheme,
     Scheme,
@@ -98,8 +99,17 @@ class ReindexedSeq:
 
 @dataclass(frozen=True)
 class CustomSeq:
+    """A named generator of CUSTOM_GENERATORS; `constant` takes its
+    structure as the `structure` parameter."""
+
     name: str
     params: tuple[tuple[str, object], ...] = ()
+
+    def __post_init__(self):
+        if not isinstance(self.name, str) or self.name not in CUSTOM_GENERATORS:
+            raise SignatureError(f"unknown custom sequence {self.name!r}")
+        if self.name == "constant" and not isinstance(self.param_dict().get("structure"), Structure):
+            raise SignatureError("the constant sequence needs a 'structure' parameter")
 
     def param_dict(self) -> dict:
         return dict(self.params)
@@ -160,15 +170,6 @@ def constant_seq(structure: Structure) -> CustomSeq:
     return custom_seq("constant", structure=structure)
 
 
-def _custom_signature(spec: CustomSeq) -> Signature:
-    if spec.name == "constant":
-        return spec.param_dict()["structure"].signature
-    try:
-        return CUSTOM_GENERATORS[spec.name].signature
-    except KeyError:
-        raise SignatureError(f"unknown custom sequence {spec.name!r}") from None
-
-
 def signature_of(spec: SequenceSpec) -> Signature:
     """Statically derived signature of every term of the sequence."""
     if isinstance(spec, BasicSeq):
@@ -185,7 +186,9 @@ def signature_of(spec: SequenceSpec) -> Signature:
     if isinstance(spec, (CopiesSeq, ReindexedSeq)):
         return signature_of(spec.inner)
     if isinstance(spec, CustomSeq):
-        return _custom_signature(spec)
+        if spec.name == "constant":
+            return spec.param_dict()["structure"].signature
+        return CUSTOM_GENERATORS[spec.name].signature
     raise TypeError(f"not a sequence spec: {spec!r}")
 
 
@@ -210,8 +213,6 @@ def domain_degree(spec: SequenceSpec) -> int:
     if isinstance(spec, ReindexedSeq):
         return max(spec.by.degree, 0) * domain_degree(spec.inner)
     if isinstance(spec, CustomSeq):
-        if spec.name == "constant":
-            return 0
         return CUSTOM_GENERATORS[spec.name].degree
     raise TypeError(f"not a sequence spec: {spec!r}")
 
@@ -242,8 +243,6 @@ def generate_term(spec: SequenceSpec, n: int) -> Structure:
     if isinstance(spec, ReindexedSeq):
         return generate_term(spec.inner, _poly_value(spec.by, n, "reindexing"))
     if isinstance(spec, CustomSeq):
-        if spec.name not in CUSTOM_GENERATORS:
-            raise SignatureError(f"unknown custom sequence {spec.name!r}")
         return CUSTOM_GENERATORS[spec.name].make(spec.param_dict(), n)
     raise TypeError(f"not a sequence spec: {spec!r}")
 
@@ -486,21 +485,14 @@ def product_sequences(op: str, a: SequenceSpec, b: SequenceSpec) -> SequenceSpec
 # ---------------------------------------------------------------------------
 # JSON spec files
 
-SCHEME_BUILDERS: dict[str, Callable[[dict], Scheme]] = {}
-
-
-def register_scheme_builder(name: str, builder: Callable[[dict], Scheme]):
-    SCHEME_BUILDERS[name] = builder
-
-
 def _scheme_to_obj(scheme: Scheme) -> dict:
     if scheme.origin is not None:
         name, params = scheme.origin
         return {"builtin": name, "params": dict(params)}
     if isinstance(scheme, GraphicalScheme):
         raise SignatureError(
-            "graphical schemes serialize only as builtins; "
-            f"register {scheme.name!r} or use a plain scheme"
+            f"graphical scheme {scheme.name!r} has no origin in BUILTIN_SCHEMES; "
+            "only builtin graphical schemes serialize"
         )
     return {"text": scheme_to_text(scheme)}
 
@@ -510,11 +502,9 @@ def _scheme_from_obj(obj: dict) -> Scheme:
         return parse_scheme(obj["text"])
     if "builtin" in obj:
         name = obj["builtin"]
-        if name in SCHEME_BUILDERS:
-            return SCHEME_BUILDERS[name](obj.get("params", {}))
-        if name in PRODUCT_OPS:
-            return product_scheme(name)
-        raise SignatureError(f"unknown builtin scheme {name!r}")
+        if name not in BUILTIN_SCHEMES:
+            raise SignatureError(f"unknown builtin scheme {name!r}")
+        return BUILTIN_SCHEMES[name](obj.get("params", {}))
     raise SignatureError("scheme object needs a 'text' or 'builtin' key")
 
 
@@ -593,7 +583,7 @@ def spec_from_obj(obj: dict) -> SequenceSpec:
             return custom_seq(obj["name"], **params)
     except KeyError as exc:
         raise SignatureError(f"{variant!r} spec is missing the key {exc}") from None
-    except (TypeError, AttributeError) as exc:
+    except (TypeError, ValueError, AttributeError) as exc:
         raise SignatureError(f"malformed {variant!r} spec: {exc}") from None
     raise SignatureError(f"unknown sequence variant {variant!r}")
 
