@@ -341,3 +341,47 @@ def test_hostile_inputs_exit_2(case, files, tmp_path, capsys):
     captured = _cli(capsys, args, expect=2)
     assert captured.out == ""
     assert captured.err.startswith("error:")
+
+
+_TREE = {"variant": "Interpreted",
+         "scheme": {"builtin": "treeBlowup", "params": {"k": 2, "parents": {"2": "x"}}},
+         "inner": {"variant": "Basic", "k": 2, "l": 0, "orders": ["n", "n"]}}
+
+# case -> (command line, with SPEC standing for a file holding the spec), spec
+HOSTILE_PARAMETERS = {
+    "johnson-k-not-int": (["gallery", "run", "johnson", "--params", '{"k":"x"}', "--check"], None),
+    "johnson-D-not-list": (["gallery", "run", "johnson", "--params", '{"D":5}', "--check"], None),
+    "params-not-object": (["gallery", "run", "johnson", "--params", "5", "--check"], None),
+    "params-list": (["gallery", "run", "crown", "--params", "[]", "--n", "1"], None),
+    "tree-parent-not-int": (["gallery", "run", "treeBlowup", "--params",
+                             '{"parents":{"2":"x"}}', "--check"], None),
+    "tree-spec-parent-not-int": (["detect", "--spec", "SPEC", "--pattern", "K2"], _TREE),
+    "custom-unknown-detect": (["detect", "--spec", "SPEC", "--pattern", "K2"],
+                              {"variant": "Custom", "name": "nope"}),
+    "custom-unknown-decompose": (["decompose", "--spec", "SPEC", "--cap", "2"],
+                                 {"variant": "Custom", "name": "nope"}),
+    "custom-name-list-detect": (["detect", "--spec", "SPEC", "--pattern", "K2"],
+                                {"variant": "Custom", "name": ["x"]}),
+    "custom-name-list-decompose": (["decompose", "--spec", "SPEC", "--cap", "2"],
+                                   {"variant": "Custom", "name": ["x"]}),
+    "constant-without-structure": (["detect", "--spec", "SPEC", "--pattern", "K2"],
+                                   {"variant": "Custom", "name": "constant"}),
+    "formula-size": (["gallery", "run", "johnson", "--params",
+                      json.dumps({"k": 8, "D": list(range(9))}), "--n", "0"], None),
+}
+
+
+@pytest.mark.parametrize("case", HOSTILE_PARAMETERS)
+def test_hostile_parameters_and_custom_names(case, files, tmp_path, capsys):
+    """Malformed gallery parameters and custom names exit 2 with nothing on
+    stdout; a shared-elements formula too large for the DNF budget is refused
+    before it is built and exits 1."""
+    args, spec = HOSTILE_PARAMETERS[case]
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(spec))
+    args = [str(spec_path) if a == "SPEC" else files["k2"] if a == "K2" else a for a in args]
+    expect = 1 if case == "formula-size" else 2
+    captured = _cli(capsys, args, expect=expect)
+    assert captured.out == ""
+    assert "Traceback" not in captured.err
+    assert captured.err.startswith("check failed:" if expect == 1 else "error:")

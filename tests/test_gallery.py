@@ -12,12 +12,15 @@ from relpoly import (
     canonical_form,
     constant_seq,
     CopiesSeq,
+    custom_seq,
     generate_term,
     hom,
     isomorphic,
     parse_polynomial,
     permute,
     product_sequences,
+    spec_from_json,
+    spec_to_json,
 )
 from relpoly.gallery import (
     ENTRIES,
@@ -301,3 +304,31 @@ def test_weak_isomorphism_agrees_with_canonical_keys():
     for a in pool:
         for b in pool:
             assert weakly_isomorphic(a, b) == (canonical_form(a) == canonical_form(b))
+
+
+_PRODUCT_OPS = ("disjointUnion", "direct", "cartesian", "strong", "lex")
+
+
+@pytest.mark.parametrize("name", [*ENTRIES, *_PRODUCT_OPS])
+def test_spec_json_round_trip_of_every_builtin(name):
+    """Every gallery entry and product op survives the JSON spec format:
+    the parsed spec equals the original and builds the same terms."""
+    if name in ENTRIES:
+        spec = ENTRIES[name].spec()
+    else:
+        spec = product_sequences(name, custom_seq("path"), custom_seq("complete"))
+    text = spec_to_json(spec)
+    again = spec_from_json(text)
+    assert again == spec
+    assert spec_to_json(again) == text
+    for n in range(4):
+        assert generate_term(again, n) == generate_term(spec, n)
+
+
+@pytest.mark.parametrize("inner", ["complete", "cycle", "path"])
+@pytest.mark.parametrize("name", ["lineGraph", "cliqueIntersection", "subdivision"])
+def test_quotient_entries_over_every_inner_sequence(name, inner):
+    """C_1 is a loop: the quotient entries must not take it for an edge or
+    a 2-clique, so the scheme matches the oracle at every n."""
+    report = gallery_check(name, {"inner": inner})
+    assert report.ok, report.first_mismatch

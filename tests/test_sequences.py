@@ -1,4 +1,8 @@
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -311,6 +315,30 @@ def test_spec_json_round_trip():
         spec_from_json('{"variant": "Nope"}')
     with pytest.raises(SignatureError):
         spec_from_json("{]")
+
+
+CROWN_SPEC = """{
+  "variant": "Interpreted",
+  "scheme": {"builtin": "crown"},
+  "inner": {"variant": "Basic", "k": 1, "l": 2, "orders": ["n"]}
+}"""
+
+
+def test_builtin_spec_loads_after_importing_the_package_alone():
+    """The builtin scheme table needs no other module: a fresh interpreter
+    that imports only `relpoly` loads a builtin spec and builds its terms."""
+    code = (
+        "import sys, relpoly\n"
+        "spec = relpoly.spec_from_json(sys.stdin.read())\n"
+        "print(type(spec).__name__, relpoly.generate_term(spec, 3).domain,"
+        " 'relpoly.gallery' in sys.modules)\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run([sys.executable, "-c", code], input=CROWN_SPEC, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "InterpretedSeq 6 False\n"
 
 
 def test_detector_formula_queries_on_basic_specs():
