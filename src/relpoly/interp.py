@@ -1,6 +1,7 @@
 """Interpretation schemes: plain, graphical, merged-marked, and quotient
-variants, plus the formula translation that moves satisfaction counting from
-an interpreted structure back to its source."""
+variants, the formula translation that moves satisfaction counting from an
+interpreted structure back to its source, and the table of builtin schemes
+that sequence specs name."""
 
 from __future__ import annotations
 
@@ -9,7 +10,6 @@ import random
 import re
 from dataclasses import dataclass
 from itertools import combinations, product
-from math import prod
 from typing import Callable
 
 from . import budgets
@@ -225,7 +225,7 @@ def _spot_check(test, value: bool, choices, rng: random.Random, name: str) -> No
     """Other representatives of one class tuple must give the same truth
     value: all choices when there are at most _COMPAT_SAMPLES, else that many
     seeded random picks."""
-    alternatives = prod(map(len, choices))
+    alternatives = math.prod(map(len, choices))
     if alternatives == 1:
         return
     if alternatives <= _COMPAT_SAMPLES:

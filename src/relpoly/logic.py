@@ -332,6 +332,7 @@ class _Tokens:
                 if not stripped:
                     break
                 offset = len(text) - len(stripped) + 1
+                # formula messages name no language: formulas are the default
                 where = "" if language == "formula" else f" in {language}"
                 raise FormulaParseError(f"unexpected character {stripped[0]!r}{where}", offset)
             kind = m.lastgroup

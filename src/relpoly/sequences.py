@@ -22,7 +22,6 @@ from .interp import (
     parse_scheme,
     product_scheme,
     scheme_to_text,
-    PRODUCT_OPS,
 )
 from .logic import Formula, satisfying_counter
 from .polynomials import IntPolynomial, interpolate, parse_polynomial
@@ -472,8 +471,6 @@ def detect_polynomial(spec: SequenceSpec, query, verify_count: int = 5) -> Polyn
 def product_sequences(op: str, a: SequenceSpec, b: SequenceSpec) -> SequenceSpec:
     """Wrap two graph sequences into the built-in product scheme applied to
     the strong sum of their marked terms."""
-    if op not in PRODUCT_OPS:
-        raise SignatureError(f"unknown product operation {op!r}")
     for spec in (a, b):
         if signature_of(spec) != GRAPH_SIG:
             raise SignatureError("product sequences require graph-producing specs")

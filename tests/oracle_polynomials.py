@@ -1,7 +1,7 @@
 """Reference implementations kept as oracles for relpoly.polynomials: forward
 differences at nodes 0, 1, 2, ..., the Lagrange basis at arbitrary nodes,
 power-basis coefficients from multiplied-out falling factorials, and the
-polynomial parser with its own token loop.  The library now does all three
+polynomial parser with its own token loop.  The library does all three
 conversions through one divided-difference routine and tokenizes through
 relpoly.logic."""
 

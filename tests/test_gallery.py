@@ -42,6 +42,7 @@ from relpoly.gallery import (
     path_graph,
     star_graph,
 )
+from relpoly.interp import PRODUCT_OPS
 
 from genutil import K1, K2, K3, P3
 
@@ -306,10 +307,7 @@ def test_weak_isomorphism_agrees_with_canonical_keys():
             assert weakly_isomorphic(a, b) == (canonical_form(a) == canonical_form(b))
 
 
-_PRODUCT_OPS = ("disjointUnion", "direct", "cartesian", "strong", "lex")
-
-
-@pytest.mark.parametrize("name", [*ENTRIES, *_PRODUCT_OPS])
+@pytest.mark.parametrize("name", [*ENTRIES, *PRODUCT_OPS])
 def test_spec_json_round_trip_of_every_builtin(name):
     """Every gallery entry and product op survives the JSON spec format:
     the parsed spec equals the original and builds the same terms."""
