@@ -4,6 +4,7 @@ partition-lattice machinery tying the three counts together."""
 from __future__ import annotations
 
 import math
+from contextvars import ContextVar
 from dataclasses import dataclass
 from itertools import product
 
@@ -154,17 +155,40 @@ def _candidate_index(rel, here: tuple[int, ...], bound: tuple[int, ...]) -> dict
     return index
 
 
-def _compile_lookups(pattern: Structure, target: Structure, order: list[int]) -> list:
+# The candidate indexes shared inside a `shared_indexes` block: the target
+# they index and a dict from tuple shape to index.
+_SHARED: ContextVar = ContextVar("relpoly_shared_indexes", default=None)
+
+
+class shared_indexes:
+    """Inside a `with shared_indexes(target)` block, hom counts into `target`
+    (this very object) build each candidate index once and share it; the
+    indexes are dropped on exit.  A class rather than a generator-based
+    context manager, because `HomBasis.value` enters one per call."""
+
+    __slots__ = ("target", "token")
+
+    def __init__(self, target: Structure):
+        self.target = target
+
+    def __enter__(self):
+        self.token = _SHARED.set((self.target, {}))
+
+    def __exit__(self, *exc):
+        _SHARED.reset(self.token)
+
+
+def _compile_lookups(pattern: Structure, target: Structure, order: list[int],
+                     indexes: dict) -> list:
     """Per depth, the (index, bound vertices) lookups for the tuples whose
     last-placed vertex sits at that depth.
 
-    A tuple's shape is its relation and which positions hold the vertex being
-    placed; one index serves every tuple of the same shape, and an index equal
-    to one already built (E(u,v) and E(v,u) in a symmetric relation) is shared
-    so that the search looks it up once.
+    A tuple's shape is its relation symbol and which positions hold the
+    vertex being placed; one index in `indexes` serves every tuple of the same
+    shape, and an index equal to one already built (E(u,v) and E(v,u) in a
+    symmetric relation) is shared so that the search looks it up once.
     """
     position = {v: i for i, v in enumerate(order)}
-    indexes: dict[tuple, dict] = {}
     lookups: list[dict] = [{} for _ in order]
     for idx, rel in enumerate(pattern.relations):
         for t in rel:
@@ -174,7 +198,7 @@ def _compile_lookups(pattern: Structure, target: Structure, order: list[int]) ->
             v = order[depth]
             here = tuple(i for i, u in enumerate(t) if u == v)
             bound = tuple(i for i, u in enumerate(t) if u != v)
-            shape = (idx, here, bound)
+            shape = (pattern.signature.symbols[idx][0], here, bound)
             index = indexes.get(shape)
             if index is None:
                 index = _candidate_index(target.relations[idx], here, bound)
@@ -204,18 +228,19 @@ def _absent_tuples(pattern: Structure, target: Structure, order: list[int]) -> l
 
 
 def _count_maps(pattern: Structure, target: Structure, vertices: list[int],
-                mode: str, nodes: int, budget: int) -> tuple[int, int]:
+                mode: str, nodes: int, budget: int, indexes: dict) -> tuple[int, int]:
     """Count relation-preserving maps of `vertices` into the target by an
     indexed candidate search.
 
     `mode` is "hom", "inj" or "ind".  `nodes` is the count of candidate images
     tried before this call and the return value includes it; the search stops
-    with BudgetError once it exceeds `budget`.
+    with BudgetError once it exceeds `budget`.  `indexes` holds the candidate
+    indexes built so far for this target, by shape, and gains the new ones.
     """
     injective = mode != "hom"
     induced = mode == "ind"
     order = _search_order(pattern, vertices)
-    lookups = _compile_lookups(pattern, target, order)
+    lookups = _compile_lookups(pattern, target, order, indexes)
     absent = _absent_tuples(pattern, target, order) if induced else None
     last = len(order) - 1
     n = target.domain
@@ -275,13 +300,16 @@ def _count_maps(pattern: Structure, target: Structure, vertices: list[int],
 
 def hom_count(pattern: Structure, target: Structure) -> CountReport:
     """All relation-preserving maps; factorizes over the pattern's connected
-    components and multiplies the per-component counts."""
+    components and multiplies the per-component counts.  Inside a
+    `shared_indexes(target)` block it reuses the block's candidate indexes."""
+    shared = _SHARED.get()
+    indexes = shared[1] if shared is not None and shared[0] is target else {}
     pattern, target = _aligned(pattern, target)
     budget = budgets.search_budget()
     value = 1
     nodes = 0
     for component in gaifman_components(pattern):
-        sub, nodes = _count_maps(pattern, target, component, "hom", nodes, budget)
+        sub, nodes = _count_maps(pattern, target, component, "hom", nodes, budget, indexes)
         value *= sub
         if value == 0:
             break
@@ -294,7 +322,7 @@ def _injective_count(pattern: Structure, target: Structure, mode: str) -> CountR
     if pattern.domain > target.domain:
         return CountReport(0, mode, 0)
     value, nodes = _count_maps(pattern, target, list(range(pattern.domain)), mode, 0,
-                               budgets.search_budget())
+                               budgets.search_budget(), {})
     return CountReport(value, mode, nodes)
 
 

@@ -563,12 +563,13 @@ def gallery_check(name: str, params: dict | None = None,
         raise SignatureError(f"unknown gallery entry {name!r}")
     entry = ENTRIES[name]
     merged = entry.params_with_defaults(params)
+    spec = entry.spec(params)
     lo, hi = n_range if n_range is not None else entry.default_range
     rows = []
     first_mismatch = None
     ok = True
     for n in range(lo, hi + 1):
-        via_scheme, via_oracle = gallery_build(name, params, n)
+        via_scheme, via_oracle = generate_term(spec, n), entry.oracle(n, params)
         size = max(via_scheme.domain, via_oracle.domain)
         if via_scheme.domain != via_oracle.domain:
             match = False
@@ -590,7 +591,6 @@ def gallery_check(name: str, params: dict | None = None,
         ok = ok and match
     verdicts = {}
     if detect:
-        spec = entry.spec(params)
         for label, pattern in detector_patterns().items():
             verdicts[label] = detect_polynomial(spec, pattern).verdict
     return GalleryCheckReport(name, merged, tuple(rows), ok, first_mismatch, verdicts)

@@ -16,7 +16,7 @@ from itertools import product
 
 from . import budgets
 from .canon import canonical_form
-from .counting import bell, hom_count, mobius, quotient, set_partitions
+from .counting import bell, hom_count, mobius, quotient, set_partitions, shared_indexes
 from .errors import BindingError, BudgetError, FormulaParseError
 from .structures import Signature, Structure, make_structure
 
@@ -730,7 +730,10 @@ class HomBasis:
     terms: tuple[tuple[int, Structure], ...]
 
     def value(self, target: Structure) -> int:
-        return sum(c * hom_count(f, target).value for c, f in self.terms)
+        """The combination at `target`; its terms share the target's
+        candidate indexes for the length of the call."""
+        with shared_indexes(target):
+            return sum(c * hom_count(f, target).value for c, f in self.terms)
 
 
 def _subset_moebius(a: list[int]) -> None:

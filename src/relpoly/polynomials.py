@@ -155,6 +155,9 @@ def eval_fit(coeffs, x: int) -> Fraction:
 # Parsing of integer polynomial expressions in n
 
 _POLY_TOKEN = re.compile(r"\s*(?:(?P<int>\d+)|(?P<n>n)|(?P<op>[-+*^()])|(?P<C>C))")
+# The largest exponent literal and the largest degree a parsed expression may
+# reach at any step, like the nesting limit of 100 levels.
+MAX_DEGREE = 100
 
 
 class _PolyParser(_Tokens):
@@ -182,8 +185,8 @@ class _PolyParser(_Tokens):
     def term(self):
         value = self.factor()
         while self.peek()[1] == "*":
-            self.next()
-            value = _mul(value, self.factor())
+            offset = self.next()[2]
+            value = _bounded(_mul(value, self.factor()), offset)
         return value
 
     def factor(self):
@@ -193,9 +196,12 @@ class _PolyParser(_Tokens):
             tok = self.next()
             if tok[0] != "int":
                 raise FormulaParseError("exponent must be an integer literal", tok[2])
+            exponent = int(tok[1])
+            if exponent > MAX_DEGREE:
+                raise FormulaParseError(f"exponent exceeds {MAX_DEGREE}", tok[2])
             result = [1]
-            for _ in range(int(tok[1])):
-                result = _mul(result, base)
+            for _ in range(exponent):
+                result = _bounded(_mul(result, base), tok[2])
             return result
         return base
 
@@ -217,6 +223,12 @@ class _PolyParser(_Tokens):
             inner = _sub([0], self.factor())
         self.depth -= 1
         return inner
+
+
+def _bounded(a, offset: int):
+    if len(a) - 1 > MAX_DEGREE:
+        raise FormulaParseError(f"polynomial degree exceeds {MAX_DEGREE}", offset)
+    return a
 
 
 def _add(a, b):

@@ -7,9 +7,11 @@ from __future__ import annotations
 import json
 import logging
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
 from typing import Callable, Union
 
+from . import budgets
 from .counting import hom_count, inj_count
 from .errors import BindingError, BudgetError, SignatureError, ValidationError
 from .interp import (
@@ -60,6 +62,8 @@ class BasicSeq:
     orders: tuple[IntPolynomial, ...]
 
     def __post_init__(self):
+        if not all(isinstance(x, int) and x >= 0 for x in (self.k, self.l)):
+            raise SignatureError("k and l must be non-negative integers")
         if len(self.orders) != self.k:
             raise SignatureError(f"expected {self.k} order polynomials")
         for q in self.orders:
@@ -99,7 +103,8 @@ class ReindexedSeq:
 @dataclass(frozen=True)
 class CustomSeq:
     """A named generator of CUSTOM_GENERATORS; `constant` takes its
-    structure as the `structure` parameter."""
+    structure as the `structure` parameter.  Parameter values must be
+    hashable, since terms are cached by spec."""
 
     name: str
     params: tuple[tuple[str, object], ...] = ()
@@ -109,6 +114,13 @@ class CustomSeq:
             raise SignatureError(f"unknown custom sequence {self.name!r}")
         if self.name == "constant" and not isinstance(self.param_dict().get("structure"), Structure):
             raise SignatureError("the constant sequence needs a 'structure' parameter")
+        for key, value in self.params:
+            try:
+                hash(value)
+            except TypeError:
+                raise SignatureError(
+                    f"custom sequence parameter {key!r} is not hashable: {value!r}"
+                ) from None
 
     def param_dict(self) -> dict:
         return dict(self.params)
@@ -224,9 +236,20 @@ def _poly_value(poly: IntPolynomial, n: int, what: str) -> int:
 
 
 def generate_term(spec: SequenceSpec, n: int) -> Structure:
-    """Materialize the n-th term of the sequence."""
+    """Materialize the n-th term of the sequence.
+
+    Terms are cached per spec, index and RELPOLY_TUPLE_BUDGET (the one
+    budget that building reads), so a sequence probed by many queries, and
+    the inner terms and ordered-sum blocks it is built from, are built once;
+    specs and structures are immutable, so callers share the cached term.
+    """
     if n < 0:
         raise SignatureError("sequence index must be non-negative")
+    return _term(spec, n, budgets.tuple_budget())
+
+
+@lru_cache(maxsize=256)
+def _term(spec: SequenceSpec, n: int, tuple_budget: int) -> Structure:
     if isinstance(spec, BasicSeq):
         orders = tuple(_poly_value(q, n, "tournament order") for q in spec.orders)
         return build_basic(BasicStructureSpec(spec.k, spec.l, orders))

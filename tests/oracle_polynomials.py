@@ -13,7 +13,15 @@ from fractions import Fraction
 
 from relpoly.errors import FormulaParseError, SignatureError
 from relpoly.logic import MAX_NESTING
-from relpoly.polynomials import IntPolynomial, _add, _mul, _power_to_expression, _sub, from_binomial
+from relpoly.polynomials import (
+    MAX_DEGREE,
+    IntPolynomial,
+    _add,
+    _mul,
+    _power_to_expression,
+    _sub,
+    from_binomial,
+)
 
 
 def interpolate(samples) -> IntPolynomial:
@@ -150,8 +158,10 @@ class _PolyParser:
     def term(self):
         value = self.factor()
         while self.peek()[1] == "*":
-            self.next()
+            offset = self.next()[2]
             value = _mul(value, self.factor())
+            if len(value) - 1 > MAX_DEGREE:
+                raise FormulaParseError(f"polynomial degree exceeds {MAX_DEGREE}", offset)
         return value
 
     def factor(self):
@@ -161,6 +171,10 @@ class _PolyParser:
             tok = self.next()
             if tok[0] != "int":
                 raise FormulaParseError("exponent must be an integer literal", tok[2])
+            if int(tok[1]) > MAX_DEGREE:
+                raise FormulaParseError(f"exponent exceeds {MAX_DEGREE}", tok[2])
+            if int(tok[1]) * (len(base) - 1) > MAX_DEGREE:
+                raise FormulaParseError(f"polynomial degree exceeds {MAX_DEGREE}", tok[2])
             result = [1]
             for _ in range(int(tok[1])):
                 result = _mul(result, base)

@@ -1,5 +1,6 @@
 """Differential tests of the bitmask hom-basis decomposition against the
-diagram and super-pattern enumeration kept in oracle_logic.
+diagram and super-pattern enumeration kept in oracle_logic, and of its value
+against brute-force counting.
 
 Terms are compared as (coefficient, canonical key) lists: a term's
 representative may be a different but isomorphic structure on each side."""
@@ -10,7 +11,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from relpoly import BudgetError, canonical_form, parse_formula, qf_to_hom_basis, sig
+from relpoly import (
+    BudgetError,
+    canonical_form,
+    count_satisfying,
+    parse_formula,
+    qf_to_hom_basis,
+    sig,
+)
 from relpoly.budgets import basis_budget
 from relpoly.logic import (
     FALSE,
@@ -24,11 +32,14 @@ from relpoly.logic import (
     disj,
 )
 
-from genutil import random_qf_formula, random_qf_node
+from genutil import random_qf_formula, random_qf_node, random_structure
 from oracle_logic import decompose
 
 SIG_R = sig(("R", 2))
 SIG_RW = sig(("R", 2), ("W", 1))
+# Targets carry symbols the formulas never name, and list R and W in another
+# order, so that each hom count aligns the pattern with the target by name.
+SIG_TARGET = sig(("T", 3), ("W", 1), ("X", 2), ("R", 2))
 
 
 def _keys(basis):
@@ -112,3 +123,19 @@ def _formulas(draw):
 @given(_formulas())
 def test_decomposition_matches_oracle_property(phi):
     _agree(phi)
+
+
+@st.composite
+def _formulas_and_targets(draw):
+    phi = draw(_formulas())
+    rng = draw(st.randoms(use_true_random=False))
+    return phi, random_structure(rng, SIG_TARGET, draw(st.integers(0, 5)))
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=60)
+@given(_formulas_and_targets())
+def test_hom_basis_value_matches_count_satisfying(case):
+    """The basis terms share the target's candidate indexes within one
+    value call; the sum must still be the brute-force satisfaction count."""
+    phi, target = case
+    assert qf_to_hom_basis(phi).value(target) == count_satisfying(phi, target), phi

@@ -366,6 +366,14 @@ HOSTILE_PARAMETERS = {
                                    {"variant": "Custom", "name": ["x"]}),
     "constant-without-structure": (["detect", "--spec", "SPEC", "--pattern", "K2"],
                                    {"variant": "Custom", "name": "constant"}),
+    "basic-l-list": (["detect", "--spec", "SPEC", "--pattern", "K2"],
+                     {"variant": "Basic", "k": 1, "l": [0], "orders": ["n"]}),
+    "basic-l-float": (["detect", "--spec", "SPEC", "--pattern", "K2"],
+                      {"variant": "Basic", "k": 1, "l": 0.5, "orders": ["n"]}),
+    "custom-param-list": (["detect", "--spec", "SPEC", "--pattern", "K2"],
+                          {"variant": "Custom", "name": "cycle", "params": {"x": [1]}}),
+    "custom-param-dict": (["detect", "--spec", "SPEC", "--pattern", "K2"],
+                          {"variant": "Custom", "name": "cycle", "params": {"x": {"a": 1}}}),
     "formula-size": (["gallery", "run", "johnson", "--params",
                       json.dumps({"k": 8, "D": list(range(9))}), "--n", "0"], None),
 }

@@ -43,6 +43,7 @@ from relpoly.gallery import (
     star_graph,
 )
 from relpoly.interp import PRODUCT_OPS
+from relpoly.sequences import _term
 
 from genutil import K1, K2, K3, P3
 
@@ -319,8 +320,21 @@ def test_spec_json_round_trip_of_every_builtin(name):
     again = spec_from_json(text)
     assert again == spec
     assert spec_to_json(again) == text
-    for n in range(4):
-        assert generate_term(again, n) == generate_term(spec, n)
+    expected = [generate_term(spec, n) for n in range(4)]
+    _term.cache_clear()  # equal specs share cache entries: build `again` afresh
+    assert [generate_term(again, n) for n in range(4)] == expected
+
+
+@pytest.mark.parametrize("name", ENTRIES)
+def test_cached_terms_equal_fresh_ones(name):
+    """A term served from the cache equals one built from an empty cache,
+    inner terms included, and a repeated call returns the cached object."""
+    spec = ENTRIES[name].spec()
+    cached = [generate_term(spec, n) for n in range(6)]
+    assert all(generate_term(spec, n) is cached[n] for n in range(6))
+    for n in range(6):
+        _term.cache_clear()
+        assert generate_term(spec, n) == cached[n]
 
 
 @pytest.mark.parametrize("inner", ["complete", "cycle", "path"])

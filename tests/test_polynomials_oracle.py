@@ -2,6 +2,8 @@
 in oracle_polynomials.py: forward differences, the Lagrange basis,
 multiplied-out falling factorials and the parser with its own token loop."""
 
+import time
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -87,3 +89,27 @@ def test_parse_polynomial_errors_match(text):
 ])
 def test_parse_polynomial_error_messages(text, message):
     assert _outcome(parse_polynomial, text)[1] == message
+
+
+@_SETTINGS
+@given(st.lists(st.tuples(_expressions(depth=1), st.integers(0, 130)), min_size=1, max_size=3))
+def test_parse_polynomial_degree_limit_matches(factors):
+    """Products of powers near the degree limit parse to the same polynomial
+    or fail with the same message and offset."""
+    text = "*".join(f"({base})^{e}" for base, e in factors)
+    assert _outcome(parse_polynomial, text) == _outcome(oracle.parse_polynomial, text)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("n^101", "exponent exceeds 100 at offset 3"),
+    ("(n^10)^11", "polynomial degree exceeds 100 at offset 8"),
+    ("1^99999999", "exponent exceeds 100 at offset 3"),
+    ("n^60*n^41", "polynomial degree exceeds 100 at offset 5"),
+])
+def test_parse_polynomial_degree_is_bounded(text, message):
+    """A polynomial of degree above 100 fails at once instead of being
+    multiplied out; degree 100 itself still parses."""
+    start = time.perf_counter()
+    assert _outcome(parse_polynomial, text)[1] == message
+    assert time.perf_counter() - start < 0.5
+    assert parse_polynomial("n^100").degree == 100

@@ -49,6 +49,7 @@ from relpoly.budgets import basis_budget
 from relpoly.gallery import ENTRIES, crown_scheme, cycle_graph
 from relpoly.logic import basis_work
 from relpoly.polynomials import constant
+from relpoly.sequences import _term
 
 from genutil import K1, K2, K3, graph
 
@@ -250,6 +251,26 @@ def test_detector_budget_inconclusive(monkeypatch):
     assert fit.verdict == "Inconclusive"
 
 
+def test_warm_term_cache_keeps_the_tuple_budget(monkeypatch):
+    """Terms are cached per tuple budget: terms built under the default
+    budget must not let a smaller budget pass."""
+    kn = InterpretedSeq(forget_orientation_scheme(), BasicSeq(1, 0, (N,)))
+    assert detect_polynomial(kn, K3).verdict == "Polynomial"
+    before = _term.cache_info()
+    assert detect_polynomial(kn, K3).verdict == "Polynomial"
+    after = _term.cache_info()
+    assert after.hits > before.hits and after.misses == before.misses
+    monkeypatch.setenv("RELPOLY_TUPLE_BUDGET", "20")
+    assert detect_polynomial(kn, K3).verdict == "Inconclusive"
+
+
+def test_custom_params_must_be_hashable():
+    for value in ([1], {"a": 1}):
+        with pytest.raises(SignatureError, match="parameter 'x' is not hashable"):
+            custom_seq("cycle", x=value)
+    assert generate_term(custom_seq("cycle", x=(1,)), 3) == generate_term(custom_seq("cycle"), 3)
+
+
 def test_detector_pattern_query_charges_no_assignments(monkeypatch):
     kn = InterpretedSeq(forget_orientation_scheme(), BasicSeq(1, 0, (N,)))
     monkeypatch.setenv("RELPOLY_ASSIGNMENT_BUDGET", "20")
@@ -304,12 +325,17 @@ def test_spec_json_round_trip():
     text = spec_to_json(crown_seq)
     again = spec_from_json(text)
     assert spec_to_json(again) == text
-    assert generate_term(again, 3) == generate_term(crown_seq, 3)
+    # equal specs share term-cache entries: build each side afresh
+    expected = generate_term(crown_seq, 3)
+    _term.cache_clear()
+    assert generate_term(again, 3) == expected
 
     spec = OrderedSumSeq(constant_seq(K2), parse_polynomial("2*n"))
     text = spec_to_json(spec)
     again = spec_from_json(text)
-    assert generate_term(again, 2) == generate_term(spec, 2)
+    expected = generate_term(spec, 2)
+    _term.cache_clear()
+    assert generate_term(again, 2) == expected
 
     with pytest.raises(SignatureError):
         spec_from_json('{"variant": "Nope"}')
