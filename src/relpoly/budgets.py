@@ -7,8 +7,8 @@ from .errors import ToolkitError
 _DEFAULTS = {
     "RELPOLY_ASSIGNMENT_BUDGET": 10**8,   # assignments enumerated by count_satisfying
     "RELPOLY_TUPLE_BUDGET": 10**7,        # candidate tuples |A|^p per interpretation
-    "RELPOLY_DNF_BUDGET": 10**5,          # literal instances in a DNF expansion
-    "RELPOLY_BASIS_BUDGET": 10**6,        # intermediate terms in the hom-basis pipeline
+    "RELPOLY_DNF_BUDGET": 10**5,          # literals of the johnson/cliqueIntersection formula
+    "RELPOLY_BASIS_BUDGET": 10**6,        # partitions, diagrams and quotients of a hom basis
     "RELPOLY_SEARCH_BUDGET": 10**8,       # candidate images tried by one hom/inj/ind count
 }
 

@@ -67,26 +67,15 @@ def load_structure(path: str) -> Structure:
     return structure_from_json(_load_text(path))
 
 
-def load_scheme(path: str):
-    return parse_scheme(_load_text(path))
-
-
-def load_spec(path: str):
-    return spec_from_json(_load_text(path))
-
-
 def _emit_json(out: list[str], payload):
     out.append(json.dumps(payload, indent=2) + "\n")
 
 
-def emit_report(report, fmt: str = "json") -> str:
-    """Render a detector fit, gallery report, or decomposition."""
-    if fmt == "json":
-        payload = report.to_dict() if hasattr(report, "to_dict") else report
-        return json.dumps(payload, indent=2) + "\n"
-    if fmt == "csv":
-        return detect_csv(report)
-    raise UsageError(f"unknown report format {fmt!r}")
+def _int_list(text: str, option: str) -> list[int]:
+    try:
+        return [int(x) for x in text.split(",") if x != ""]
+    except ValueError:
+        raise UsageError(f"{option} needs comma-separated integers, got {text!r}") from None
 
 
 def detect_csv(fit) -> str:
@@ -173,15 +162,14 @@ def _build_parser() -> _Parser:
 
 def _cmd_structure(args, out) -> int:
     if args.action == "show":
-        _load = load_structure(args.infile)
-        out.append(structure_to_json(_load))
+        out.append(structure_to_json(load_structure(args.infile)))
         return 0
     if args.kind == "marked":
         s = build_marked_vertex()
     elif args.kind == "tournament":
         s = build_transitive_tournament(args.n)
     else:
-        orders = tuple(int(x) for x in args.orders.split(",") if x != "")
+        orders = tuple(_int_list(args.orders, "--orders"))
         s = build_basic(BasicStructureSpec(args.k, args.l, orders))
     text = structure_to_json(s)
     if args.out:
@@ -200,7 +188,7 @@ def _cmd_eval(args, out) -> int:
     s = load_structure(args.infile)
     phi = parse_formula(args.formula, s.signature, _declared(args))
     if args.assign is not None:
-        values = [int(x) for x in args.assign.split(",") if x != ""]
+        values = _int_list(args.assign, "--assign")
         if len(values) != len(phi.free_vars):
             raise UsageError(
                 f"--assign needs {len(phi.free_vars)} values, got {len(values)}"
@@ -230,7 +218,7 @@ def _cmd_count(args, out) -> int:
 
 
 def _cmd_interpret(args, out) -> int:
-    scheme = load_scheme(args.scheme)
+    scheme = parse_scheme(_load_text(args.scheme))
     source = load_structure(args.infile)
     if isinstance(scheme, QuotientScheme):
         report = apply_quotient_with_report(scheme, source, n=args.n, seed=args.seed)
@@ -260,7 +248,7 @@ def _cmd_interpret(args, out) -> int:
 
 
 def _cmd_detect(args, out) -> int:
-    spec = load_spec(args.spec)
+    spec = spec_from_json(_load_text(args.spec))
     if (args.pattern is None) == (args.formula is None):
         raise UsageError("exactly one of --pattern / --formula is required")
     if args.pattern:
@@ -303,6 +291,8 @@ def _cmd_gallery(args, out) -> int:
             n_range = (int(lo), int(hi))
         except ValueError:
             raise UsageError(f"--range needs two integers a:b, got {args.range!r}") from None
+        if n_range[0] > n_range[1]:
+            raise UsageError(f"--range needs a <= b, got {args.range!r}")
     elif args.n is not None:
         n_range = (args.n, args.n)
     report = gallery_check(args.name, params, n_range, detect=args.detect)
@@ -312,7 +302,7 @@ def _cmd_gallery(args, out) -> int:
 
 
 def _cmd_decompose(args, out) -> int:
-    spec = load_spec(args.spec)
+    spec = spec_from_json(_load_text(args.spec))
     decomposition = bounded_decompose(
         spec, args.cap, d_max=args.d_max, held_out=args.held_out
     )
@@ -324,7 +314,7 @@ def _cmd_paley(args, out) -> int:
     if (args.pattern is None) == (args.cycle is None):
         raise UsageError("exactly one of --pattern / --cycle is required")
     pattern = load_structure(args.pattern) if args.pattern else cycle_graph(args.cycle)
-    primes = [int(q) for q in args.primes.split(",") if q != ""]
+    primes = _int_list(args.primes, "--primes")
     report = paley_experiment(
         pattern, primes, fit_count=args.fit_count, image_counts=not args.no_images
     )

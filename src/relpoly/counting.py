@@ -372,14 +372,16 @@ def _missing_tuples(pattern: Structure, closure: str | None):
     return groups
 
 
-def super_patterns(pattern: Structure, closure: str | None = None, budget: int = 1 << 22):
+def super_patterns(pattern: Structure, closure: str | None = None):
     """Yield (superstructure, number of added tuple groups) for every way of
-    enlarging the pattern's relations on the same domain."""
+    enlarging the pattern's relations on the same domain; more than
+    RELPOLY_BASIS_BUDGET of them is a BudgetError."""
     groups = _missing_tuples(pattern, closure)
+    limit = budgets.basis_budget()
     total = 1
     for _, candidates in groups:
         total <<= len(candidates)
-        if total > budget:
+        if total > limit:
             raise BudgetError("super-pattern enumeration too large")
 
     def rec(level: int, relations: list[set], added: int):

@@ -91,18 +91,6 @@ def octahedron() -> Structure:
     )
 
 
-def nonisomorphic_graphs(n: int) -> list[Structure]:
-    """All simple graphs on n vertices up to isomorphism."""
-    pairs = list(combinations(range(n), 2))
-    seen: dict[bytes, Structure] = {}
-    for mask in range(1 << len(pairs)):
-        g = graph_from_edges(n, [p for i, p in enumerate(pairs) if mask >> i & 1])
-        key = canonical_form(g)
-        if key not in seen:
-            seen[key] = g
-    return list(seen.values())
-
-
 # ---------------------------------------------------------------------------
 # Direct oracles
 
@@ -641,6 +629,8 @@ def bounded_decompose(spec: SequenceSpec, degree_cap: int,
     n = 0..d+1 (d the domain-degree bound), interpolate each multiplicity,
     and verify the census on held-out indices.  A term whose maximum degree
     exceeds the cap aborts with an unbounded-degree error."""
+    if held_out < 1:
+        raise SignatureError("held_out must be positive")
     d = domain_degree(spec)
     if d_max is not None:
         d = min(d, d_max)

@@ -1,9 +1,9 @@
 """First-order formulas over relational signatures.
 
 AST with equality and relation atoms, a recursive-descent text parser, a
-compiled evaluator with a quantifier-free fast path, disjunctive normal form,
-and the reduction of quantifier-free satisfaction counting to an integer
-combination of homomorphism counts.
+compiled evaluator with a quantifier-free fast path, and the reduction of
+quantifier-free satisfaction counting to an integer combination of
+homomorphism counts.
 """
 
 from __future__ import annotations
@@ -654,73 +654,6 @@ def count_satisfying(phi: Formula, s: Structure) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Disjunctive normal form
-
-def _desugar(node: Node) -> Node:
-    if isinstance(node, Implies):
-        return disj(Not(_desugar(node.left)), _desugar(node.right))
-    if isinstance(node, Iff):
-        left, right = _desugar(node.left), _desugar(node.right)
-        return disj(conj(left, right), conj(Not(left), Not(right)))
-    if isinstance(node, Not):
-        return Not(_desugar(node.body))
-    if isinstance(node, And):
-        return conj(*(_desugar(p) for p in node.parts))
-    if isinstance(node, Or):
-        return disj(*(_desugar(p) for p in node.parts))
-    return node
-
-
-def _nnf(node: Node, negate: bool) -> Node:
-    if isinstance(node, Not):
-        return _nnf(node.body, not negate)
-    if isinstance(node, And):
-        parts = tuple(_nnf(p, negate) for p in node.parts)
-        return disj(*parts) if negate else conj(*parts)
-    if isinstance(node, Or):
-        parts = tuple(_nnf(p, negate) for p in node.parts)
-        return conj(*parts) if negate else disj(*parts)
-    if isinstance(node, TrueNode):
-        return FALSE if negate else TRUE
-    if isinstance(node, FalseNode):
-        return TRUE if negate else FALSE
-    return Not(node) if negate else node
-
-
-def _dnf_terms(node: Node, budget: int) -> list[list[Node]]:
-    if isinstance(node, Or):
-        out: list[list[Node]] = []
-        for part in node.parts:
-            out.extend(_dnf_terms(part, budget))
-            if sum(len(t) + 1 for t in out) > budget:
-                raise BudgetError("DNF expansion exceeds the node budget")
-        return out
-    if isinstance(node, And):
-        terms: list[list[Node]] = [[]]
-        for part in node.parts:
-            sub = _dnf_terms(part, budget)
-            terms = [t + u for t in terms for u in sub]
-            if sum(len(t) + 1 for t in terms) > budget:
-                raise BudgetError("DNF expansion exceeds the node budget")
-        return terms
-    if isinstance(node, TrueNode):
-        return [[]]
-    if isinstance(node, FalseNode):
-        return []
-    return [[node]]
-
-
-def to_dnf(phi: Formula) -> Formula:
-    """Equivalent disjunction of conjunctions of possibly negated atoms."""
-    if not phi.is_quantifier_free:
-        raise BindingError("DNF is defined for quantifier-free formulas only")
-    flat = _nnf(_desugar(phi.root), False)
-    terms = _dnf_terms(flat, budgets.dnf_budget())
-    root = disj(*(conj(*term) for term in terms))
-    return Formula(root, phi.signature, phi.free_vars)
-
-
-# ---------------------------------------------------------------------------
 # Quantifier-free counts as homomorphism combinations
 
 @dataclass(frozen=True)
@@ -757,8 +690,9 @@ def qf_to_hom_basis(phi: Formula) -> HomBasis:
     A diagram on k vertices is a bitmask over its N_k cells (symbol, tuple),
     so the inclusion-exclusion is one subset Moebius transform of N_k * 2^N_k
     integer steps, and only diagrams with a nonzero injective coefficient are
-    built as structures; 2^N_k > RELPOLY_BASIS_BUDGET for some k is a
-    BudgetError.  The result is cached per formula and budget.
+    built as structures.  A BudgetError refuses Bell(p) > RELPOLY_BASIS_BUDGET
+    partitions of the p free variables before the walk, and 2^N_k above it
+    for some k.  The result is cached per formula and budget.
     """
     if not phi.is_quantifier_free:
         raise BindingError("hom-basis decomposition needs a quantifier-free formula")
@@ -770,6 +704,10 @@ def qf_to_hom_basis(phi: Formula) -> HomBasis:
 @lru_cache(maxsize=256)
 def _decompose(phi: Formula, limit: int) -> HomBasis:
     p = len(phi.free_vars)
+    if bell(p) > limit:
+        raise BudgetError(
+            f"{bell(p)} partitions of {p} free variables exceed the basis budget of {limit}"
+        )
     occurring = atom_symbols(phi.root)
     base_sig = phi.signature.restrict([n for n in phi.signature.names if n in occurring])
     base = Formula(phi.root, base_sig, phi.free_vars)

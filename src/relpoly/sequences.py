@@ -470,9 +470,7 @@ def detect_polynomial(spec: SequenceSpec, query, verify_count: int = 5) -> Polyn
             verifies.append((n, value, match))
             ok = ok and match
     except BudgetError as exc:
-        fit = interpolate(samples) if len(samples) == d_bound + 1 else interpolate(
-            samples or [(0, 0)]
-        )
+        fit = interpolate(samples or [(0, 0)])
         return PolynomialFit(
             fit, d_bound, tuple(samples), tuple(verifies), "Inconclusive", note=str(exc)
         )

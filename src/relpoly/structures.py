@@ -267,19 +267,6 @@ def mark(s: Structure, name: str) -> Structure:
     )
 
 
-def adapt_signature(s: Structure, kind: str, args) -> Structure:
-    """Dispatch to lift / forget / merge / mark by kind name."""
-    if kind == "lift":
-        return lift(s, args)
-    if kind == "forget":
-        return forget(s, args)
-    if kind == "merge":
-        return merge(s, args)
-    if kind == "mark":
-        return mark(s, args)
-    raise SignatureError(f"unknown adaptation kind {kind!r}")
-
-
 # ---------------------------------------------------------------------------
 # Basic structures
 
@@ -336,12 +323,6 @@ def permute(s: Structure, perm) -> Structure:
         for name in s.signature.names
     }
     return make_structure(s.signature, s.domain, relations)
-
-
-def rename_structure_symbols(s: Structure, mapping: dict[str, str]) -> Structure:
-    symbols = tuple((mapping.get(name, name), arity) for name, arity in s.signature.symbols)
-    relations = {mapping.get(name, name): s.rel(name) for name in s.signature.names}
-    return make_structure(Signature(symbols), s.domain, relations)
 
 
 def induced(s: Structure, vertices) -> Structure:

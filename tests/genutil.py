@@ -1,6 +1,7 @@
 """Seeded random generators and small-graph builders shared by the tests."""
 
 import random
+from itertools import combinations
 
 from relpoly import (
     GRAPH_SIG,
@@ -8,6 +9,7 @@ from relpoly import (
     Signature,
     Structure,
     build_formula,
+    canonical_form,
     make_structure,
 )
 from relpoly.logic import FALSE, TRUE, Atom, Eq, Iff, Not, conj, disj
@@ -26,6 +28,22 @@ K2 = graph(2, [(0, 1)])
 K3 = graph(3, [(0, 1), (1, 2), (0, 2)])
 P3 = graph(3, [(0, 1), (1, 2)])
 C4 = graph(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
+
+
+def nonisomorphic_graphs(n: int) -> list[Structure]:
+    """All simple graphs on n vertices up to isomorphism."""
+    pairs = list(combinations(range(n), 2))
+    seen: dict[bytes, Structure] = {}
+    for mask in range(1 << len(pairs)):
+        g = graph(n, [p for i, p in enumerate(pairs) if mask >> i & 1])
+        seen.setdefault(canonical_form(g), g)
+    return list(seen.values())
+
+
+def rename_structure_symbols(s: Structure, mapping: dict[str, str]) -> Structure:
+    symbols = tuple((mapping.get(name, name), arity) for name, arity in s.signature.symbols)
+    relations = {mapping.get(name, name): s.rel(name) for name in s.signature.names}
+    return make_structure(Signature(symbols), s.domain, relations)
 
 
 def random_graph(rng: random.Random, n: int, p: float = 0.45) -> Structure:

@@ -49,7 +49,6 @@ from relpoly.gallery import (
     gallery_check,
     line_graph_oracle,
     line_graph_scheme,
-    nonisomorphic_graphs,
     octahedron,
     paley_experiment,
 )
@@ -61,6 +60,7 @@ from genutil import (
     K2,
     K3,
     P3,
+    nonisomorphic_graphs,
     random_graph,
     random_qf_formula,
     random_scheme,

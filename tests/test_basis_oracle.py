@@ -19,6 +19,7 @@ from relpoly import (
     qf_to_hom_basis,
     sig,
 )
+from relpoly import logic
 from relpoly.budgets import basis_budget
 from relpoly.logic import (
     FALSE,
@@ -102,13 +103,33 @@ def test_decomposition_budget_errors_agree(monkeypatch, limit):
     for phi in formulas:
         try:
             expected = _keys(decompose(phi, limit))
-        except BudgetError:
-            with pytest.raises(BudgetError, match="diagram enumeration exceeds the basis budget"):
+        except BudgetError as exc:
+            with pytest.raises(BudgetError) as fast:
                 qf_to_hom_basis(phi)
+            assert str(fast.value) == str(exc), phi
             raised += 1
         else:
             assert _keys(qf_to_hom_basis(phi)) == expected, phi
     assert (raised > 0) == (limit < 512)
+
+
+def test_many_variables_are_refused_before_the_partition_walk(monkeypatch):
+    """Twelve variables and one unary symbol give only 2^12 diagrams, but
+    Bell(12) = 4,213,597 partitions, past the default basis budget."""
+    variables = [f"x{i}" for i in range(12)]
+    text = " & ".join(["W(x0)"] + [f"!(x{i} = x{i + 1})" for i in range(11)])
+    phi = parse_formula(text, sig(("W", 1)), variables)
+    monkeypatch.delenv("RELPOLY_BASIS_BUDGET", raising=False)
+
+    def walk(n):
+        raise AssertionError(f"walked the partitions of {n} variables")
+
+    monkeypatch.setattr(logic, "set_partitions", walk)
+    message = "4213597 partitions of 12 free variables exceed the basis budget of 1000000"
+    with pytest.raises(BudgetError, match=message):
+        qf_to_hom_basis(phi)
+    with pytest.raises(BudgetError, match=message):
+        decompose(phi, basis_budget())
 
 
 @st.composite

@@ -276,22 +276,6 @@ def test_deep_quantifiers_fail_the_assignment_budget(files, capsys):
         assert "check failed" in captured.err and "budget" in captured.err
 
 
-def test_emit_report_formats():
-    from relpoly import BasicSeq, InterpretedSeq, detect_polynomial, forget_orientation_scheme
-    from relpoly.cli import emit_report
-    from relpoly.polynomials import parse_polynomial
-
-    spec = InterpretedSeq(forget_orientation_scheme(),
-                          BasicSeq(1, 0, (parse_polynomial("n"),)))
-    fit = detect_polynomial(spec, K2)
-    as_json = emit_report(fit, "json")
-    assert '"verdict": "Polynomial"' in as_json
-    as_csv = emit_report(fit, "csv")
-    assert as_csv.splitlines()[0] == "n,value,phase,match"
-    with pytest.raises(Exception):
-        emit_report(fit, "xml")
-
-
 def test_detect_formula_from_file(tmp_path, capsys):
     spec = {
         "variant": "Interpreted",
@@ -341,6 +325,30 @@ def test_hostile_inputs_exit_2(case, files, tmp_path, capsys):
     captured = _cli(capsys, args, expect=2)
     assert captured.out == ""
     assert captured.err.startswith("error:")
+
+
+# case -> command line, with K3 standing for a structure file and LINE for a
+# file holding a Basic spec of one tournament of order n
+MALFORMED_NUMBERS = {
+    "assign-not-integers": ["eval", "--formula", "E(x,y)", "--in", "K3", "--assign", "a,b"],
+    "orders-not-integers": ["structure", "build", "--kind", "basic", "--k", "1",
+                            "--orders", "x"],
+    "primes-not-integers": ["paley", "--cycle", "4", "--primes", "5,x"],
+    "range-reversed": ["gallery", "run", "crown", "--range", "5:2", "--check"],
+    "held-out-zero": ["decompose", "--spec", "LINE", "--cap", "2", "--held-out", "0"],
+}
+
+
+@pytest.mark.parametrize("case", MALFORMED_NUMBERS)
+def test_malformed_numbers_exit_2(case, files, tmp_path, capsys):
+    spec_path = tmp_path / "line.json"
+    spec_path.write_text(json.dumps({"variant": "Basic", "k": 1, "l": 0, "orders": ["n"]}))
+    args = [files["k3"] if a == "K3" else str(spec_path) if a == "LINE" else a
+            for a in MALFORMED_NUMBERS[case]]
+    captured = _cli(capsys, args, expect=2)
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+    assert "Traceback" not in captured.err
 
 
 _TREE = {"variant": "Interpreted",

@@ -3,6 +3,8 @@ import time
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from relpoly import (
     GRAPH_SIG,
@@ -252,6 +254,37 @@ def test_kernel_agrees_with_oracle_and_enumeration():
             oracle_value, oracle_nodes = oracle(pattern, target)
             assert report.value == oracle_value == value, (count.__name__, pattern, target)
             assert report.nodes_explored <= oracle_nodes, (count.__name__, pattern, target)
+
+
+SIG_RUT = sig(("R", 2), ("U", 1), ("T", 3))
+
+
+@st.composite
+def _patterns_and_targets(draw):
+    """A pattern of 0 to 4 vertices, sometimes two parts side by side, and a
+    target of 0 to 5 vertices, over unary, binary and ternary symbols."""
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    density = draw(st.sampled_from((0.05, 0.15, 0.3)))
+    # sizes come from a seeded Random: hypothesis' own draws favour empty domains
+    pattern = random_structure(rng, SIG_RUT, rng.randrange(0, 5), density)
+    if draw(st.booleans()):
+        pattern = disjoint_union(pattern, random_structure(rng, SIG_RUT,
+                                                           rng.randrange(1, 3), density))
+    target = random_structure(rng, SIG_RUT, rng.randrange(0, 6),
+                              draw(st.sampled_from((0.2, 0.4, 0.7))))
+    return pattern, target
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=150)
+@given(_patterns_and_targets())
+def test_kernel_matches_the_backtracker_property(case):
+    pattern, target = case
+    for count, oracle in ((hom_count, oracle_hom), (inj_count, oracle_inj),
+                          (ind_count, oracle_ind)):
+        report = count(pattern, target)
+        value, nodes = oracle(pattern, target)
+        assert report.value == value, (count.__name__, pattern, target)
+        assert report.nodes_explored <= nodes, (count.__name__, pattern, target)
 
 
 def test_search_budget(monkeypatch):

@@ -5,6 +5,7 @@ import time
 import pytest
 
 from relpoly import (
+    BasicSeq,
     BudgetError,
     SignatureError,
     UnboundedDegreeError,
@@ -35,7 +36,6 @@ from relpoly.gallery import (
     graph_from_edges,
     homomorphic_image_count,
     max_degree,
-    nonisomorphic_graphs,
     octahedron,
     paley_experiment,
     paley_graph,
@@ -45,7 +45,7 @@ from relpoly.gallery import (
 from relpoly.interp import PRODUCT_OPS
 from relpoly.sequences import _term
 
-from genutil import K1, K2, K3, P3
+from genutil import K1, K2, K3, P3, nonisomorphic_graphs
 
 
 def test_canonical_form_two_builds_of_c6():
@@ -222,6 +222,14 @@ def test_bounded_decompose_constant():
     component, multiplicity = decomposition.parts[0]
     assert canonical_form(component) == canonical_form(K3)
     assert multiplicity.coeffs == (1,)
+
+
+def test_bounded_decompose_needs_a_held_out_index():
+    """With no held-out index nothing is verified: a one-tournament sequence
+    under cap 2 would be reported with the multiplicity -n^2 + 2n."""
+    line = BasicSeq(1, 0, (parse_polynomial("n"),))
+    with pytest.raises(SignatureError, match="held_out must be positive"):
+        bounded_decompose(line, degree_cap=2, held_out=0)
 
 
 def test_bounded_decompose_rejects_growing_degree():

@@ -2,6 +2,8 @@ import random
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from relpoly import (
     BindingError,
@@ -19,13 +21,18 @@ from relpoly import (
     qf_to_hom_basis,
     satisfying_tuples,
     sig,
-    to_dnf,
     weakly_isomorphic,
 )
-from relpoly.logic import basis_work
-from oracle_logic import _eval_node
+from relpoly.logic import Exists, Forall, basis_work, build_formula, conj, disj, evaluator
+from oracle_logic import _eval_node, to_dnf
 
-from genutil import random_graph, random_qf_formula, random_structure
+from genutil import (
+    random_graph,
+    random_qf_formula,
+    random_qf_node,
+    random_structure,
+    rename_structure_symbols,
+)
 
 SIG_R = sig(("R", 2))
 
@@ -151,6 +158,38 @@ def test_compiled_matches_reference_interpreter():
         for a in product(range(s.domain), repeat=2):
             env = dict(zip(phi.free_vars, a))
             assert eval_formula(phi, s, env) == _eval_node(phi.root, s, env)
+
+
+SIG_RW = sig(("R", 2), ("W", 1))
+
+
+@st.composite
+def _formulas_and_structures(draw):
+    """A random quantifier-free body over free and bound variables, under up
+    to two quantifiers, each possibly joined with another quantifier-free
+    part over the variables in scope; and a structure of 0 to 4 vertices."""
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    free = [f"x{i + 1}" for i in range(draw(st.integers(0, 3)))]
+    bound = [f"z{i + 1}" for i in range(draw(st.integers(0 if free else 1, 2)))]
+    node = random_qf_node(rng, SIG_RW, free + bound)
+    for i in reversed(range(len(bound))):
+        node = draw(st.sampled_from((Exists, Forall)))(bound[i], node)
+        scope = free + bound[:i]
+        if scope and draw(st.booleans()):
+            join = draw(st.sampled_from((conj, disj)))
+            node = join(node, random_qf_node(rng, SIG_RW, scope, depth=2, max_atoms=2))
+    phi = build_formula(node, SIG_RW, free)
+    # sizes come from a seeded Random: hypothesis' own draws favour empty domains
+    return phi, random_structure(rng, SIG_RW, rng.randrange(0, 5))
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=150)
+@given(_formulas_and_structures())
+def test_compiled_evaluator_matches_reference_property(case):
+    phi, s = case
+    test = evaluator(phi, s)
+    for a in product(range(s.domain), repeat=len(phi.free_vars)):
+        assert test(a) == _eval_node(phi.root, s, dict(zip(phi.free_vars, a))), (phi, s, a)
 
 
 def test_eval_invariant_under_relabeling():
@@ -301,7 +340,6 @@ def test_formula_text_round_trip():
 def test_eval_invariant_under_symbol_renaming():
     from relpoly import build_formula, permute
     from relpoly.logic import rename_symbols
-    from relpoly.structures import rename_structure_symbols
 
     rng = random.Random(29)
     renamed_sig = sig(("Q", 2))

@@ -7,7 +7,6 @@ from relpoly import (
     GRAPH_SIG,
     BasicStructureSpec,
     SignatureError,
-    adapt_signature,
     basic_signature,
     build_basic,
     build_marked_vertex,
@@ -84,18 +83,18 @@ def test_strong_sum_associative_up_to_weak_iso():
 
 def test_adapt_signature():
     t2 = build_transitive_tournament(2)
-    marked = adapt_signature(t2, "mark", "W")
+    marked = mark(t2, "W")
     assert marked.rel("W") == ((0,), (1,))
     t3 = build_transitive_tournament(3)
-    dropped = adapt_signature(t3, "forget", ["U"])
+    dropped = forget(t3, ["U"])
     assert dropped.signature.names == ("S",)
     target = sig(("U", 1), ("S", 2), ("X", 3))
-    lifted = adapt_signature(t3, "lift", target)
+    lifted = lift(t3, target)
     assert lifted.rel("X") == ()
     assert forget(lifted, ["X"]).relations == t3.relations
 
     both = strong_sum(K2, K2)
-    merged = adapt_signature(both, "merge", [["E", "E'"]])
+    merged = merge(both, [["E", "E'"]])
     assert merged.signature.names == ("E",)
     assert isomorphic(merged, disjoint_union(K2, K2))
     assert len(merged.rel("E")) == len(K2.rel("E")) * 2
