@@ -7,6 +7,7 @@ import math
 from contextvars import ContextVar
 from dataclasses import dataclass
 from itertools import product
+from operator import itemgetter
 
 from . import budgets
 from .errors import BudgetError, SignatureError
@@ -118,6 +119,8 @@ def _aligned(pattern: Structure, target: Structure) -> tuple[Structure, Structur
 def _search_order(pattern: Structure, vertices: list[int]) -> list[int]:
     # Place the most constrained vertex first, then greedily extend along
     # tuples touching already-placed vertices.
+    if len(vertices) < 2:  # most components of hom-basis terms are single vertices
+        return list(vertices)
     incident: dict[int, list] = {v: [] for v in vertices}
     for idx, rel in enumerate(pattern.relations):
         for t in rel:
@@ -142,16 +145,34 @@ def _search_order(pattern: Structure, vertices: list[int]) -> list[int]:
     return order
 
 
+def _items(positions: tuple[int, ...]):
+    """The function taking a sequence to its items at `positions`: the item
+    itself for one position, a tuple of them otherwise.  Index keys and the
+    lookups into them are made by the same rule."""
+    return itemgetter(*positions) if positions else _no_items
+
+
+def _no_items(_) -> tuple:
+    return ()
+
+
 def _candidate_index(rel, here: tuple[int, ...], bound: tuple[int, ...]) -> dict:
-    """Map the images at the `bound` positions of a target tuple to the set of
-    w that fill every `here` position of some tuple of `rel` agreeing with
-    them."""
-    index: dict[tuple[int, ...], set[int]] = {}
+    """Map the images at the `bound` positions of a target tuple (keyed by
+    `_items(bound)`) to the set of w that fill every `here` position of some
+    tuple of `rel` agreeing with them."""
+    index: dict = {}
     first, rest = here[0], here[1:]
+    if rest:
+        at_here = itemgetter(*here)
+        rel = [s for s in rel if at_here(s).count(s[first]) == len(here)]
+    key = _items(bound)
     for s in rel:
-        w = s[first]
-        if all(s[i] == w for i in rest):
-            index.setdefault(tuple(s[i] for i in bound), set()).add(w)
+        k = key(s)
+        found = index.get(k)
+        if found is None:
+            index[k] = {s[first]}
+        else:
+            found.add(s[first])
     return index
 
 
@@ -179,14 +200,21 @@ class shared_indexes:
 
 
 def _compile_lookups(pattern: Structure, target: Structure, order: list[int],
-                     indexes: dict) -> list:
-    """Per depth, the (index, bound vertices) lookups for the tuples whose
-    last-placed vertex sits at that depth.
+                     indexes: dict) -> tuple[list, dict]:
+    """Per depth, the (index, key) lookups for the tuples whose last-placed
+    vertex sits at that depth; and by depth, the key of the depth's separator.
 
     A tuple's shape is its relation symbol and which positions hold the
     vertex being placed; one index in `indexes` serves every tuple of the same
     shape, and an index equal to one already built (E(u,v) and E(v,u) in a
-    symmetric relation) is shared so that the search looks it up once.
+    symmetric relation) is shared so that the search looks it up once.  A
+    lookup's key takes the image list to the index key of its bound vertices.
+
+    The separator of a depth is the tuple of vertices placed before it that
+    lookups at this depth or later read: the count of extensions from this
+    depth on depends on their images alone.  Its key takes the image list to
+    those images.  A depth whose separator holds every placed vertex gets no
+    key, since a memo keyed on it would see each key once.
     """
     position = {v: i for i, v in enumerate(order)}
     lookups: list[dict] = [{} for _ in order]
@@ -205,8 +233,22 @@ def _compile_lookups(pattern: Structure, target: Structure, order: list[int],
                 index = next((b for b in indexes.values() if b == index), index)
                 indexes[shape] = index
             us = tuple(t[i] for i in bound)
-            lookups[depth][id(index), us] = (index, us)
-    return [list(at.values()) for at in lookups]
+            key = (id(index), us)
+            at = lookups[depth]
+            if key not in at:
+                at[key] = (index, _items(us))
+    separators: dict = {}
+    if len(order) > 2:  # in a connected pattern the first vertex is depth 1's separator
+        last_read: dict[int, int] = {}
+        for depth, at in enumerate(lookups):
+            for _, us in at:
+                for u in us:
+                    last_read[u] = depth
+        for depth in range(2, len(order)):
+            separator = tuple(u for u in order[:depth] if last_read.get(u, -1) >= depth)
+            if len(separator) < depth:
+                separators[depth] = _items(separator)
+    return [list(at.values()) for at in lookups], separators
 
 
 def _absent_tuples(pattern: Structure, target: Structure, order: list[int]) -> list[list]:
@@ -236,11 +278,19 @@ def _count_maps(pattern: Structure, target: Structure, vertices: list[int],
     tried before this call and the return value includes it; the search stops
     with BudgetError once it exceeds `budget`.  `indexes` holds the candidate
     indexes built so far for this target, by shape, and gains the new ones.
+
+    In hom mode the count of extensions from a depth is cached under the
+    images of the depth's separator, so the search order runs as a
+    path-decomposition DP.  Only cache misses try candidates, so a depth holds
+    at most min(candidates tried at the depth before, n^|separator|) entries;
+    the caches are dropped on return.  inj and ind keep the plain search: their used set makes a
+    subtotal depend on more than the separator.
     """
     injective = mode != "hom"
     induced = mode == "ind"
     order = _search_order(pattern, vertices)
-    lookups = _compile_lookups(pattern, target, order, indexes)
+    lookups, memo_keys = _compile_lookups(pattern, target, order, indexes)
+    memos: dict[int, dict] = {} if injective else {depth: {} for depth in memo_keys}
     absent = _absent_tuples(pattern, target, order) if induced else None
     last = len(order) - 1
     n = target.domain
@@ -256,11 +306,17 @@ def _count_maps(pattern: Structure, target: Structure, vertices: list[int],
         nonlocal nodes
         if depth > last:
             return 1
+        memo = memos.get(depth)
+        if memo is not None:
+            key = memo_keys[depth](image)
+            total = memo.get(key)
+            if total is not None:
+                return total
         checks = lookups[depth]
         if checks:
             sets = []
-            for index, us in checks:
-                found = index.get(tuple([image[u] for u in us]))
+            for index, key_of in checks:
+                found = index.get(key_of(image))
                 if not found:
                     return 0
                 sets.append(found)
@@ -282,17 +338,20 @@ def _count_maps(pattern: Structure, target: Structure, vertices: list[int],
             v = order[depth]
             candidates = [w for w in candidates if stays_induced(depth, v, w)]
         if depth == last:
-            return len(candidates)
-        v = order[depth]
-        total = 0
-        for w in candidates:
-            image[v] = w
-            if injective:
-                used.add(w)
-                total += extend(depth + 1)
-                used.discard(w)
-            else:
-                total += extend(depth + 1)
+            total = len(candidates)
+        else:
+            v = order[depth]
+            total = 0
+            for w in candidates:
+                image[v] = w
+                if injective:
+                    used.add(w)
+                    total += extend(depth + 1)
+                    used.discard(w)
+                else:
+                    total += extend(depth + 1)
+        if memo is not None:
+            memo[key] = total
         return total
 
     return extend(0), nodes

@@ -149,8 +149,9 @@ def test_decomposition_matches_oracle_property(phi):
 @st.composite
 def _formulas_and_targets(draw):
     phi = draw(_formulas())
-    rng = draw(st.randoms(use_true_random=False))
-    return phi, random_structure(rng, SIG_TARGET, draw(st.integers(0, 5)))
+    # the size comes from a seeded Random: hypothesis' own draws favour empty targets
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    return phi, random_structure(rng, SIG_TARGET, rng.randrange(0, 6))
 
 
 @settings(derandomize=True, deadline=None, database=None, max_examples=60)

@@ -27,7 +27,7 @@ from relpoly import (
     super_patterns,
 )
 from relpoly.counting import bell, gaifman_components, validate_partition
-from relpoly.gallery import paley_graph
+from relpoly.gallery import cycle_graph, paley_graph
 
 from genutil import C4, K1, K2, K3, P3, graph, random_graph, random_structure
 from oracle_counting import oracle_hom, oracle_ind, oracle_inj, oracle_set_partitions
@@ -285,6 +285,71 @@ def test_kernel_matches_the_backtracker_property(case):
         value, nodes = oracle(pattern, target)
         assert report.value == value, (count.__name__, pattern, target)
         assert report.nodes_explored <= nodes, (count.__name__, pattern, target)
+
+
+@st.composite
+def _deep_patterns_and_targets(draw):
+    """A connected pattern of 5 to 7 vertices (a cycle, a path or a random
+    tree over R, each edge one or both ways) with, now and then, a ternary T
+    tuple, a loop and a unary U tuple, and a target of 3 to 5 vertices.  Long
+    patterns have vertices that drop out of the separator before the last
+    depth, where the hom search keeps an inner memo."""
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    k = rng.randrange(5, 8)
+    shape = rng.choice(("cycle", "path", "tree"))
+    if shape == "cycle":
+        edges = [(i, (i + 1) % k) for i in range(k)]
+    elif shape == "path":
+        edges = [(i, i + 1) for i in range(k - 1)]
+    else:
+        edges = [(rng.randrange(i), i) for i in range(1, k)]
+    relations = {"R": set(), "U": set(), "T": set()}
+    for u, v in edges:
+        relations["R"].add((u, v))
+        if rng.random() < 0.7:
+            relations["R"].add((v, u))
+    if rng.random() < 0.4:
+        relations["T"].add(tuple(rng.randrange(k) for _ in range(3)))
+    if rng.random() < 0.4:
+        v = rng.randrange(k)
+        relations["R"].add((v, v))
+    if rng.random() < 0.4:
+        relations["U"].add((rng.randrange(k),))
+    pattern = make_structure(SIG_RUT, k, relations)
+    target = random_structure(rng, SIG_RUT, rng.randrange(3, 6), rng.choice((0.3, 0.5)))
+    return pattern, target
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=100)
+@given(_deep_patterns_and_targets())
+def test_hom_memo_matches_the_backtracker_on_long_patterns(case):
+    pattern, target = case
+    report = hom_count(pattern, target)
+    value, nodes = oracle_hom(pattern, target)
+    assert report.value == value, (pattern, target)
+    assert report.nodes_explored <= nodes, (pattern, target)
+
+
+def _closed_walks(adjacency: list[list[int]], length: int) -> int:
+    """trace(A^length) for a symmetric A, by repeated products with the
+    adjacency lists."""
+    n = len(adjacency)
+    power = [[int(w == u) for w in range(n)] for u in range(n)]
+    for _ in range(length):
+        power = [[sum(row[v] for v in adjacency[w]) for w in range(n)] for row in power]
+    return sum(power[u][u] for u in range(n))
+
+
+def test_hom_of_c5_into_paley_101_fits_a_small_search_budget(monkeypatch):
+    """The separator memo keeps the C5 search near 10^6 candidate images; the
+    plain search would try 3.3*10^8."""
+    q = 101
+    squares = {x * x % q for x in range(1, q)}
+    adjacency = [[v for v in range(q) if (u - v) % q in squares] for u in range(q)]
+    monkeypatch.setenv("RELPOLY_SEARCH_BUDGET", "2000000")
+    report = hom_count(cycle_graph(5), paley_graph(q))
+    assert report.value == _closed_walks(adjacency, 5) == 312337450
+    assert report.nodes_explored <= 2000000
 
 
 def test_search_budget(monkeypatch):

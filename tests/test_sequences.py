@@ -227,6 +227,16 @@ def test_detector_crown_edge_count():
     assert fit2.verdict == "Polynomial" and fit2.fit.coeffs == (0, 0, 4)
 
 
+def test_detector_crown_c8_fits_a_small_search_budget(monkeypatch):
+    """hom(C8, crown_n) up to n = 21 stays within 2*10^6 candidate images per
+    count, because the hom search memoises on its separators."""
+    monkeypatch.setenv("RELPOLY_SEARCH_BUDGET", "2000000")
+    crown_seq = InterpretedSeq(crown_scheme(), BasicSeq(1, 2, (N,)))
+    fit = detect_polynomial(crown_seq, cycle_graph(8))
+    assert fit.verdict == "Polynomial", fit.note
+    assert fit.fit.coeffs == (0, 0, 4, 504, 11088, 70560, 181440, 201600, 80640)
+
+
 def test_detector_cycle_counterexample():
     fit = detect_polynomial(custom_seq("cycle"), K3)
     assert fit.verdict == "NotPolynomial"
