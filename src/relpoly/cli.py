@@ -347,6 +347,8 @@ def run(argv) -> int:
     except (ValidationError, UnboundedDegreeError, BudgetError) as exc:
         sys.stdout.write("".join(out))
         print(f"check failed: {exc}", file=sys.stderr)
+        if getattr(exc, "witness", None) is not None:
+            print(f"witness: {json.dumps(exc.witness)}", file=sys.stderr)
         return 1
     except ToolkitError as exc:
         print(f"error: {exc}", file=sys.stderr)

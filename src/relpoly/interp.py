@@ -41,6 +41,8 @@ from .logic import (
     neg,
     parse_formula,
     rename_symbols,
+    row_kernel,
+    stream_satisfying,
     substitute,
 )
 from .polynomials import IntPolynomial, constant, parse_polynomial
@@ -217,8 +219,7 @@ def _domain_tuples(scheme: Scheme, domain: Formula, a: Structure) -> list[tuple[
     limit = budgets.tuple_budget()
     if a.domain ** scheme.p > limit:
         raise BudgetError(f"{a.domain}^{scheme.p} candidate tuples exceed the budget of {limit}")
-    test = evaluator(domain, a)
-    return [t for t in product(range(a.domain), repeat=scheme.p) if test(t)]
+    return list(stream_satisfying(domain, a))
 
 
 def _spot_check(test, value: bool, choices, rng: random.Random, name: str) -> None:
@@ -246,11 +247,21 @@ def _relations(target: Signature, rhos, a: Structure, tuples, classes,
     on every tuple of classes through the first domain tuple of each class,
     with other representatives spot-checked where classes have several; a
     relation of arity r may have at most len(classes)**r candidates, counted
-    against the tuple budget."""
+    against the tuple budget.
+
+    The last position varies fastest, so each head of r - 1 classes costs
+    one row-kernel call over the representatives.  Where a head's class
+    tuples have at most _COMPAT_SAMPLES representative choices, every choice
+    is checked: one kernel call per pick of head representatives, over the
+    members of the last classes concerned.  Larger ones draw seeded picks
+    one tuple at a time, in the order of the class tuples, and a mismatch
+    is replayed through _spot_check so that the first failing class tuple
+    raises."""
     limit = budgets.tuple_budget()
     members = [[tuples[i] for i in c] for c in classes]
     reps = [m[0] for m in members]
-    spot = any(len(m) > 1 for m in members)
+    sizes = [len(m) for m in members]
+    spot = any(size > 1 for size in sizes)
     rng = random.Random(seed)
     relations = {}
     for (name, arity), rho in zip(target.symbols, rhos):
@@ -258,19 +269,35 @@ def _relations(target: Signature, rhos, a: Structure, tuples, classes,
             raise BudgetError(
                 f"{len(classes)}^{arity} candidates for {name!r} exceed the budget of {limit}"
             )
-        test = evaluator(rho, a)
+        run = row_kernel(rho, a, len(rho.free_vars) // arity * (arity - 1))
+        test = evaluator(rho, a) if spot else None
+        # per number of head choices: the rows checked exhaustively and the
+        # last class of each, and the last classes sampled instead
+        batches: dict[int, tuple[list, list[int], list[int]]] = {}
         rel = []
-        # The last position varies fastest, so the loop extends one prefix.
-        for head, parts in zip(product(range(len(classes)), repeat=arity - 1),
-                               product(reps, repeat=arity - 1)):
-            prefix = sum(parts, ())
-            for last, rep in enumerate(reps):
-                value = test(prefix + rep)
-                if spot:
-                    choices = [members[c] for c in head] + [members[last]]
-                    _spot_check(test, value, choices, rng, name)
-                if value:
-                    rel.append(head + (last,))
+        for head in product(range(len(classes)), repeat=arity - 1):
+            holds = run(sum((reps[c] for c in head), ()), reps)
+            rel.extend(head + (last,) for last in holds)
+            if not spot:
+                continue
+            choices = [members[c] for c in head]
+            count = math.prod(sizes[c] for c in head)
+            if count not in batches:
+                exhaustive = [last for last, size in enumerate(sizes)
+                              if 1 < count * size <= _COMPAT_SAMPLES]
+                batches[count] = (
+                    [t for last in exhaustive for t in members[last]],
+                    [last for last in exhaustive for _ in members[last]],
+                    [last for last, size in enumerate(sizes) if count * size > _COMPAT_SAMPLES],
+                )
+            rows, owners, sampled = batches[count]
+            held = set(holds)
+            if rows:
+                expected = [i for i, last in enumerate(owners) if last in held]
+                if any(run(sum(pick, ()), rows) != expected for pick in product(*choices)):
+                    sampled = range(len(reps))   # replay the head to raise
+            for last in sampled:
+                _spot_check(test, last in held, choices + [members[last]], rng, name)
         relations[name] = rel
     return relations
 
@@ -312,6 +339,38 @@ def apply_graphical(scheme: GraphicalScheme, a: Structure) -> Structure:
     return make_structure(scheme.target, len(tuples), {"E": present})
 
 
+def _equivalence_error(rows: list[set[int]], tuples) -> ValidationError:
+    """The first failure of the related pairs `rows` to form an equivalence:
+    reflexivity of tuple i, or symmetry of i with a later j, for the least i
+    and j; else transitivity in the connected component of least members,
+    at its least unrelated pair of members."""
+    for i, row in enumerate(rows):
+        if i not in row:
+            return ValidationError("equivalence formula is not reflexive", witness=tuples[i])
+        for j in range(i + 1, len(rows)):
+            if (j in row) != (i in rows[j]):
+                return ValidationError(
+                    "equivalence formula is not symmetric", witness=(tuples[i], tuples[j])
+                )
+    placed: set[int] = set()
+    for i in range(len(rows)):
+        if i in placed:
+            continue
+        component, stack = {i}, [i]
+        while stack:
+            new = rows[stack.pop()] - component
+            component |= new
+            stack.extend(new)
+        placed |= component
+        members = sorted(component)
+        for u, w in product(members, repeat=2):
+            if w not in rows[u]:
+                return ValidationError(
+                    "equivalence formula is not transitive", witness=(tuples[u], tuples[w])
+                )
+    raise AssertionError("the related pairs form an equivalence")
+
+
 @dataclass(frozen=True)
 class QuotientReport:
     structure: Structure
@@ -346,16 +405,8 @@ def apply_quotient_with_report(
     groups: dict[frozenset[int], list[int]] = {}
     for i, row in enumerate(rows):
         groups.setdefault(frozenset(row), []).append(i)
-    for row, members in groups.items():
-        if row != set(members):
-            i = members[0]
-            if i not in row:
-                raise ValidationError("equivalence formula is not reflexive", witness=tuples[i])
-            j = min(row.symmetric_difference(members))
-            kind = "symmetric" if (i in rows[j]) != (j in row) else "transitive"
-            raise ValidationError(
-                f"equivalence formula is not {kind}", witness=(tuples[i], tuples[j])
-            )
+    if any(row != set(members) for row, members in groups.items()):
+        raise _equivalence_error(rows, tuples)
     classes = list(groups.values())
 
     labels: list[str | None] = []
@@ -964,7 +1015,10 @@ def parse_scheme(text: str) -> InterpretationScheme | QuotientScheme:
         elif head == "target":
             target = _parse_sig_text(rest)
         elif head == "p":
-            p = int(rest)
+            try:
+                p = int(rest)
+            except ValueError:
+                raise FormulaParseError(f"exponent must be an integer, got {rest!r}", 1) from None
         elif head.startswith("class "):
             label = head[len("class "):].strip()
             m_eta = re.match(r"eta\s*=\s*(.*?),\s*size\s*=\s*(.*)$", rest, re.S)

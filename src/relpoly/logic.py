@@ -1,7 +1,8 @@
 """First-order formulas over relational signatures.
 
 AST with equality and relation atoms, a recursive-descent text parser, a
-compiled evaluator with a quantifier-free fast path, and the reduction of
+compiled evaluator with a quantifier-free fast path, row kernels that
+evaluate a formula on a list of tuples in one call, and the reduction of
 quantifier-free satisfaction counting to an integer combination of
 homomorphism counts.
 """
@@ -567,17 +568,39 @@ def _unbound_variables(phi: Formula) -> list[str]:
     return [v for v in free_variables(phi.root) if v not in phi.free_vars]
 
 
-@lru_cache(maxsize=4096)
-def _compiled(phi: Formula):
+def _expression(phi: Formula, env: dict[str, str]) -> tuple[str, str]:
+    """phi's compiled expression with its free variables read as named by
+    env, and the parameter list r0, r1, ... of the signature's relations."""
     missing = _unbound_variables(phi)
     if missing:
         raise BindingError(f"formula uses undeclared variables: {missing}")
-    env = {v: f"a[{i}]" for i, v in enumerate(phi.free_vars)}
     sig_index = {name: i for i, (name, _) in enumerate(phi.signature.symbols)}
     expr = _compile_node(phi.root, env, sig_index)
-    params = ", ".join(f"r{i}" for i in range(len(phi.signature.symbols)))
-    header = f"lambda a, n{', ' + params if params else ''}: "
-    return eval(header + expr)  # noqa: S307 - generated from our own AST
+    return expr, "".join(f", r{i}" for i in range(len(phi.signature.symbols)))
+
+
+@lru_cache(maxsize=4096)
+def _compiled(phi: Formula):
+    expr, params = _expression(phi, {v: f"a[{i}]" for i, v in enumerate(phi.free_vars)})
+    return eval(f"lambda a, n{params}: {expr}")  # noqa: S307 - generated from our own AST
+
+
+@lru_cache(maxsize=4096)
+def _compiled_rows(phi: Formula, split: int):
+    """The row kernel of phi: one list comprehension that reads phi's first
+    `split` free variables from a head tuple h and the rest from each row,
+    and returns the indices of the rows where phi holds."""
+    width = len(phi.free_vars) - split
+    env = {v: f"h{i}" if i < split else f"b{i - split}" for i, v in enumerate(phi.free_vars)}
+    expr, params = _expression(phi, env)
+    head = "".join(f"h{i}, " for i in range(split))
+    row = "".join(f"b{i}, " for i in range(width))
+    source = (f"def kernel(h, rows, n{params}):\n"
+              + (f"    {head}= h\n" if split else "")
+              + f"    return [j for j, ({row}) in enumerate(rows) if {expr}]\n")
+    namespace: dict = {}
+    exec(source, namespace)  # noqa: S102 - generated from our own AST
+    return namespace["kernel"]
 
 
 def _structure_rels(phi: Formula, s: Structure) -> tuple[frozenset, ...]:
@@ -597,6 +620,16 @@ def evaluator(phi: Formula, s: Structure):
     rels = _structure_rels(phi, s)
     n = s.domain
     return lambda a: fn(a, n, *rels)
+
+
+def row_kernel(phi: Formula, s: Structure, split: int):
+    """Batched satisfaction test: takes a head tuple, the values of phi's
+    first `split` free variables, and a list of rows, each the values of
+    the rest; returns the indices of the rows where phi holds, in order."""
+    fn = _compiled_rows(phi, split)
+    rels = _structure_rels(phi, s)
+    n = s.domain
+    return lambda h, rows: fn(h, rows, n, *rels)
 
 
 def quantifier_depth(node: Node) -> int:
@@ -634,18 +667,22 @@ def eval_formula(phi: Formula, s: Structure, assignment: dict[str, int]) -> bool
     return evaluator(phi, s)(a)
 
 
+def stream_satisfying(phi: Formula, s: Structure):
+    """Stream the satisfying assignments in lexicographic order, with no
+    budget check: one row-kernel call per value of all free variables but
+    the last, over the |A| values of the last, so memory stays O(|A|)."""
+    split = max(len(phi.free_vars) - 1, 0)
+    rows = [(v,) for v in range(s.domain)] if phi.free_vars else [()]
+    run = row_kernel(phi, s, split)
+    for head in product(range(s.domain), repeat=split):
+        for j in run(head, rows):
+            yield head + rows[j]
+
+
 def satisfying_tuples(phi: Formula, s: Structure):
     """Stream the satisfying assignments in lexicographic order."""
-    p = len(phi.free_vars)
-    _charge_assignments(phi, s, p)
-    test = evaluator(phi, s)
-    if p == 0:
-        if test(()):
-            yield ()
-        return
-    for a in product(range(s.domain), repeat=p):
-        if test(a):
-            yield a
+    _charge_assignments(phi, s, len(phi.free_vars))
+    yield from stream_satisfying(phi, s)
 
 
 def count_satisfying(phi: Formula, s: Structure) -> int:

@@ -43,7 +43,9 @@ def apply_interpretation_with_map(
     relations = {}
     for (name, arity), rho in zip(scheme.target.symbols, scheme.rhos):
         if len(tuples) ** arity > limit:
-            raise BudgetError(f"{len(tuples)}^{arity} relation candidates exceed the budget")
+            raise BudgetError(
+                f"{len(tuples)}^{arity} candidates for {name!r} exceed the budget of {limit}"
+            )
         test = evaluator(rho, a)
         rel = []
         for combo in product(range(len(tuples)), repeat=arity):
@@ -72,7 +74,7 @@ def apply_graphical(scheme: GraphicalScheme, a: Structure,
     m = len(tuples)
     limit = budget if budget is not None else budgets.tuple_budget()
     if m * m > limit:
-        raise BudgetError(f"{m}^2 edge candidates exceed the budget")
+        raise BudgetError(f"{m}^2 candidates for 'E' exceed the budget of {limit}")
     edges = []
     for i in range(m):
         for j in range(i, m):
@@ -116,7 +118,7 @@ def apply_quotient_with_report(
     m = len(tuples)
     limit = budget if budget is not None else budgets.tuple_budget()
     if m * m > limit:
-        raise BudgetError(f"{m}^2 equivalence candidates exceed the budget")
+        raise BudgetError(f"{m}^2 candidates for 'equiv' exceed the budget of {limit}")
     related = evaluator(qs.varpi, a)
 
     matrix = [[related(tuples[i] + tuples[j]) for j in range(m)] for i in range(m)]

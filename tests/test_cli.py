@@ -106,6 +106,25 @@ def test_interpret_quotient_reports_classes(files, tmp_path, capsys):
     assert payload["classSizes"] == [2, 2, 2]
 
 
+def test_interpret_prints_the_witness_of_a_failed_check(tmp_path, capsys):
+    scheme = (
+        "interpretation lgBad {\n  source: graph;\n  target: graph;\n  p: 2;\n"
+        "  domain(x1,x2): E(x1,x2) & !(x1 = x2);\n"
+        "  E(x1,x2; y1,y2): x1 = y1 & !(x2 = y2);\n"
+        "  equiv(x1,x2; y1,y2): x1 = y1 & x2 = y2 | x1 = y2 & x2 = y1;\n}\n"
+    )
+    path = tmp_path / "bad.int"
+    path.write_text(scheme)
+    k4 = tmp_path / "k4.json"
+    k4.write_text(structure_to_json(graph(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])))
+    captured = _cli(capsys, ["interpret", "--scheme", str(path), "--in", str(k4)], expect=1)
+    assert captured.out == ""
+    assert captured.err == (
+        "check failed: relation 'E' is not compatible with the equivalence\n"
+        "witness: [[[0, 1], [0, 2]], [[0, 1], [2, 0]]]\n"
+    )
+
+
 def test_detect_command(files, tmp_path, capsys):
     spec = {
         "variant": "Interpreted",
@@ -308,9 +327,27 @@ HOSTILE_SPECS = {
 }
 
 
-@pytest.mark.parametrize("case", [*HOSTILE_SPECS, "domain-not-integer", "range-without-colon"])
+# case -> the exponent line of a scheme file
+HOSTILE_EXPONENTS = {
+    "exponent-name": "p: x;",
+    "exponent-fraction": "p: 1.5;",
+    "exponent-empty": "p: ;",
+    "exponent-two-numbers": "p: 2 3;",
+}
+
+
+@pytest.mark.parametrize("case", [*HOSTILE_SPECS, *HOSTILE_EXPONENTS, "domain-not-integer",
+                                  "range-without-colon"])
 def test_hostile_inputs_exit_2(case, files, tmp_path, capsys):
-    if case in HOSTILE_SPECS:
+    if case in HOSTILE_EXPONENTS:
+        scheme_path = tmp_path / "scheme.int"
+        scheme_path.write_text(
+            "interpretation comp {\n  source: graph;\n  target: graph;\n"
+            f"  {HOSTILE_EXPONENTS[case]}\n"
+            "  domain(x1): true;\n  E(x1; y1): E(x1,y1);\n}\n"
+        )
+        args = ["interpret", "--scheme", str(scheme_path), "--in", files["k3"]]
+    elif case in HOSTILE_SPECS:
         spec_path = tmp_path / "spec.json"
         spec_path.write_text(json.dumps(HOSTILE_SPECS[case]))
         args = ["detect", "--spec", str(spec_path), "--pattern", files["k2"]]

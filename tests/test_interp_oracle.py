@@ -1,7 +1,8 @@
 """Scheme application against the reference in oracle_interp.py: equal
 structures, tuple maps, classes and certificate labels on the gallery and on
-seeded random schemes, the same exception types where a scheme is invalid,
-and the translation duality as a property test."""
+seeded random schemes, with as many formula evaluations; the same exception
+type, message and witness where a scheme is invalid; and the translation
+duality as a property test."""
 
 import random
 
@@ -29,7 +30,7 @@ from relpoly import (
     sig,
     translate_formula,
 )
-from relpoly import interp
+from relpoly import interp, logic
 from relpoly.errors import ToolkitError
 from relpoly.gallery import ENTRIES, crown_scheme, line_graph_scheme
 from relpoly.logic import TRUE, Exists, Iff, conj, disj, eq, substitute
@@ -42,10 +43,12 @@ SOURCE = sig(("R", 2), ("W", 1))
 
 
 def _outcome(module, fn, *args, **kwargs):
-    """The result, or the type of the toolkit error raised, and the number of
-    predicate calls made through the module's evaluator."""
+    """The result, or the type, message and witness of the toolkit error
+    raised, and the number of formula evaluations: calls of the predicates
+    the module's evaluator returns plus rows passed to row kernels."""
     calls = 0
     original = module.evaluator
+    original_rows = logic._compiled_rows
 
     def evaluator(phi, s):
         test = original(phi, s)
@@ -56,19 +59,28 @@ def _outcome(module, fn, *args, **kwargs):
             return test(t)
         return counted
 
-    module.evaluator = evaluator
-    try:
-        return fn(*args, **kwargs), calls
-    except ToolkitError as exc:
-        return type(exc), None
-    finally:
-        module.evaluator = original
+    def compiled_rows(phi, split):
+        kernel = original_rows(phi, split)
+
+        def counted(h, rows, *rest):
+            nonlocal calls
+            calls += len(rows)
+            return kernel(h, rows, *rest)
+        return counted
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(module, "evaluator", evaluator)
+        mp.setattr(logic, "_compiled_rows", compiled_rows)
+        try:
+            return fn(*args, **kwargs), calls
+        except ToolkitError as exc:
+            return (type(exc), str(exc), getattr(exc, "witness", None)), None
 
 
 def _agree(scheme, a, n=None, budget=None):
     """Apply the scheme both ways and assert equal outcomes and, where both
-    succeed, equal predicate calls; return the outcome.  A given budget is
-    the tuple budget of both sides."""
+    succeed, equal formula evaluations; return the result, or the type of
+    the error raised.  A given budget is the tuple budget of both sides."""
     with pytest.MonkeyPatch.context() as mp:
         if budget is not None:
             mp.setenv("RELPOLY_TUPLE_BUDGET", str(budget))
@@ -84,7 +96,7 @@ def _agree(scheme, a, n=None, budget=None):
             old = _outcome(oracle_interp, oracle_interp.apply_interpretation_with_map, scheme, a)
     # QuotientReport compares structure, tuples, classes, sizes and labels.
     assert new == old, (scheme.name, a)
-    return new[0]
+    return new[0] if new[1] is not None else new[0][0]
 
 
 def test_gallery_schemes_agree_with_oracle():
@@ -238,6 +250,20 @@ def test_invalid_schemes_raise_as_the_oracle_does():
         (),
     )
     assert isinstance(_agree(near, path), type)
+
+
+def test_spot_checks_are_exhaustive_up_to_32_choices():
+    """Classes of 32 and 33 tuples: the first is checked on every member, the
+    second on seeded picks; a relation that differs on the last member of
+    the first class fails there."""
+    a = make_structure(SOURCE, 65, {"W": [(v,) for v in range(32)], "R": [(31, 31)]})
+    varpi = parse_formula("W(x1) <-> W(y1)", SOURCE, ["x1", "y1"])
+    for rho, valid in (("W(x1)", True), ("R(x1,x1)", False)):
+        base = InterpretationScheme("boundary", 1, SOURCE, sig(("M", 1)),
+                                    build_formula(TRUE, SOURCE, ["x1"]),
+                                    (parse_formula(rho, SOURCE, ["x1"]),))
+        outcome = _agree(QuotientScheme(base, varpi, ()), a)
+        assert isinstance(outcome, type) != valid
 
 
 @st.composite

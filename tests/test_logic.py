@@ -23,7 +23,9 @@ from relpoly import (
     sig,
     weakly_isomorphic,
 )
-from relpoly.logic import Exists, Forall, basis_work, build_formula, conj, disj, evaluator
+from relpoly.logic import (
+    Exists, Forall, basis_work, build_formula, conj, disj, evaluator, row_kernel,
+)
 from oracle_logic import _eval_node, to_dnf
 
 from genutil import (
@@ -190,6 +192,47 @@ def test_compiled_evaluator_matches_reference_property(case):
     test = evaluator(phi, s)
     for a in product(range(s.domain), repeat=len(phi.free_vars)):
         assert test(a) == _eval_node(phi.root, s, dict(zip(phi.free_vars, a))), (phi, s, a)
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=150)
+@given(_formulas_and_structures(), st.integers(0, 2**32))
+def test_row_kernel_matches_the_evaluator_property(case, seed):
+    """At every split of the free variables into head and row, the kernel
+    returns the indices of the rows the evaluator accepts, on row lists that
+    may be empty or repeat rows."""
+    phi, s = case
+    rng = random.Random(seed)
+    test = evaluator(phi, s)
+    p = len(phi.free_vars)
+    for split in range(p + 1):
+        run = row_kernel(phi, s, split)
+        heads = list(product(range(s.domain), repeat=split))
+        values = list(product(range(s.domain), repeat=p - split))
+        for head in rng.sample(heads, min(len(heads), 3)):
+            rows = [rng.choice(values) for _ in range(rng.randrange(7))] if values else []
+            rows += rows[:rng.randrange(len(rows) + 1)]
+            expected = [j for j, row in enumerate(rows) if test(head + row)]
+            assert run(head, rows) == expected, (phi, s, split, head, rows)
+            assert run(head, []) == []
+
+
+def test_row_kernel_at_the_nesting_limit():
+    edge = sig(("E", 2))
+    k2 = make_structure(edge, 2, {"E": [(0, 1), (1, 0)]})
+    pairs = list(product(range(2), repeat=2))
+    for text in ("(" * 100 + "E(x,y)" + ")" * 100, "!" * 100 + "E(x,y)"):
+        phi = parse_formula(text, edge)
+        test = evaluator(phi, k2)
+        for split in range(3):
+            for head in product(range(2), repeat=split):
+                rows = [pair[split:] for pair in pairs]
+                expected = [j for j, row in enumerate(rows) if test(head + row)]
+                assert row_kernel(phi, k2, split)(head, rows) == expected
+    text = "E(x,y)"
+    for _ in range(60):
+        text = f"({text} & E(y,x) | x = y)"
+    with pytest.raises(FormulaParseError, match="nested deeper than 100"):
+        row_kernel(parse_formula(text, edge), k2, 1)
 
 
 def test_eval_invariant_under_relabeling():
