@@ -89,8 +89,6 @@ def detect_csv(fit) -> str:
 
 def _build_parser() -> _Parser:
     parser = _Parser(prog="relpoly", description=__doc__)
-    parser.add_argument("--seed", type=int, default=0,
-                        help="seed for sampled spot-checks (default 0)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("structure", help="build or show structures")
@@ -221,7 +219,7 @@ def _cmd_interpret(args, out) -> int:
     scheme = parse_scheme(_load_text(args.scheme))
     source = load_structure(args.infile)
     if isinstance(scheme, QuotientScheme):
-        report = apply_quotient_with_report(scheme, source, n=args.n, seed=args.seed)
+        report = apply_quotient_with_report(scheme, source, n=args.n)
         result = report.structure
         table = [list(t) for t in report.tuples]
         extra = {

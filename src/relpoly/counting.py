@@ -44,10 +44,14 @@ def set_partitions(n: int):
             highest[u] = highest[v]
 
 
-def bell(n: int) -> int:
-    """Number of partitions of an n-set, by the Bell triangle."""
+def bell(n: int, cap: int | None = None) -> int:
+    """Number of partitions of an n-set, by the Bell triangle.  With a cap,
+    the triangle stops at its first entry above the cap, at most Bell(n),
+    and returns that entry instead once Bell(n) passes the cap."""
     row = [1]
     for _ in range(n):
+        if cap is not None and row[-1] > cap:
+            return row[-1]
         nxt = [row[-1]]
         for x in row:
             nxt.append(nxt[-1] + x)
@@ -269,6 +273,11 @@ def _absent_tuples(pattern: Structure, target: Structure, order: list[int]) -> l
     return absent
 
 
+# The search recurses once per placed vertex; larger searches are refused
+# well inside Python's default recursion limit of 1000 frames.
+_MAX_SEARCH_VERTICES = 500
+
+
 def _count_maps(pattern: Structure, target: Structure, vertices: list[int],
                 mode: str, nodes: int, budget: int, indexes: dict) -> tuple[int, int]:
     """Count relation-preserving maps of `vertices` into the target by an
@@ -276,7 +285,8 @@ def _count_maps(pattern: Structure, target: Structure, vertices: list[int],
 
     `mode` is "hom", "inj" or "ind".  `nodes` is the count of candidate images
     tried before this call and the return value includes it; the search stops
-    with BudgetError once it exceeds `budget`.  `indexes` holds the candidate
+    with BudgetError once it exceeds `budget`, or at once for more than
+    _MAX_SEARCH_VERTICES vertices.  `indexes` holds the candidate
     indexes built so far for this target, by shape, and gains the new ones.
 
     In hom mode the count of extensions from a depth is cached under the
@@ -286,6 +296,11 @@ def _count_maps(pattern: Structure, target: Structure, vertices: list[int],
     the caches are dropped on return.  inj and ind keep the plain search: their used set makes a
     subtotal depend on more than the separator.
     """
+    if len(vertices) > _MAX_SEARCH_VERTICES:
+        raise BudgetError(
+            f"a search over {len(vertices)} pattern vertices exceeds the limit of "
+            f"{_MAX_SEARCH_VERTICES}"
+        )
     injective = mode != "hom"
     induced = mode == "ind"
     order = _search_order(pattern, vertices)

@@ -711,9 +711,9 @@ def homomorphic_image_count(pattern: Structure, target: Structure) -> int:
     of the pattern, quotients deduplicated up to isomorphism.  The Bell(|F|)
     quotients count against `RELPOLY_BASIS_BUDGET`."""
     limit = basis_budget()
-    if bell(pattern.domain) > limit:
+    if bell(pattern.domain, cap=limit) > limit:
         raise BudgetError(
-            f"{bell(pattern.domain)} quotients of a {pattern.domain}-vertex pattern "
+            f"Bell({pattern.domain}) quotients of a {pattern.domain}-vertex pattern "
             f"exceed the basis budget of {limit}"
         )
     images: dict[bytes, Structure] = {}

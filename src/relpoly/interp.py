@@ -6,10 +6,9 @@ that sequence specs name."""
 from __future__ import annotations
 
 import math
-import random
 import re
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import accumulate, combinations, product
 from typing import Callable
 
 from . import budgets
@@ -203,9 +202,6 @@ Scheme = InterpretationScheme | GraphicalScheme | QuotientScheme
 # ---------------------------------------------------------------------------
 # Application
 
-# Representative choices spot-checked per class tuple when there are more.
-_COMPAT_SAMPLES = 32
-
 _EQUIV_SIG = sig(("equiv", 2))
 
 
@@ -222,82 +218,58 @@ def _domain_tuples(scheme: Scheme, domain: Formula, a: Structure) -> list[tuple[
     return list(stream_satisfying(domain, a))
 
 
-def _spot_check(test, value: bool, choices, rng: random.Random, name: str) -> None:
-    """Other representatives of one class tuple must give the same truth
-    value: all choices when there are at most _COMPAT_SAMPLES, else that many
-    seeded random picks."""
-    alternatives = math.prod(map(len, choices))
-    if alternatives == 1:
-        return
-    if alternatives <= _COMPAT_SAMPLES:
-        picks = product(*choices)
-    else:
-        picks = (tuple(map(rng.choice, choices)) for _ in range(_COMPAT_SAMPLES))
-    for pick in picks:
-        if test(sum(pick, ())) != value:
-            raise ValidationError(
-                f"relation {name!r} is not compatible with the equivalence",
-                witness=(tuple(c[0] for c in choices), pick),
-            )
+def _incompatibility(name: str, rho: Formula, arity: int, a: Structure, tuples,
+                     classes) -> ValidationError:
+    """The first class tuple, in lexicographic order, on which the relation
+    formula is not invariant, with its first disagreeing pick of members."""
+    test = evaluator(rho, a)
+    for combo in product(classes, repeat=arity):
+        choices = [[tuples[i] for i in c] for c in combo]
+        reps = tuple(c[0] for c in choices)
+        value = test(sum(reps, ()))
+        for pick in product(*choices):
+            if test(sum(pick, ())) != value:
+                return ValidationError(
+                    f"relation {name!r} is not compatible with the equivalence",
+                    witness=(reps, pick),
+                )
+    raise AssertionError("the relation is invariant on every class tuple")
 
 
-def _relations(target: Signature, rhos, a: Structure, tuples, classes,
-               seed: int) -> dict[str, list[tuple[int, ...]]]:
-    """The one relation loop of every scheme kind.  Each formula is evaluated
-    on every tuple of classes through the first domain tuple of each class,
-    with other representatives spot-checked where classes have several; a
-    relation of arity r may have at most len(classes)**r candidates, counted
-    against the tuple budget.
+def _relations(target: Signature, rhos, a: Structure, tuples,
+               classes) -> dict[str, list[tuple[int, ...]]]:
+    """The one relation loop of every scheme kind: each formula of arity r is
+    evaluated on all len(tuples)**r tuples of domain tuples, counted against
+    the tuple budget, and must be invariant on the classes, whose members
+    are then one vertex.  Plain and graphical schemes pass singletons.
 
-    The last position varies fastest, so each head of r - 1 classes costs
-    one row-kernel call over the representatives.  Where a head's class
-    tuples have at most _COMPAT_SAMPLES representative choices, every choice
-    is checked: one kernel call per pick of head representatives, over the
-    members of the last classes concerned.  Larger ones draw seeded picks
-    one tuple at a time, in the order of the class tuples, and a mismatch
-    is replayed through _spot_check so that the first failing class tuple
-    raises."""
+    Rows are ordered by class, and each head of r - 1 rows costs one
+    row-kernel call over all rows; the last position varies fastest.  The
+    head of the first members of its classes must hold on whole classes,
+    and every other head of the same classes on the same rows."""
     limit = budgets.tuple_budget()
-    members = [[tuples[i] for i in c] for c in classes]
-    reps = [m[0] for m in members]
-    sizes = [len(m) for m in members]
-    spot = any(size > 1 for size in sizes)
-    rng = random.Random(seed)
+    rows = [tuples[i] for c in classes for i in c]
+    owner = [k for k, c in enumerate(classes) for _ in c]
+    sizes = [len(c) for c in classes]
+    spans = [range(end - size, end) for size, end in zip(sizes, accumulate(sizes))]
+    grouped = len(rows) > len(classes)   # else both checks below are vacuous
     relations = {}
     for (name, arity), rho in zip(target.symbols, rhos):
-        if len(classes) ** arity > limit:
+        if len(rows) ** arity > limit:
             raise BudgetError(
-                f"{len(classes)}^{arity} candidates for {name!r} exceed the budget of {limit}"
+                f"{len(rows)}^{arity} candidates for {name!r} exceed the budget of {limit}"
             )
         run = row_kernel(rho, a, len(rho.free_vars) // arity * (arity - 1))
-        test = evaluator(rho, a) if spot else None
-        # per number of head choices: the rows checked exhaustively and the
-        # last class of each, and the last classes sampled instead
-        batches: dict[int, tuple[list, list[int], list[int]]] = {}
         rel = []
         for head in product(range(len(classes)), repeat=arity - 1):
-            holds = run(sum((reps[c] for c in head), ()), reps)
-            rel.extend(head + (last,) for last in holds)
-            if not spot:
-                continue
-            choices = [members[c] for c in head]
-            count = math.prod(sizes[c] for c in head)
-            if count not in batches:
-                exhaustive = [last for last, size in enumerate(sizes)
-                              if 1 < count * size <= _COMPAT_SAMPLES]
-                batches[count] = (
-                    [t for last in exhaustive for t in members[last]],
-                    [last for last in exhaustive for _ in members[last]],
-                    [last for last, size in enumerate(sizes) if count * size > _COMPAT_SAMPLES],
-                )
-            rows, owners, sampled = batches[count]
-            held = set(holds)
-            if rows:
-                expected = [i for i, last in enumerate(owners) if last in held]
-                if any(run(sum(pick, ()), rows) != expected for pick in product(*choices)):
-                    sampled = range(len(reps))   # replay the head to raise
-            for last in sampled:
-                _spot_check(test, last in held, choices + [members[last]], rng, name)
+            picks = product(*map(spans.__getitem__, head))
+            first = run(sum(map(rows.__getitem__, next(picks)), ()), rows)
+            lasts = dict.fromkeys(map(owner.__getitem__, first)) if grouped else first
+            if grouped and (sum(map(sizes.__getitem__, lasts)) != len(first)
+                            or any(run(sum(map(rows.__getitem__, pick), ()), rows) != first
+                                   for pick in picks)):
+                raise _incompatibility(name, rho, arity, a, tuples, classes)
+            rel.extend(head + (last,) for last in lasts)
         relations[name] = rel
     return relations
 
@@ -311,7 +283,7 @@ def apply_interpretation_with_map(
 ) -> tuple[Structure, tuple[tuple[int, ...], ...]]:
     """Interpret and also return the vertex-index -> source-tuple table."""
     tuples = _domain_tuples(scheme, scheme.rho0, a)
-    relations = _relations(scheme.target, scheme.rhos, a, tuples, _singletons(tuples), 0)
+    relations = _relations(scheme.target, scheme.rhos, a, tuples, _singletons(tuples))
     return make_structure(scheme.target, len(tuples), relations), tuple(tuples)
 
 
@@ -326,7 +298,7 @@ def apply_graphical(scheme: GraphicalScheme, a: Structure) -> Structure:
     """Undirected graph on the vertex tuples; the edge formula is certified
     symmetric on this input, with a witness reported on violation."""
     tuples = _domain_tuples(scheme, scheme.iota, a)
-    edges = _relations(scheme.target, (scheme.rho,), a, tuples, _singletons(tuples), 0)["E"]
+    edges = _relations(scheme.target, (scheme.rho,), a, tuples, _singletons(tuples))["E"]
     present = set(edges)
     one_way = [tuple(sorted(e)) for e in edges if e[::-1] not in present]
     if one_way:
@@ -384,21 +356,19 @@ def apply_quotient_with_report(
     qs: QuotientScheme,
     a: Structure,
     n: int | None = None,
-    seed: int = 0,
 ) -> QuotientReport:
     """Interpret with one vertex per equivalence class of the tuple relation.
 
     The equivalence formula is evaluated on all pairs of domain tuples and
     validated exhaustively: grouping the tuples by the set they are related
     to must give each group exactly that set.  Relation formulas are
-    evaluated on lexicographically least representatives, well-definedness is
-    spot-checked on other representative choices, and declared class-size
-    certificates are checked where they apply (a non-constant size needs the
-    sequence index n).
+    evaluated on every tuple of domain tuples and must give the same answer
+    on every member of a class, and declared class-size certificates are
+    checked where they apply (a non-constant size needs the sequence index n).
     """
     base = qs.base
     tuples = _domain_tuples(base, base.rho0, a)
-    pairs = _relations(_EQUIV_SIG, (qs.varpi,), a, tuples, _singletons(tuples), seed)
+    pairs = _relations(_EQUIV_SIG, (qs.varpi,), a, tuples, _singletons(tuples))
     rows: list[set[int]] = [set() for _ in tuples]
     for i, j in pairs["equiv"]:
         rows[i].add(j)
@@ -438,7 +408,7 @@ def apply_quotient_with_report(
     else:
         labels = [None] * len(classes)
 
-    relations = _relations(base.target, base.rhos, a, tuples, classes, seed)
+    relations = _relations(base.target, base.rhos, a, tuples, classes)
     structure = make_structure(base.target, len(classes), relations)
     return QuotientReport(
         structure,

@@ -93,7 +93,7 @@ def decompose(phi: Formula, limit: int) -> HomBasis:
     p = len(phi.free_vars)
     if bell(p) > limit:
         raise BudgetError(
-            f"{bell(p)} partitions of {p} free variables exceed the basis budget of {limit}"
+            f"Bell({p}) partitions of {p} free variables exceed the basis budget of {limit}"
         )
     occurring = atom_symbols(phi.root)
     base_sig = phi.signature.restrict([n for n in phi.signature.names if n in occurring])

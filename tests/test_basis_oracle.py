@@ -6,6 +6,7 @@ Terms are compared as (coefficient, canonical key) lists: a term's
 representative may be a different but isomorphic structure on each side."""
 
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -125,11 +126,21 @@ def test_many_variables_are_refused_before_the_partition_walk(monkeypatch):
         raise AssertionError(f"walked the partitions of {n} variables")
 
     monkeypatch.setattr(logic, "set_partitions", walk)
-    message = "4213597 partitions of 12 free variables exceed the basis budget of 1000000"
+    message = r"Bell\(12\) partitions of 12 free variables exceed the basis budget of 1000000"
     with pytest.raises(BudgetError, match=message):
         qf_to_hom_basis(phi)
     with pytest.raises(BudgetError, match=message):
         decompose(phi, basis_budget())
+    # Bell(3000) has more digits than Python turns into a string: the check
+    # stops the triangle past the budget and names it without its digits
+    variables = [f"x{i}" for i in range(3000)]
+    phi = build_formula(conj(*[Atom("W", (v,)) for v in variables]), sig(("W", 1)), variables)
+    start = time.perf_counter()
+    with pytest.raises(BudgetError) as err:
+        qf_to_hom_basis(phi)
+    assert time.perf_counter() - start < 2.0
+    assert str(err.value) == ("Bell(3000) partitions of 3000 free variables exceed the "
+                              "basis budget of 1000000")
 
 
 @st.composite

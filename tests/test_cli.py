@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -238,8 +239,24 @@ def test_paley_image_count_over_budget_fails(capsys):
     captured = _cli(capsys, ["paley", "--cycle", "13", "--primes", "5", "--fit-count", "1"],
                     expect=1)
     assert captured.out == ""
-    assert "check failed" in captured.err and "27644437 quotients" in captured.err
+    assert "check failed" in captured.err and "Bell(13) quotients" in captured.err
     _cli(capsys, ["paley", "--cycle", "13", "--primes", "5", "--fit-count", "1", "--no-images"])
+
+
+def test_hostile_patterns_fail_the_paley_check_at_once(tmp_path, capsys):
+    # Bell(3000) is refused before the triangle reaches it, and the message
+    # does not spell it out; a 4000-cycle is refused before the search
+    # recurses once per vertex
+    edgeless = tmp_path / "edgeless.json"
+    edgeless.write_text(json.dumps(
+        {"signature": [{"name": "E", "arity": 2}], "domain": 3000, "relations": {"E": []}}))
+    for args, message in ((["--pattern", str(edgeless)], "Bell(3000) quotients"),
+                          (["--cycle", "4000"], "search over 4000 pattern vertices")):
+        start = time.perf_counter()
+        captured = _cli(capsys, ["paley", *args, "--primes", "5"], expect=1)
+        assert time.perf_counter() - start < 5.0
+        assert captured.out == ""
+        assert captured.err.startswith("check failed: ") and message in captured.err
 
 
 def test_usage_errors_keep_stdout_empty(files, tmp_path, capsys):
@@ -249,6 +266,9 @@ def test_usage_errors_keep_stdout_empty(files, tmp_path, capsys):
                              "--target", files["k3"]], expect=2)
     assert captured.out == ""
     captured = _cli(capsys, ["nonsense"], expect=2)
+    assert captured.out == ""
+    # nothing is sampled, so there is no --seed option
+    captured = _cli(capsys, ["--seed", "0", "gallery", "list"], expect=2)
     assert captured.out == ""
 
 

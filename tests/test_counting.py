@@ -26,6 +26,7 @@ from relpoly import (
     sig,
     super_patterns,
 )
+from relpoly import counting
 from relpoly.counting import bell, gaifman_components, validate_partition
 from relpoly.gallery import cycle_graph, paley_graph
 
@@ -104,6 +105,10 @@ def test_set_partitions_match_the_recursive_generator():
         assert partitions == list(oracle_set_partitions(n))
         assert len(partitions) == bell(n)
     assert [bell(n) for n in (10, 13)] == [115975, 27644437]
+    # with a cap, the triangle stops at its first entry past it
+    assert bell(13, cap=27644437) == 27644437
+    assert 27644437 < bell(14, cap=27644437) <= bell(14)
+    assert 10**6 < bell(3000, cap=10**6) < 10**7
     # no recursion per vertex: a 1200-vertex pattern starts at once
     first = set_partitions(1200)
     assert next(first) == (tuple(range(1200)),)
@@ -360,6 +365,20 @@ def test_search_budget(monkeypatch):
         with pytest.raises(BudgetError, match=f"{mode} search explored 2[1-9] nodes"):
             count(f, graph(6, [(i, j) for i in range(6) for j in range(i + 1, 6)]))
     assert hom_count(K2, K3).value == 6
+
+
+def test_searches_deeper_than_the_vertex_limit_are_refused():
+    # one recursion per pattern vertex: refused well inside Python's limit
+    limit = counting._MAX_SEARCH_VERTICES
+    assert hom(cycle_graph(limit), K2) == 2
+    big = cycle_graph(limit + 1)
+    message = f"search over {limit + 1} pattern vertices exceeds the limit of {limit}"
+    with pytest.raises(BudgetError, match=message):
+        hom_count(big, K3)
+    with pytest.raises(BudgetError, match=message):
+        inj_count(big, make_structure(GRAPH_SIG, limit + 1))
+    # components are searched one at a time
+    assert hom(copies(K1, big.domain), K2) == 2 ** (limit + 1)
 
 
 def test_ind_count_on_paley_matches_oracle():

@@ -5,6 +5,7 @@ import time
 import pytest
 
 from relpoly import (
+    GRAPH_SIG,
     BasicSeq,
     BudgetError,
     SignatureError,
@@ -17,6 +18,7 @@ from relpoly import (
     generate_term,
     hom,
     isomorphic,
+    make_structure,
     parse_polynomial,
     permute,
     product_sequences,
@@ -277,10 +279,19 @@ def test_homomorphic_image_count_c4():
 def test_homomorphic_image_count_budget(monkeypatch):
     # the Bell(|F|) quotients count against the basis budget: Bell(4) = 15
     monkeypatch.setenv("RELPOLY_BASIS_BUDGET", "14")
-    with pytest.raises(BudgetError, match="15 quotients of a 4-vertex pattern"):
+    with pytest.raises(BudgetError, match=r"Bell\(4\) quotients of a 4-vertex pattern"):
         homomorphic_image_count(cycle_graph(4), paley_graph(5))
     monkeypatch.setenv("RELPOLY_BASIS_BUDGET", "15")
     assert homomorphic_image_count(cycle_graph(4), paley_graph(5)) == 10
+    # Bell(3000) has more digits than Python turns into a string; the check
+    # stops the triangle past the budget and names it without its digits
+    monkeypatch.delenv("RELPOLY_BASIS_BUDGET")
+    start = time.perf_counter()
+    with pytest.raises(BudgetError) as err:
+        homomorphic_image_count(make_structure(GRAPH_SIG, 3000), paley_graph(5))
+    assert time.perf_counter() - start < 2.0
+    assert str(err.value) == ("Bell(3000) quotients of a 3000-vertex pattern "
+                              "exceed the basis budget of 1000000")
 
 
 def test_paley_experiment_quartic_fit_verifies():

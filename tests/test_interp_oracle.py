@@ -1,9 +1,10 @@
 """Scheme application against the reference in oracle_interp.py: equal
 structures, tuple maps, classes and certificate labels on the gallery and on
-seeded random schemes, with as many formula evaluations; the same exception
-type, message and witness where a scheme is invalid; and the translation
-duality as a property test."""
+seeded random schemes, with as many formula evaluations (on a quotient, less
+the ones the oracle repeats); the same exception type, message and witness
+where a scheme is invalid; and the translation duality as a property test."""
 
+import math
 import random
 
 import pytest
@@ -31,7 +32,7 @@ from relpoly import (
     translate_formula,
 )
 from relpoly import interp, logic
-from relpoly.errors import ToolkitError
+from relpoly.errors import ToolkitError, ValidationError
 from relpoly.gallery import ENTRIES, crown_scheme, line_graph_scheme
 from relpoly.logic import TRUE, Exists, Iff, conj, disj, eq, substitute
 from relpoly.polynomials import constant
@@ -77,17 +78,30 @@ def _outcome(module, fn, *args, **kwargs):
             return (type(exc), str(exc), getattr(exc, "witness", None)), None
 
 
+def _repeated_choices(scheme, report) -> int:
+    """The oracle's extra evaluations on a quotient: it evaluates the
+    representative choice a second time on every class tuple that has more
+    than one representative choice, summed over the target symbols."""
+    singletons = report.class_sizes.count(1)
+    return sum(len(report.classes) ** arity - singletons ** arity
+               for _, arity in scheme.target.symbols)
+
+
 def _agree(scheme, a, n=None, budget=None):
     """Apply the scheme both ways and assert equal outcomes and, where both
-    succeed, equal formula evaluations; return the result, or the type of
-    the error raised.  A given budget is the tuple budget of both sides."""
+    succeed, equal formula evaluations, less the oracle's repeated ones on a
+    quotient, which it checks on every representative choice; return the
+    result, or the type of the error raised.  A given budget is the tuple
+    budget of both sides."""
     with pytest.MonkeyPatch.context() as mp:
         if budget is not None:
             mp.setenv("RELPOLY_TUPLE_BUDGET", str(budget))
         if isinstance(scheme, QuotientScheme):
             new = _outcome(interp, interp.apply_quotient_with_report, scheme, a, n=n)
             old = _outcome(oracle_interp, oracle_interp.apply_quotient_with_report, scheme, a,
-                           n=n)
+                           n=n, compat_samples=math.inf)
+            if old[1] is not None:
+                old = old[0], old[1] - _repeated_choices(scheme, old[0])
         elif isinstance(scheme, GraphicalScheme):
             new = _outcome(interp, interp.apply_graphical, scheme, a)
             old = _outcome(oracle_interp, oracle_interp.apply_graphical, scheme, a)
@@ -172,7 +186,7 @@ def test_random_quotient_schemes_agree_with_oracle():
         outcomes.append(_agree(scheme, a))
     reports = [o for o in outcomes if not isinstance(o, type)]
     assert len(reports) > 40
-    # Some class pairs have more representative choices than are spot-checked.
+    # Some class pairs have more than 32 representative choices.
     assert sum(max(r.class_sizes, default=0) ** 2 > 32 for r in reports) >= 3
     assert any(r.certificate_labels and r.certificate_labels[0] == "all" for r in reports)
     assert any(isinstance(o, type) for o in outcomes)
@@ -252,18 +266,28 @@ def test_invalid_schemes_raise_as_the_oracle_does():
     assert isinstance(_agree(near, path), type)
 
 
-def test_spot_checks_are_exhaustive_up_to_32_choices():
-    """Classes of 32 and 33 tuples: the first is checked on every member, the
-    second on seeded picks; a relation that differs on the last member of
-    the first class fails there."""
-    a = make_structure(SOURCE, 65, {"W": [(v,) for v in range(32)], "R": [(31, 31)]})
+def test_compatibility_is_checked_on_every_member():
+    """A relation that differs on one member of a class fails there, however
+    large the class: the last of 32 members, and the second of 40."""
     varpi = parse_formula("W(x1) <-> W(y1)", SOURCE, ["x1", "y1"])
-    for rho, valid in (("W(x1)", True), ("R(x1,x1)", False)):
-        base = InterpretationScheme("boundary", 1, SOURCE, sig(("M", 1)),
+    w32 = make_structure(SOURCE, 65, {"W": [(v,) for v in range(32)], "R": [(31, 31)]})
+    w40 = make_structure(SOURCE, 41, {"W": [(v,) for v in range(40)], "R": [(1, 1)]})
+    cases = [
+        (w32, "W(x1)", None),
+        (w32, "R(x1,x1)", (((0,),), ((31,),))),
+        (w40, "W(x1) & !R(x1,x1)", (((0,),), ((1,),))),
+    ]
+    for a, rho, witness in cases:
+        base = InterpretationScheme("members", 1, SOURCE, sig(("M", 1)),
                                     build_formula(TRUE, SOURCE, ["x1"]),
                                     (parse_formula(rho, SOURCE, ["x1"]),))
-        outcome = _agree(QuotientScheme(base, varpi, ()), a)
-        assert isinstance(outcome, type) != valid
+        scheme = QuotientScheme(base, varpi, ())
+        outcome = _agree(scheme, a)
+        assert isinstance(outcome, type) == (witness is not None)
+        if witness is not None:
+            with pytest.raises(ValidationError) as err:
+                interp.apply_quotient_with_report(scheme, a)
+            assert err.value.witness == witness
 
 
 @st.composite
