@@ -68,7 +68,20 @@ def load_structure(path: str) -> Structure:
 
 
 def _emit_json(out: list[str], payload):
-    out.append(json.dumps(payload, indent=2) + "\n")
+    """Append `payload`, a JSON value or a report with `to_dict`, as indented
+    JSON.  A number past Python's limit on integer-to-text conversion (a
+    count of thousands of digits) is a BudgetError: exit 1, no traceback."""
+    try:
+        if hasattr(payload, "to_dict"):
+            payload = payload.to_dict()
+        out.append(json.dumps(payload, indent=2) + "\n")
+    except ValueError as exc:
+        if "integer string conversion" not in str(exc):
+            raise
+        raise BudgetError(
+            f"the output holds a number of more than {sys.get_int_max_str_digits()} "
+            "digits, Python's limit for writing an integer as text"
+        ) from None
 
 
 def _int_list(text: str, option: str) -> list[int]:
@@ -259,7 +272,7 @@ def _cmd_detect(args, out) -> int:
     fit = detect_polynomial(spec, query, verify_count=args.verify)
     if args.csv:
         Path(args.csv).write_text(detect_csv(fit))
-    _emit_json(out, fit.to_dict())
+    _emit_json(out, fit)
     return 0 if fit.verdict == "Polynomial" else 1
 
 
@@ -294,7 +307,7 @@ def _cmd_gallery(args, out) -> int:
     elif args.n is not None:
         n_range = (args.n, args.n)
     report = gallery_check(args.name, params, n_range, detect=args.detect)
-    _emit_json(out, report.to_dict())
+    _emit_json(out, report)
     expected_ok = not ENTRIES[args.name].expect_mismatch
     return 0 if report.ok == expected_ok else 1
 
@@ -304,7 +317,7 @@ def _cmd_decompose(args, out) -> int:
     decomposition = bounded_decompose(
         spec, args.cap, d_max=args.d_max, held_out=args.held_out
     )
-    _emit_json(out, decomposition.to_dict())
+    _emit_json(out, decomposition)
     return 0
 
 
@@ -316,7 +329,7 @@ def _cmd_paley(args, out) -> int:
     report = paley_experiment(
         pattern, primes, fit_count=args.fit_count, image_counts=not args.no_images
     )
-    _emit_json(out, report.to_dict())
+    _emit_json(out, report)
     return 0 if report.all_match else 1
 
 

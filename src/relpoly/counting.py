@@ -6,12 +6,14 @@ from __future__ import annotations
 import math
 from contextvars import ContextVar
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import product
 from operator import itemgetter
+from typing import NamedTuple
 
 from . import budgets
 from .errors import BudgetError, SignatureError
-from .structures import Signature, Structure, gaifman_components, lift, make_structure
+from .structures import Signature, Structure, gaifman_components, make_structure
 
 
 # ---------------------------------------------------------------------------
@@ -106,18 +108,15 @@ class CountReport:
     nodes_explored: int
 
 
-def _aligned(pattern: Structure, target: Structure) -> tuple[Structure, Structure]:
-    symbols = list(pattern.signature.symbols)
-    names = {n for n, _ in symbols}
-    for name, arity in target.signature.symbols:
-        if name in names:
-            if pattern.signature.arity(name) != arity:
-                raise SignatureError(f"symbol {name!r} has conflicting arities")
-        else:
-            symbols.append((name, arity))
-            names.add(name)
-    combined = Signature(tuple(symbols))
-    return lift(pattern, combined), lift(target, combined)
+def _target_symbols(pattern: Signature, target: Signature) -> tuple[int | None, ...]:
+    """For each pattern symbol, its position in the target's signature, or
+    None when the target lacks it (an empty relation there).  A symbol of
+    both with two arities is a SignatureError."""
+    where = {name: i for i, (name, _) in enumerate(target.symbols)}
+    for name, arity in target.symbols:
+        if pattern.has(name) and pattern.arity(name) != arity:
+            raise SignatureError(f"symbol {name!r} has conflicting arities")
+    return tuple(where.get(name) for name in pattern.names)
 
 
 def _search_order(pattern: Structure, vertices: list[int]) -> list[int]:
@@ -203,26 +202,50 @@ class shared_indexes:
         _SHARED.reset(self.token)
 
 
-def _compile_lookups(pattern: Structure, target: Structure, order: list[int],
-                     indexes: dict) -> tuple[list, dict]:
-    """Per depth, the (index, key) lookups for the tuples whose last-placed
-    vertex sits at that depth; and by depth, the key of the depth's separator.
+# The search recurses once per placed vertex; larger searches are refused
+# well inside Python's default recursion limit of 1000 frames.
+_MAX_SEARCH_VERTICES = 500
 
-    A tuple's shape is its relation symbol and which positions hold the
-    vertex being placed; one index in `indexes` serves every tuple of the same
-    shape, and an index equal to one already built (E(u,v) and E(v,u) in a
-    symmetric relation) is shared so that the search looks it up once.  A
-    lookup's key takes the image list to the index key of its bound vertices.
 
-    The separator of a depth is the tuple of vertices placed before it that
-    lookups at this depth or later read: the count of extensions from this
-    depth on depends on their images alone.  Its key takes the image list to
-    those images.  A depth whose separator holds every placed vertex gets no
-    key, since a memo keyed on it would see each key once.
-    """
+class _Search(NamedTuple):
+    """The target-independent part of the search over one group of pattern
+    vertices, in search order.
+
+    `steps[depth]` holds the lookups for the tuples whose last-placed vertex
+    sits at that depth, as (target symbol, shape, bound vertices, key).  A
+    tuple's shape is its relation symbol and which positions hold the vertex
+    being placed, and one candidate index serves every tuple of one shape; the
+    key takes the image list to the index key of the bound vertices.  The
+    target symbol is None when the target lacks the symbol.
+
+    `separators[depth]` takes the image list to the images of the depth's
+    separator: the vertices placed before it that lookups at this depth or
+    later read, so that the count of extensions from this depth on depends on
+    their images alone.  A depth whose separator holds every placed vertex
+    gets no key, since a memo keyed on it would see each key once.
+
+    `absent[depth]`, for ind only, holds (target symbol, pattern tuples) for
+    the tuples that hold the vertex placed at that depth, lie over placed
+    vertices only and are missing from the pattern; an induced map must send
+    each of them to a tuple missing from the target.
+
+    A group of more than _MAX_SEARCH_VERTICES vertices keeps its vertices
+    as `order` and no steps, and is refused when it is searched."""
+
+    order: tuple[int, ...]
+    steps: tuple | None
+    separators: dict
+    absent: tuple | None
+
+
+def _search_plan(pattern: Structure, signature: Signature, symbols: tuple,
+                 vertices: list[int], mode: str) -> _Search:
+    if len(vertices) > _MAX_SEARCH_VERTICES:
+        return _Search(tuple(vertices), None, {}, None)
+    order = _search_order(pattern, vertices)
     position = {v: i for i, v in enumerate(order)}
-    lookups: list[dict] = [{} for _ in order]
-    for idx, rel in enumerate(pattern.relations):
+    steps: list[dict] = [{} for _ in order]
+    for (name, _), symbol, rel in zip(pattern.signature.symbols, symbols, pattern.relations):
         for t in rel:
             if not all(u in position for u in t):
                 continue
@@ -230,21 +253,11 @@ def _compile_lookups(pattern: Structure, target: Structure, order: list[int],
             v = order[depth]
             here = tuple(i for i, u in enumerate(t) if u == v)
             bound = tuple(i for i, u in enumerate(t) if u != v)
-            shape = (pattern.signature.symbols[idx][0], here, bound)
-            index = indexes.get(shape)
-            if index is None:
-                index = _candidate_index(target.relations[idx], here, bound)
-                index = next((b for b in indexes.values() if b == index), index)
-                indexes[shape] = index
-            us = tuple(t[i] for i in bound)
-            key = (id(index), us)
-            at = lookups[depth]
-            if key not in at:
-                at[key] = (index, _items(us))
+            steps[depth].setdefault(((name, here, bound), tuple(t[i] for i in bound)), symbol)
     separators: dict = {}
     if len(order) > 2:  # in a connected pattern the first vertex is depth 1's separator
         last_read: dict[int, int] = {}
-        for depth, at in enumerate(lookups):
+        for depth, at in enumerate(steps):
             for _, us in at:
                 for u in us:
                     last_read[u] = depth
@@ -252,42 +265,66 @@ def _compile_lookups(pattern: Structure, target: Structure, order: list[int],
             separator = tuple(u for u in order[:depth] if last_read.get(u, -1) >= depth)
             if len(separator) < depth:
                 separators[depth] = _items(separator)
-    return [list(at.values()) for at in lookups], separators
+    absent = None
+    if mode == "ind":
+        have = {j: frozenset(rel) for j, rel in zip(symbols, pattern.relations)}
+        absent = tuple(
+            tuple((j, tuple(t for t in product(order[:depth + 1], repeat=arity)
+                            if v in t and t not in have.get(j, ())))
+                  for j, (_, arity) in enumerate(signature.symbols))
+            for depth, v in enumerate(order)
+        )
+    return _Search(
+        tuple(order),
+        tuple(tuple((symbol, shape, us, _items(us)) for (shape, us), symbol in at.items())
+              for at in steps),
+        separators,
+        absent,
+    )
 
 
-def _absent_tuples(pattern: Structure, target: Structure, order: list[int]) -> list[list]:
-    """Per depth, the (target tuple set, pattern tuple) pairs for the tuples
-    that hold the vertex placed at that depth, lie over placed vertices only
-    and are missing from the pattern; an induced map must send each of them
-    to a tuple missing from the target."""
-    pattern_sets, target_sets = pattern.rel_sets(), target.rel_sets()
-    absent: list[list] = []
-    for depth, v in enumerate(order):
-        placed = order[:depth + 1]
-        here = []
-        for (_, arity), have, tset in zip(pattern.signature.symbols, pattern_sets, target_sets):
-            if tset:
-                here.extend((tset, t) for t in product(placed, repeat=arity)
-                            if v in t and t not in have)
-        absent.append(here)
-    return absent
+@lru_cache(maxsize=256)
+def _plan(pattern: Structure, signature: Signature, mode: str) -> tuple[_Search, ...]:
+    """The part of a `mode` count that depends only on the pattern and the
+    target's signature, built once per such pair and kept in a bounded cache:
+    one `_Search` per Gaifman component for hom, one over the whole domain for
+    inj and ind.  Budgets are read per count, never here."""
+    symbols = _target_symbols(pattern.signature, signature)
+    groups = gaifman_components(pattern) if mode == "hom" else [list(range(pattern.domain))]
+    return tuple(_search_plan(pattern, signature, symbols, vertices, mode) for vertices in groups)
 
 
-# The search recurses once per placed vertex; larger searches are refused
-# well inside Python's default recursion limit of 1000 frames.
-_MAX_SEARCH_VERTICES = 500
+def _bind(plan: _Search, target: Structure, indexes: dict) -> list[list]:
+    """Per depth, the (index, key) lookups of the plan's steps into this
+    target.  `indexes` holds the candidate indexes built so far for the
+    target, by shape, and gains the new ones; an index equal to one already
+    built (E(u,v) and E(v,u) in a symmetric relation) is shared, so that the
+    search looks it up once."""
+    lookups = []
+    for at in plan.steps:
+        bound: dict = {}
+        for symbol, shape, us, key_of in at:
+            index = indexes.get(shape)
+            if index is None:
+                rel = target.relations[symbol] if symbol is not None else ()
+                index = _candidate_index(rel, shape[1], shape[2])
+                index = next((b for b in indexes.values() if b == index), index)
+                indexes[shape] = index
+            bound.setdefault((id(index), us), (index, key_of))
+        lookups.append(list(bound.values()))
+    return lookups
 
 
-def _count_maps(pattern: Structure, target: Structure, vertices: list[int],
-                mode: str, nodes: int, budget: int, indexes: dict) -> tuple[int, int]:
-    """Count relation-preserving maps of `vertices` into the target by an
-    indexed candidate search.
+def _count_maps(plan: _Search, target: Structure, image: list[int], mode: str,
+                nodes: int, budget: int, indexes: dict) -> tuple[int, int]:
+    """Count relation-preserving maps of the plan's vertices into the target
+    by an indexed candidate search.
 
-    `mode` is "hom", "inj" or "ind".  `nodes` is the count of candidate images
+    `mode` is "hom", "inj" or "ind".  `image` is a list over the pattern's
+    vertices to write images in.  `nodes` is the count of candidate images
     tried before this call and the return value includes it; the search stops
     with BudgetError once it exceeds `budget`, or at once for more than
-    _MAX_SEARCH_VERTICES vertices.  `indexes` holds the candidate
-    indexes built so far for this target, by shape, and gains the new ones.
+    _MAX_SEARCH_VERTICES vertices.  `indexes` is as in `_bind`.
 
     In hom mode the count of extensions from a depth is cached under the
     images of the depth's separator, so the search order runs as a
@@ -296,26 +333,29 @@ def _count_maps(pattern: Structure, target: Structure, vertices: list[int],
     the caches are dropped on return.  inj and ind keep the plain search: their used set makes a
     subtotal depend on more than the separator.
     """
-    if len(vertices) > _MAX_SEARCH_VERTICES:
+    order = plan.order
+    if plan.steps is None:
         raise BudgetError(
-            f"a search over {len(vertices)} pattern vertices exceeds the limit of "
+            f"a search over {len(order)} pattern vertices exceeds the limit of "
             f"{_MAX_SEARCH_VERTICES}"
         )
     injective = mode != "hom"
     induced = mode == "ind"
-    order = _search_order(pattern, vertices)
-    lookups, memo_keys = _compile_lookups(pattern, target, order, indexes)
+    lookups = _bind(plan, target, indexes)
+    memo_keys = plan.separators
     memos: dict[int, dict] = {} if injective else {depth: {} for depth in memo_keys}
-    absent = _absent_tuples(pattern, target, order) if induced else None
+    if induced:
+        tsets = target.rel_sets()
+        absent = [[(tsets[j], ts) for j, ts in at if ts and tsets[j]] for at in plan.absent]
     last = len(order) - 1
     n = target.domain
     everything = frozenset(range(n)) if injective else range(n)
-    image = [0] * pattern.domain
     used: set[int] = set()
 
     def stays_induced(depth: int, v: int, w: int) -> bool:
         image[v] = w
-        return not any(tuple([image[u] for u in t]) in tset for tset, t in absent[depth])
+        return not any(tuple([image[u] for u in t]) in tset
+                       for tset, ts in absent[depth] for t in ts)
 
     def extend(depth: int) -> int:
         nonlocal nodes
@@ -378,12 +418,13 @@ def hom_count(pattern: Structure, target: Structure) -> CountReport:
     `shared_indexes(target)` block it reuses the block's candidate indexes."""
     shared = _SHARED.get()
     indexes = shared[1] if shared is not None and shared[0] is target else {}
-    pattern, target = _aligned(pattern, target)
+    plan = _plan(pattern, target.signature, "hom")
     budget = budgets.search_budget()
+    image = [0] * pattern.domain
     value = 1
     nodes = 0
-    for component in gaifman_components(pattern):
-        sub, nodes = _count_maps(pattern, target, component, "hom", nodes, budget, indexes)
+    for component in plan:
+        sub, nodes = _count_maps(component, target, image, "hom", nodes, budget, indexes)
         value *= sub
         if value == 0:
             break
@@ -392,10 +433,11 @@ def hom_count(pattern: Structure, target: Structure) -> CountReport:
 
 def _injective_count(pattern: Structure, target: Structure, mode: str) -> CountReport:
     """The "inj" or "ind" count, over the whole pattern at once."""
-    pattern, target = _aligned(pattern, target)
     if pattern.domain > target.domain:
+        _target_symbols(pattern.signature, target.signature)  # conflicting arities still raise
         return CountReport(0, mode, 0)
-    value, nodes = _count_maps(pattern, target, list(range(pattern.domain)), mode, 0,
+    (plan,) = _plan(pattern, target.signature, mode)
+    value, nodes = _count_maps(plan, target, [0] * pattern.domain, mode, 0,
                                budgets.search_budget(), {})
     return CountReport(value, mode, nodes)
 

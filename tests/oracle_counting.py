@@ -8,8 +8,24 @@ including the factorization over components, so that their node counts are
 comparable with the kernel's.
 """
 
-from relpoly.counting import _aligned, _search_order, gaifman_components
-from relpoly.structures import Structure
+from relpoly.counting import _search_order, gaifman_components
+from relpoly.errors import SignatureError
+from relpoly.structures import Signature, Structure, lift
+
+
+def _aligned(pattern: Structure, target: Structure) -> tuple[Structure, Structure]:
+    """Both structures lifted to the union of their signatures."""
+    symbols = list(pattern.signature.symbols)
+    names = {n for n, _ in symbols}
+    for name, arity in target.signature.symbols:
+        if name in names:
+            if pattern.signature.arity(name) != arity:
+                raise SignatureError(f"symbol {name!r} has conflicting arities")
+        else:
+            symbols.append((name, arity))
+            names.add(name)
+    combined = Signature(tuple(symbols))
+    return lift(pattern, combined), lift(target, combined)
 
 
 def _count_maps(pattern: Structure, target: Structure, vertices: list[int],

@@ -259,6 +259,24 @@ def test_hostile_patterns_fail_the_paley_check_at_once(tmp_path, capsys):
         assert captured.err.startswith("check failed: ") and message in captured.err
 
 
+def test_counts_past_the_integer_digit_limit_fail_the_check(tmp_path, capsys):
+    # hom(5000 isolated vertices, Paley_101) = 101^5000 has 10,022 digits and
+    # the count into 10 isolated vertices 5001, past Python's 4300-digit limit
+    # on writing an integer as text
+    edgeless, ten = tmp_path / "edgeless.json", tmp_path / "ten.json"
+    edgeless.write_text(json.dumps(
+        {"signature": [{"name": "E", "arity": 2}], "domain": 5000, "relations": {"E": []}}))
+    ten.write_text(structure_to_json(graph(10, [])))
+    message = "more than 4300 digits, Python's limit for writing an integer as text"
+    for args in (["paley", "--pattern", str(edgeless), "--primes", "101", "--no-images"],
+                 ["count", "--mode", "hom", "--pattern", str(edgeless),
+                  "--target", str(ten)]):
+        captured = _cli(capsys, args, expect=1)
+        assert captured.out == ""
+        assert captured.err.startswith("check failed: ") and message in captured.err
+        assert "Traceback" not in captured.err
+
+
 def test_usage_errors_keep_stdout_empty(files, tmp_path, capsys):
     junk = tmp_path / "junk.json"
     junk.write_text("{nope")

@@ -335,6 +335,106 @@ def test_hom_memo_matches_the_backtracker_on_long_patterns(case):
     assert report.nodes_explored <= nodes, (pattern, target)
 
 
+# Target signatures for one pattern over SIG_RUT: in another order, lacking
+# U or T, lacking both, and with an extra symbol V.
+TARGET_SIGS = (SIG_RUT, sig(("T", 3), ("U", 1), ("R", 2)), sig(("R", 2), ("U", 1)),
+               sig(("R", 2), ("T", 3)), sig(("R", 2)),
+               sig(("R", 2), ("U", 1), ("T", 3), ("V", 1)))
+COUNTS = ((hom_count, oracle_hom), (inj_count, oracle_inj), (ind_count, oracle_ind))
+
+
+def test_one_pattern_into_targets_of_different_signatures():
+    # the search plan is cached per pattern and target signature; each call
+    # must still see its own target's symbols and arities
+    # a triangle with one vertex marked U, into K4 with vertex 0 marked U
+    pattern = make_structure(sig(("R", 2), ("U", 1), ("W", 1)), 3,
+                             {"R": K3.rel("E"), "U": [(0,)]})
+    full = {"R": [(i, j) for i in range(4) for j in range(4) if i != j], "U": [(0,)]}
+    extra = make_structure(sig(("R", 2), ("U", 1), ("W", 1), ("V", 1)), 4,
+                           {**full, "V": [(3,)]})
+    lacks_used = make_structure(sig(("R", 2), ("W", 1)), 4, {"R": full["R"]})
+    lacks_empty = make_structure(sig(("U", 1), ("R", 2)), 4, full)
+    conflict = make_structure(sig(("R", 2), ("W", 2)), 4, {"R": full["R"]})
+    for _ in range(2):
+        for target in (extra, lacks_used, lacks_empty):
+            for count, oracle in COUNTS:
+                report = count(pattern, target)
+                value, nodes = oracle(pattern, target)
+                assert report.value == value, (count.__name__, target.signature)
+                assert report.nodes_explored <= nodes
+        assert hom(pattern, lacks_used) == 0 and hom(pattern, lacks_empty) == 6
+        # the pattern lacks V, so an induced copy must avoid vertex 3
+        assert ind(pattern, lacks_empty) == 6 and ind(pattern, extra) == 2
+        for count, _ in COUNTS:
+            for _ in range(2):
+                with pytest.raises(SignatureError, match="'W' has conflicting arities"):
+                    count(pattern, conflict)
+
+
+def test_budgets_are_read_per_call_after_the_plan_is_cached(monkeypatch):
+    f = disjoint_union(P3, K2)
+    k6 = graph(6, [(i, j) for i in range(6) for j in range(i + 1, 6)])
+    for count, mode in ((hom_count, "hom"), (inj_count, "inj"), (ind_count, "ind")):
+        monkeypatch.delenv("RELPOLY_SEARCH_BUDGET", raising=False)
+        counting._plan.cache_clear()
+        assert count(f, k6).nodes_explored > 20  # the plan is now cached
+        monkeypatch.setenv("RELPOLY_SEARCH_BUDGET", "20")
+        with pytest.raises(BudgetError) as cached:
+            count(f, k6)
+        counting._plan.cache_clear()
+        with pytest.raises(BudgetError) as fresh:
+            count(f, k6)
+        assert str(cached.value) == str(fresh.value)
+        assert str(cached.value).startswith(f"{mode} search explored 2")
+
+
+def test_oversized_components_are_refused_on_every_call():
+    limit = counting._MAX_SEARCH_VERTICES
+    big = cycle_graph(limit + 1)
+    message = f"search over {limit + 1} pattern vertices exceeds the limit of {limit}"
+    for _ in range(3):
+        with pytest.raises(BudgetError, match=message):
+            hom_count(big, K3)
+        with pytest.raises(BudgetError, match=message):
+            inj_count(big, make_structure(GRAPH_SIG, limit + 1))
+    # a component counting 0 before the oversized one stops the product first
+    assert hom(disjoint_union(K3, big), K2) == 0
+
+
+@st.composite
+def _patterns_and_target_lists(draw):
+    """A pattern over SIG_RUT as in `_patterns_and_targets`, and three to five
+    targets over the signatures of TARGET_SIGS."""
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    density = draw(st.sampled_from((0.05, 0.15, 0.3)))
+    pattern = random_structure(rng, SIG_RUT, rng.randrange(0, 5), density)
+    if draw(st.booleans()):
+        pattern = disjoint_union(pattern, random_structure(rng, SIG_RUT,
+                                                           rng.randrange(1, 3), density))
+    targets = [random_structure(rng, rng.choice(TARGET_SIGS), rng.randrange(0, 6),
+                                rng.choice((0.2, 0.4, 0.7)))
+               for _ in range(rng.randrange(3, 6))]
+    return pattern, targets
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=100)
+@given(_patterns_and_target_lists())
+def test_one_plan_serves_many_targets_property(case):
+    pattern, targets = case
+    for target in targets:
+        expected = [oracle(pattern, target) for _, oracle in COUNTS]
+        for shared in (False, True):
+            reports = []
+            if shared:
+                with counting.shared_indexes(target):
+                    reports = [count(pattern, target) for count, _ in COUNTS]
+            else:
+                reports = [count(pattern, target) for count, _ in COUNTS]
+            for report, (value, nodes) in zip(reports, expected):
+                assert report.value == value, (report.mode, shared, pattern, target)
+                assert report.nodes_explored <= nodes, (report.mode, shared, pattern, target)
+
+
 def _closed_walks(adjacency: list[list[int]], length: int) -> int:
     """trace(A^length) for a symmetric A, by repeated products with the
     adjacency lists."""
