@@ -280,7 +280,10 @@ def _cmd_gallery(args, out) -> int:
     if args.action == "list":
         _emit_json(out, gallery_list())
         return 0
-    params = json.loads(args.params) if args.params else None
+    try:
+        params = json.loads(args.params) if args.params else None
+    except ValueError as exc:   # JSONDecodeError, or an integer past the digit limit
+        raise UsageError(f"--params is not JSON: {exc}") from None
     if params is not None and not isinstance(params, dict):
         raise UsageError(f"--params must be a JSON object, got {args.params!r}")
     if args.name not in ENTRIES:
@@ -352,7 +355,7 @@ def run(argv) -> int:
     try:
         args = _build_parser().parse_args(argv)
         code = _COMMANDS[args.command](args, out)
-    except (UsageError, json.JSONDecodeError) as exc:
+    except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (ValidationError, UnboundedDegreeError, BudgetError) as exc:

@@ -29,6 +29,7 @@ from .logic import (
     TrueNode,
     FalseNode,
     _children,
+    _int_literal,
     _rebuild,
     atom,
     build_formula,
@@ -114,13 +115,12 @@ class InterpretationScheme:
 @dataclass(frozen=True)
 class GraphicalScheme:
     """Vertex formula with p free variables and a symmetric edge formula with
-    2p; emits a loopless graph unless loop_policy is 'keep'."""
+    2p; emits a loopless graph."""
 
     name: str
     p: int
     iota: Formula
     rho: Formula
-    loop_policy: str = "drop"
     origin: tuple | None = None
 
     def __post_init__(self):
@@ -132,8 +132,6 @@ class GraphicalScheme:
             raise BindingError("edge formula needs 2p free variables")
         if self.iota.signature != self.rho.signature:
             raise BindingError("vertex and edge formulas disagree on the source signature")
-        if self.loop_policy not in ("drop", "keep"):
-            raise SignatureError(f"unknown loop policy {self.loop_policy!r}")
 
     @property
     def source(self) -> Signature:
@@ -306,8 +304,7 @@ def apply_graphical(scheme: GraphicalScheme, a: Structure) -> Structure:
         raise ValidationError(
             f"edge formula of {scheme.name!r} is not symmetric", witness=(tuples[i], tuples[j])
         )
-    if scheme.loop_policy != "keep":
-        present.difference_update(zip(range(len(tuples)), range(len(tuples))))
+    present.difference_update(zip(range(len(tuples)), range(len(tuples))))
     return make_structure(scheme.target, len(tuples), {"E": present})
 
 
@@ -915,7 +912,7 @@ def _parse_sig_text(text: str) -> Signature:
         return GRAPH_SIG
     m = _BASIC.match(text)
     if m:
-        return basic_signature(int(m.group(1)), int(m.group(2)))
+        return basic_signature(_int_literal(m.group(1), 1), _int_literal(m.group(2), 1))
     if text.startswith("sig{") and text.endswith("}"):
         body = text[4:-1]
         symbols = []
@@ -924,7 +921,7 @@ def _parse_sig_text(text: str) -> Signature:
                 m = _SIG_ITEM.match(item)
                 if m is None or m.end() != len(item):
                     raise FormulaParseError(f"bad signature item {item!r}", 1)
-                symbols.append((m.group(1), int(m.group(2))))
+                symbols.append((m.group(1), _int_literal(m.group(2), 1)))
         return Signature(tuple(symbols))
     raise FormulaParseError(f"bad signature spec {text!r}", 1)
 

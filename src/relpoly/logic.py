@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 import re
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
@@ -314,6 +315,17 @@ _KEYWORDS = {"true", "false", "exists", "forall"}
 # Nesting deeper than this would overflow the recursive parser, the recursive
 # passes over the AST, or Python's own parser on the compiled evaluator.
 MAX_NESTING = 100
+
+
+def _int_literal(text: str, offset: int) -> int:
+    """The value of a decimal literal; one past Python's limit on converting
+    text to an integer is a parse error at `offset`, not a ValueError."""
+    try:
+        return int(text)
+    except ValueError:
+        raise FormulaParseError(
+            f"integer literal of more than {sys.get_int_max_str_digits()} digits", offset
+        ) from None
 
 
 class _Tokens:

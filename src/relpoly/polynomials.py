@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import FormulaParseError, SignatureError
-from .logic import _Tokens
+from .logic import _Tokens, _int_literal
 
 
 @dataclass(frozen=True)
@@ -196,7 +196,7 @@ class _PolyParser(_Tokens):
             tok = self.next()
             if tok[0] != "int":
                 raise FormulaParseError("exponent must be an integer literal", tok[2])
-            exponent = int(tok[1])
+            exponent = _int_literal(tok[1], tok[2])
             if exponent > MAX_DEGREE:
                 raise FormulaParseError(f"exponent exceeds {MAX_DEGREE}", tok[2])
             result = [1]
@@ -208,7 +208,7 @@ class _PolyParser(_Tokens):
     def base(self):
         kind, value, offset = self.next()
         if kind == "int":
-            return [int(value)]
+            return [_int_literal(value, offset)]
         if kind == "n":
             return [0, 1]
         if value not in ("(", "-"):

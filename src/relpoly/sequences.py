@@ -613,6 +613,6 @@ def spec_to_json(spec: SequenceSpec) -> str:
 def spec_from_json(text: str) -> SequenceSpec:
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:   # JSONDecodeError, or an integer past the digit limit
         raise SignatureError(f"malformed sequence spec JSON: {exc}") from exc
     return spec_from_obj(obj)

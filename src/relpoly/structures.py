@@ -9,9 +9,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from itertools import combinations
 
-from . import budgets
 from .canon import canonical_form
 from .errors import BudgetError, SignatureError
 
@@ -311,19 +309,7 @@ def build_basic(spec: BasicStructureSpec) -> Structure:
 
 
 # ---------------------------------------------------------------------------
-# Relabeling and induced substructures
-
-def permute(s: Structure, perm) -> Structure:
-    """Relabel vertices: vertex v becomes perm[v]."""
-    perm = list(perm)
-    if sorted(perm) != list(range(s.domain)):
-        raise SignatureError("perm is not a permutation of the domain")
-    relations = {
-        name: [tuple(perm[v] for v in t) for t in s.rel(name)]
-        for name in s.signature.names
-    }
-    return make_structure(s.signature, s.domain, relations)
-
+# Induced substructures
 
 def induced(s: Structure, vertices) -> Structure:
     """Substructure induced on the given vertices (their order fixes new indices)."""
@@ -373,81 +359,6 @@ def component_census(s: Structure) -> dict[bytes, tuple[Structure, int]]:
     return census
 
 
-def _census_counts(s: Structure) -> dict[bytes, int]:
-    return {key: count for key, (_, count) in component_census(s).items()}
-
-
-def _symbol_invariants(s: Structure) -> dict[str, tuple]:
-    """Per symbol: its arity and the sorted tuples of Gaifman degrees of the
-    vertices in its tuples, which any weak isomorphism preserves."""
-    neighbours: list[set[int]] = [set() for _ in range(s.domain)]
-    for rel in s.relations:
-        for t in rel:
-            for v in t:
-                neighbours[v].update(t)
-    return {
-        name: (arity, tuple(sorted(tuple(len(neighbours[v]) for v in t) for t in s.rel(name))))
-        for name, arity in s.signature.symbols
-    }
-
-
-def _bijections(groups):
-    """Every symbol map dealing each group of b's names out to the classes of
-    the matching group of a's names, one subset of each class's size per
-    class.  Symbols of a class have equal tuple sets, so the order of their
-    partners does not matter and one representative order is tried."""
-    if not groups:
-        yield {}
-        return
-    (classes, names), rest = groups[0], groups[1:]
-    if not classes:
-        yield from _bijections(rest)
-        return
-    for chosen in combinations(names, len(classes[0])):
-        left = [n for n in names if n not in chosen]
-        for tail in _bijections([(classes[1:], left)] + rest):
-            yield {**dict(zip(classes[0], chosen)), **tail}
-
-
-def weakly_isomorphic(a: Structure, b: Structure, cap: int = 10) -> bool:
-    """Search for a symbol bijection plus a domain bijection carrying each
-    relation of a exactly onto its partner in b.  Symbols are paired only when
-    their arity, size and sorted Gaifman degrees agree, a's symbols with equal
-    tuple sets take their partners in one order only, and each symbol
-    bijection tried counts against `RELPOLY_SEARCH_BUDGET`; it renames b into
-    a's signature, and the two are compared as in `isomorphic`.  A component
-    with a symbol of arity > 2 may have at most 8 vertices."""
-    if a.domain != b.domain:
-        return False
-    if a.domain > cap:
-        raise BudgetError(f"weak isomorphism capped at {cap} vertices (got {a.domain})")
-    groups_a: dict[tuple, list[str]] = {}
-    groups_b: dict[tuple, list[str]] = {}
-    for groups, s in ((groups_a, a), (groups_b, b)):
-        for name, key in _symbol_invariants(s).items():
-            groups.setdefault(key, []).append(name)
-    if {k: len(v) for k, v in groups_a.items()} != {k: len(v) for k, v in groups_b.items()}:
-        return False
-
-    limit = budgets.search_budget()
-    census_a = _census_counts(a)
-    pairs = []
-    for key, names in groups_a.items():
-        classes: dict[tuple, list[str]] = {}
-        for name in names:
-            classes.setdefault(a.rel(name), []).append(name)
-        pairs.append((list(classes.values()), groups_b[key]))
-    for tried, symbol_map in enumerate(_bijections(pairs), 1):
-        if tried > limit:
-            raise BudgetError(f"weak isomorphism tried more than {limit} symbol bijections")
-        renamed = make_structure(
-            a.signature, b.domain, {n: b.rel(symbol_map[n]) for n in a.signature.names}
-        )
-        if _census_counts(renamed) == census_a:
-            return True
-    return False
-
-
 def isomorphic(a: Structure, b: Structure, cap: int = 64) -> bool:
     """Isomorphism under the identity symbol map (signatures must agree): the
     Gaifman components of a and b have equal multisets of canonical keys.  A
@@ -458,7 +369,8 @@ def isomorphic(a: Structure, b: Structure, cap: int = 64) -> bool:
         raise BudgetError(f"isomorphism search capped at {cap} vertices (got {a.domain})")
     if a.total_tuples() != b.total_tuples():
         return False
-    return _census_counts(a) == _census_counts(b)
+    return ({key: count for key, (_, count) in component_census(a).items()}
+            == {key: count for key, (_, count) in component_census(b).items()})
 
 
 # ---------------------------------------------------------------------------
@@ -477,7 +389,7 @@ def structure_to_json(s: Structure) -> str:
 def structure_from_json(text: str) -> Structure:
     try:
         payload = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:   # JSONDecodeError, or an integer past the digit limit
         raise SignatureError(f"malformed structure JSON: {exc}") from exc
     try:
         signature = Signature(tuple((s["name"], s["arity"]) for s in payload["signature"]))

@@ -7,6 +7,7 @@ from relpoly import (
     GRAPH_SIG,
     InterpretationScheme,
     Signature,
+    SignatureError,
     Structure,
     build_formula,
     canonical_form,
@@ -44,6 +45,18 @@ def rename_structure_symbols(s: Structure, mapping: dict[str, str]) -> Structure
     symbols = tuple((mapping.get(name, name), arity) for name, arity in s.signature.symbols)
     relations = {mapping.get(name, name): s.rel(name) for name in s.signature.names}
     return make_structure(Signature(symbols), s.domain, relations)
+
+
+def permute(s: Structure, perm) -> Structure:
+    """Relabel vertices: vertex v becomes perm[v]."""
+    perm = list(perm)
+    if sorted(perm) != list(range(s.domain)):
+        raise SignatureError("perm is not a permutation of the domain")
+    relations = {
+        name: [tuple(perm[v] for v in t) for t in s.rel(name)]
+        for name in s.signature.names
+    }
+    return make_structure(s.signature, s.domain, relations)
 
 
 def random_graph(rng: random.Random, n: int, p: float = 0.45) -> Structure:

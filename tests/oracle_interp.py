@@ -79,9 +79,7 @@ def apply_graphical(scheme: GraphicalScheme, a: Structure,
     for i in range(m):
         for j in range(i, m):
             forward = test(tuples[i] + tuples[j])
-            if i == j:
-                if scheme.loop_policy == "keep" and forward:
-                    edges.append((i, i))
+            if i == j:   # evaluated like every pair, but a loop is dropped
                 continue
             backward = test(tuples[j] + tuples[i])
             if forward != backward:

@@ -9,9 +9,12 @@ which made keys of structures with unary marks or loops depend on the
 labeling.
 
 `_vertex_profile` and `_find_vertex_bijection` are the profile-guided
-backtracker that `structures.isomorphic` and `weakly_isomorphic` used before
-they became canonical-key comparisons; `backtrack_isomorphic` and
-`backtrack_weakly_isomorphic` are those two functions as they were.
+backtracker that `structures.isomorphic` used before it became a
+canonical-key comparison; `backtrack_isomorphic` is that function as it was.
+`backtrack_weakly_isomorphic` also searches the arity-preserving symbol
+bijections.  The library compares structures only under the identity symbol
+map, so this is the one weak-isomorphism test: the suite uses it where two
+structures name their symbols differently.
 """
 
 from itertools import permutations

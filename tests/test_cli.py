@@ -426,6 +426,38 @@ def test_malformed_numbers_exit_2(case, files, tmp_path, capsys):
     assert "Traceback" not in captured.err
 
 
+# An integer literal past Python's default limit of 4300 digits for text
+# conversion: each case -> (command line, with FILE standing for a file holding
+# the text), the text
+HUGE = "9" * 5000
+_CLASS_SCHEME = ("interpretation big {\n  source: graph;\n  target: graph;\n  p: 1;\n"
+                 "  domain(x1): true;\n  E(x1; y1): E(x1,y1);\n  equiv(x1; y1): x1 = y1;\n"
+                 f"  class c: eta=true, size={HUGE};\n}}\n")
+_BASIC_SCHEME = (f"interpretation big {{\n  source: basic(k={HUGE}, l=0);\n  target: graph;\n"
+                 "  p: 1;\n  domain(x1): true;\n  E(x1; y1): false;\n}\n")
+HUGE_LITERALS = {
+    "structure-domain": (["structure", "show", "--in", "FILE"],
+                         '{"signature": [{"name": "E", "arity": 2}], "domain": %s}' % HUGE),
+    "spec-k": (["detect", "--spec", "FILE", "--formula", "S1(x,y)", "--vars", "x,y"],
+               '{"variant": "Basic", "k": %s, "l": 0, "orders": ["n"]}' % HUGE),
+    "gallery-params": (["gallery", "run", "crown", "--params", '{"x": %s}' % HUGE], None),
+    "scheme-class-size": (["interpret", "--scheme", "FILE", "--in", "K3"], _CLASS_SCHEME),
+    "scheme-basic-k": (["interpret", "--scheme", "FILE", "--in", "K3"], _BASIC_SCHEME),
+}
+
+
+@pytest.mark.parametrize("case", HUGE_LITERALS)
+def test_huge_integer_literals_exit_2(case, files, tmp_path, capsys):
+    args, text = HUGE_LITERALS[case]
+    path = tmp_path / "input"
+    path.write_text(text or "")
+    args = [str(path) if a == "FILE" else files["k3"] if a == "K3" else a for a in args]
+    captured = _cli(capsys, args, expect=2)
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+    assert "Traceback" not in captured.err
+
+
 _TREE = {"variant": "Interpreted",
          "scheme": {"builtin": "treeBlowup", "params": {"k": 2, "parents": {"2": "x"}}},
          "inner": {"variant": "Basic", "k": 2, "l": 0, "orders": ["n", "n"]}}

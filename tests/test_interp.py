@@ -35,7 +35,6 @@ from relpoly import (
     sig,
     strong_sum,
     translate_formula,
-    weakly_isomorphic,
 )
 from relpoly.errors import BudgetError
 from relpoly.gallery import (
@@ -50,6 +49,7 @@ from relpoly.logic import TRUE
 from relpoly.polynomials import constant
 
 from genutil import K2, K3, graph, random_graph, random_qf_formula, random_scheme
+from oracle_isomorphism import backtrack_weakly_isomorphic
 
 
 def _crown_base(n):
@@ -95,15 +95,11 @@ def test_graphical_edgeless_and_loops():
         "loops", 1,
         build_formula(TRUE, src, ["x1"]),
         parse_formula("x1 = y1", src, ["x1", "y1"]),
-        loop_policy="keep",
     )
-    out = apply_graphical(loops, t5)
-    assert out.rel("E") == tuple((v, v) for v in range(5))
-    # default policy drops them
-    out = apply_graphical(
-        GraphicalScheme("l2", 1, loops.iota, loops.rho), t5
-    )
-    assert out.rel("E") == ()
+    assert apply_graphical(loops, t5).rel("E") == ()
+    # a plain scheme into graphs keeps them
+    plain = InterpretationScheme("loops", 1, src, GRAPH_SIG, loops.iota, (loops.rho,))
+    assert apply_interpretation(plain, t5).rel("E") == tuple((v, v) for v in range(5))
 
 
 def test_graphical_symmetry_violation_reports_witness():
@@ -223,7 +219,7 @@ def test_merge_marked_schemes_componentwise():
 
     single = merge_marked_schemes([comp], ["UA"])
     out = apply_interpretation(single, mark(K3, "UA"))
-    assert weakly_isomorphic(out, apply_interpretation(comp, mark(K3, "UA")))
+    assert backtrack_weakly_isomorphic(out, apply_interpretation(comp, mark(K3, "UA")))
 
     with pytest.raises(SignatureError):
         merge_marked_schemes([comp], ["UB"])
@@ -463,7 +459,7 @@ def test_product_schemes_match_direct_constructions():
             built = apply_graphical(product_scheme(op), marked)
             want = oracle(a, b)
             assert built.domain == want.domain, (op, trial)
-            assert weakly_isomorphic(built, want, cap=16), (op, trial)
+            assert backtrack_weakly_isomorphic(built, want, cap=16), (op, trial)
 
 
 def test_merge_with_mixed_exponents():

@@ -204,8 +204,7 @@ def test_random_graphical_schemes_agree_with_oracle():
         if rng.random() < 0.5:   # symmetrised, so the scheme is valid
             body = disj(body, substitute(body, dict(zip(xs + ys, ys + xs))))
         rho = build_formula(body, SOURCE, xs + ys)
-        scheme = GraphicalScheme("randomGraphical", p, iota, rho,
-                                 loop_policy=rng.choice(["drop", "keep"]))
+        scheme = GraphicalScheme("randomGraphical", p, iota, rho)
         a = random_structure(rng, SOURCE, rng.randrange(0, 5))
         outcomes.add(type(_agree(scheme, a)))
     assert len(outcomes) == 2
