@@ -11,10 +11,16 @@ and of the candidates in one orbit of the automorphisms fixing the current
 prefix only the first is tried.  Each search level counts against
 RELPOLY_SEARCH_BUDGET.  A signature with a symbol of arity > 2 goes through
 a brute force over all labelings instead, capped at 8 vertices.
+
+`orbits` gives the counting kernel the automorphism orbits of a target.
+Starting from the same colour refinement, it pairs individualisations of two
+vertices of one cell down to discrete colourings, and keeps only the
+permutations that preserve every relation.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from functools import lru_cache
 from itertools import permutations
 from typing import TYPE_CHECKING
@@ -41,36 +47,9 @@ def _codes(s: Structure, binary: list) -> list[list[int]]:
     return codes
 
 
-def _refine_colors(codes: list[list[int]], unary_mask, loop_mask):
-    n = len(codes)
-    # Colours are ranks of sorted keys, never of first appearance: the
-    # stream records them, so they must not depend on the labeling.
-    initial = [(unary_mask[v], loop_mask[v]) for v in range(n)]
-    ranking = {key: rank for rank, key in enumerate(sorted(set(initial)))}
-    colors = [ranking[key] for key in initial]
-    while True:
-        keys = []
-        for v in range(n):
-            row = codes[v]
-            neigh = sorted((row[u], colors[u]) for u in range(n) if u != v and row[u])
-            keys.append((colors[v], tuple(neigh)))
-        ranking = {}
-        for key in sorted(set(keys)):
-            ranking[key] = len(ranking)
-        new = [ranking[k] for k in keys]
-        if new == colors:
-            return colors
-        colors = new
-
-
-def _root(orbit: list[int], v: int) -> int:
-    while orbit[v] != v:
-        orbit[v] = orbit[orbit[v]]
-        v = orbit[v]
-    return v
-
-
-def _canonical_stream(s: Structure) -> tuple:
+def _inputs(s: Structure) -> tuple[list[list[int]], list[int], list[int]]:
+    """The binary codes (see `_codes`), and per vertex the bit masks of the
+    unary relations holding it and of the binary relations looping on it."""
     n = s.domain
     binary = [s.rel(name) for name, arity in s.signature.symbols if arity == 2]
     unary_names = [name for name, arity in s.signature.symbols if arity == 1]
@@ -83,8 +62,46 @@ def _canonical_stream(s: Structure) -> tuple:
         for u, v in rel:
             if u == v:
                 loop_mask[v] |= 1 << bit
-    codes = _codes(s, binary)
-    colors = _refine_colors(codes, unary_mask, loop_mask)
+    return _codes(s, binary), unary_mask, loop_mask
+
+
+def _refine_colors(codes: list[list[int]], unary_mask, loop_mask) -> tuple[list[int], int]:
+    """The stable colouring, and the number of refinement rounds it took."""
+    n = len(codes)
+    # Colours are ranks of sorted keys, never of first appearance: the
+    # stream records them and the orbit finder starts from them, so they
+    # must not depend on the labeling.
+    initial = [(unary_mask[v], loop_mask[v]) for v in range(n)]
+    ranking = {key: rank for rank, key in enumerate(sorted(set(initial)))}
+    colors = [ranking[key] for key in initial]
+    rounds = 0
+    while True:
+        rounds += 1
+        keys = []
+        for v in range(n):
+            row = codes[v]
+            neigh = sorted((row[u], colors[u]) for u in range(n) if u != v and row[u])
+            keys.append((colors[v], tuple(neigh)))
+        ranking = {}
+        for key in sorted(set(keys)):
+            ranking[key] = len(ranking)
+        new = [ranking[k] for k in keys]
+        if new == colors:
+            return colors, rounds
+        colors = new
+
+
+def _root(orbit: list[int], v: int) -> int:
+    while orbit[v] != v:
+        orbit[v] = orbit[orbit[v]]
+        v = orbit[v]
+    return v
+
+
+def _canonical_stream(s: Structure) -> tuple:
+    n = s.domain
+    codes, unary_mask, loop_mask = _inputs(s)
+    colors, _ = _refine_colors(codes, unary_mask, loop_mask)
 
     def is_twin(u: int, v: int) -> bool:
         if unary_mask[u] != unary_mask[v] or loop_mask[u] != loop_mask[v]:
@@ -217,3 +234,221 @@ def canonical_form(s: Structure, cap: int = DEFAULT_CAP) -> bytes:
     if s.domain > cap:
         raise BudgetError(f"canonical form capped at {cap} vertices (got {s.domain})")
     return _canonical_key(s)
+
+
+# ---------------------------------------------------------------------------
+# Automorphism orbits
+
+class _OutOfAllowance(Exception):
+    pass
+
+
+# Complete orbit partitions of the last few structures asked about.
+_ORBITS: dict = {}
+_ORBITS_CAP = 16
+
+
+def _leaf_map(ref_colors: list[int], colors: list[int]) -> list[int]:
+    """The permutation taking each vertex of one discrete colouring to the
+    vertex of the same colour in the other."""
+    where = [0] * len(colors)
+    for v, c in enumerate(colors):
+        where[c] = v
+    return [where[c] for c in ref_colors]
+
+
+def _shape(colors: list[int]) -> tuple[int, int | None]:
+    """A hash of the cell sizes by colour, and the colour of the smallest
+    cell of two or more vertices (the lowest such colour on a tie), None if
+    the colouring is discrete."""
+    sizes = [0] * len(colors)
+    for c in colors:
+        sizes[c] += 1
+    split = min(((k, c) for c, k in enumerate(sizes) if k > 1), default=None)
+    return hash(tuple(sizes)), None if split is None else split[1]
+
+
+def _individualise(neighbours: list, colors: list[int], v: int, charge) -> list[int]:
+    """`colors`, an equitable colouring whose colours are the first positions
+    of their cells in a vertex order, with v split off its cell and refined
+    until equitable again.  Only cells that changed are used as splitters:
+    each splits every cell by the (code) multiset of its members' neighbours
+    inside it, and the fragments take consecutive positions in key order.  So
+    the result does not depend on the labeling, as long as `colors` does not.
+    `charge` is called with the neighbour entries each splitter reads."""
+    n = len(colors)
+    colors = list(colors)
+    cells: dict[int, list[int]] = {}
+    for u, c in enumerate(colors):
+        cells.setdefault(c, []).append(u)
+    cell = cells[colors[v]]
+    cell.remove(v)
+    colors[v] = colors[v] + len(cell)
+    cells[colors[v]] = [v]
+    queue = deque([colors[v]])
+    queued = {colors[v]}
+    while queue and len(cells) < n:
+        splitter = queue.popleft()
+        queued.discard(splitter)
+        hits: dict[int, list[int]] = {}
+        work = 0
+        for u in cells[splitter]:
+            row = neighbours[u]
+            work += len(row)
+            for x, code in row:
+                hit = hits.get(x)
+                if hit is None:
+                    hits[x] = [code]
+                else:
+                    hit.append(code)
+        charge(work)
+        by_cell: dict[int, dict] = {}
+        for x, found in hits.items():
+            found.sort()
+            by_cell.setdefault(colors[x], {}).setdefault(tuple(found), []).append(x)
+        for start in sorted(by_cell):
+            groups = by_cell[start]
+            members = cells[start]
+            if sum(map(len, groups.values())) < len(members):
+                groups[()] = [x for x in members if x not in hits]
+            if len(groups) == 1:
+                continue
+            parts = [groups[key] for key in sorted(groups)]
+            largest = max(range(len(parts)), key=lambda i: len(parts[i]))
+            keep_all = start in queued
+            for i, part in enumerate(parts):
+                cells[start] = part
+                for x in part:
+                    colors[x] = start
+                if (keep_all or i != largest) and start not in queued:
+                    queue.append(start)
+                    queued.add(start)
+                start += len(part)
+    return colors
+
+
+def orbits(s: Structure, allowance: int) -> tuple[tuple[int, ...], int]:
+    """Each vertex's orbit representative under a group of automorphisms of
+    `s`, and the work spent finding it.
+
+    For vertices r and w of one refined cell, the finder individualises r and
+    refines, then individualises the first vertex of the smallest
+    non-singleton cell until the colouring is discrete.  On w's side it
+    follows every individualisation that keeps the cell sizes equal, and the
+    two discrete leaves give a candidate permutation sigma with sigma(r) = w.
+    Each sigma is checked against every relation of `s` before it is used,
+    and the orbits are the components of the checked ones; so each orbit
+    lies inside a true orbit whatever the search misses.  Work is counted as
+    vertices and neighbour entries refined plus tuples checked.  A search
+    that would pass `allowance` stops and returns the orbits found so far; a
+    complete partition is kept in a small cache.  A structure with a
+    relation of arity > 2 gets singleton orbits.
+    """
+    found = _ORBITS.get(s)
+    if found is not None:
+        return found, 0
+    n = s.domain
+    if any(arity > 2 and rel for (_, arity), rel in zip(s.signature.symbols, s.relations)):
+        return tuple(range(n)), 0
+    codes, unary_mask, loop_mask = _inputs(s)
+    neighbours = [[(u, code) for u, code in enumerate(row) if code and u != v]
+                  for v, row in enumerate(codes)]
+    checks = [(frozenset(rel), rel) for rel in s.relations if rel]
+    check_work = s.total_tuples()
+    spent = 0
+    parent = list(range(n))
+
+    def charge(work: int) -> None:
+        nonlocal spent
+        if spent + work > allowance:
+            raise _OutOfAllowance
+        spent += work
+
+    def individualise(colors: list[int], v: int) -> list[int]:
+        charge(n)
+        return _individualise(neighbours, colors, v, charge)
+
+    def path_from(r: int) -> tuple[list, list[int]]:
+        """The shape of each colouring on r's path, and its discrete leaf."""
+        shapes = []
+        colors = individualise(base, r)
+        while True:
+            shapes.append(_shape(colors))
+            split = shapes[-1][1]
+            if split is None:
+                return shapes, colors
+            colors = individualise(colors, colors.index(split))
+
+    def children(colors: list[int], cell: list[int], shape: int):
+        for y in cell:
+            nxt = individualise(colors, y)
+            if _shape(nxt)[0] == shape:
+                yield nxt
+
+    def follow(shapes: list, leaf: list[int], w: int) -> list[int] | None:
+        """A checked sigma with sigma(r) = w, for the r whose path has the
+        colouring shapes `shapes` and the leaf `leaf`: a depth-first search
+        over the individualisations that keep w's side in the same shapes,
+        kept on a list because a path can be as long as the domain."""
+        branches = [children(base, [w], shapes[0][0])]
+        while branches:
+            colors = next(branches[-1], None)
+            if colors is None:
+                branches.pop()
+                continue
+            depth = len(branches) - 1
+            split = shapes[depth][1]
+            if split is not None:
+                cell = [v for v, c in enumerate(colors) if c == split]
+                # Below the first level a cell is tried from its second
+                # vertex on, while r's path took the first.  Where any choice
+                # extends, as under a symmetric group of the cell, the leaves
+                # then pair the cells off shifted by one, and sigma merges
+                # them in long cycles instead of fixing most of their vertices.
+                if depth:
+                    cell = cell[1:] + cell[:1]
+                branches.append(children(colors, cell, shapes[depth + 1][0]))
+            elif _shape(colors)[1] is None:  # discrete, so sigma is a permutation
+                sigma = _leaf_map(leaf, colors)
+                charge(check_work)
+                if all(tuple([sigma[x] for x in t]) in rset for rset, rel in checks for t in rel):
+                    return sigma
+        return None
+
+    complete = True
+    try:
+        ranks, rounds = _refine_colors(codes, unary_mask, loop_mask)
+        charge(rounds * n * n)
+        cells: dict[int, list[int]] = {}
+        for v, c in enumerate(ranks):
+            cells.setdefault(c, []).append(v)
+        base = [0] * n  # each vertex coloured by its cell's first position
+        start = 0
+        for c in range(len(cells)):
+            for v in cells[c]:
+                base[v] = start
+            start += len(cells[c])
+        paths: dict[int, tuple] = {}
+        for cell in cells.values():
+            reps: list[int] = []
+            for w in cell:
+                if any(_root(parent, r) == _root(parent, w) for r in reps):
+                    continue
+                for r in reps:
+                    if r not in paths:
+                        paths[r] = path_from(r)
+                    sigma = follow(*paths[r], w)
+                    if sigma is not None:
+                        for u, x in enumerate(sigma):
+                            parent[_root(parent, u)] = _root(parent, x)
+                        break
+                else:
+                    reps.append(w)
+    except _OutOfAllowance:
+        complete = False
+    found = tuple(_root(parent, v) for v in range(n))
+    if complete:
+        if len(_ORBITS) >= _ORBITS_CAP:
+            del _ORBITS[next(iter(_ORBITS))]
+        _ORBITS[s] = found
+    return found, spent

@@ -11,7 +11,7 @@ from itertools import product
 from operator import itemgetter
 from typing import NamedTuple
 
-from . import budgets
+from . import budgets, canon
 from .errors import BudgetError, SignatureError
 from .structures import Signature, Structure, gaifman_components, make_structure
 
@@ -121,7 +121,9 @@ def _target_symbols(pattern: Signature, target: Signature) -> tuple[int | None, 
 
 def _search_order(pattern: Structure, vertices: list[int]) -> list[int]:
     # Place the most constrained vertex first, then greedily extend along
-    # tuples touching already-placed vertices.
+    # tuples touching already-placed vertices; among equals, the one leaving
+    # the fewest tuples open, so that separators stay small (a path starts
+    # at an end).
     if len(vertices) < 2:  # most components of hom-basis terms are single vertices
         return list(vertices)
     incident: dict[int, list] = {v: [] for v in vertices}
@@ -138,6 +140,7 @@ def _search_order(pattern: Structure, vertices: list[int]) -> list[int]:
             remaining,
             key=lambda v: (
                 sum(1 for _, t in incident[v] if placed & set(t)),
+                -sum(1 for _, t in incident[v] if not set(t) <= placed | {v}),
                 len(incident[v]),
                 -v,
             ),
@@ -205,6 +208,11 @@ class shared_indexes:
 # The search recurses once per placed vertex; larger searches are refused
 # well inside Python's default recursion limit of 1000 frames.
 _MAX_SEARCH_VERTICES = 500
+
+# Depth 0 goes through the target's automorphism orbits only when the work
+# projected from its second candidate exceeds this many times the target's
+# vertices plus tuples; below that, finding the orbits would not pay.
+_ORBIT_GATE = 32
 
 
 class _Search(NamedTuple):
@@ -332,6 +340,16 @@ def _count_maps(plan: _Search, target: Structure, image: list[int], mode: str,
     at most min(candidates tried at the depth before, n^|separator|) entries;
     the caches are dropped on return.  inj and ind keep the plain search: their used set makes a
     subtotal depend on more than the separator.
+
+    At depth 0, composing with an automorphism s of the target is a
+    bijection from the maps sending the first vertex to w onto those sending
+    it to s(w), in every mode: depth 0's candidates are closed under
+    automorphisms, nothing is used yet, and the memos are keyed on images
+    alone.  So once the second candidate's subtree, times the candidates
+    left, projects more than _ORBIT_GATE * (n + tuples) nodes,
+    `canon.orbits` is asked for orbits within that projection (and what is
+    left of the budget), its work is charged as nodes, and each further
+    candidate reuses the subtotal of an orbit-mate already searched.
     """
     order = plan.order
     if plan.steps is None:
@@ -409,7 +427,69 @@ def _count_maps(plan: _Search, target: Structure, image: list[int], mode: str,
             memo[key] = total
         return total
 
-    return extend(0), nodes
+    # One depth-0 subtree holds at most last * n^last nodes.  When that many
+    # over n - 2 candidates stay within the gate, as on every small target,
+    # the search is the plain one; `extend` itself never looks at the gate.
+    if not (last > 0 and last * n ** last * (n - 2) > _ORBIT_GATE * n):
+        return extend(0), nodes
+
+    def below(w: int) -> int:
+        image[order[0]] = w
+        if not injective:
+            return extend(1)
+        used.add(w)
+        total = extend(1)
+        used.discard(w)
+        return total
+
+    def rooted() -> int:
+        """extend(0), with the gate after the second candidate."""
+        nonlocal nodes
+        sets = [index.get(()) for index, _ in lookups[0]]  # loops and marks of the first vertex
+        if not all(sets):
+            return 0
+        candidates = set.intersection(*sets) if sets else everything
+        nodes += len(candidates)
+        if nodes > budget:
+            raise BudgetError(f"{mode} search explored {nodes} nodes, over the budget of {budget}")
+        if induced and absent[0]:
+            candidates = [w for w in candidates if stays_induced(0, order[0], w)]
+        if len(candidates) <= 2:
+            return sum(below(w) for w in candidates)
+        todo = iter(candidates)
+        first = next(todo)
+        first_total = below(first)
+        start = nodes
+        second = next(todo)
+        second_total = below(second)
+        total = first_total + second_total
+        # Projected from the second subtree, which finds the separator memos
+        # filled by the first as every later one does; n alone settles most
+        # searches without summing the target's tuples.
+        projected = (nodes - start) * (len(candidates) - 2)
+        limit = _ORBIT_GATE * n
+        if projected <= limit or projected <= limit + _ORBIT_GATE * target.total_tuples():
+            v = order[0]
+            for w in todo:  # extend's own loop, without a call per candidate
+                image[v] = w
+                if injective:
+                    used.add(w)
+                    total += extend(1)
+                    used.discard(w)
+                else:
+                    total += extend(1)
+            return total
+        orbit_of, work = canon.orbits(target, min(projected, budget - nodes))
+        nodes += work  # at most the allowance, so still within the budget
+        subtotals = {orbit_of[first]: first_total, orbit_of[second]: second_total}
+        for w in todo:
+            sub = subtotals.get(orbit_of[w])
+            if sub is None:
+                sub = subtotals[orbit_of[w]] = below(w)
+            total += sub
+        return total
+
+    return rooted(), nodes
 
 
 def hom_count(pattern: Structure, target: Structure) -> CountReport:

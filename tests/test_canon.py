@@ -1,9 +1,9 @@
 """The one isomorphism engine: the pruned canon search against the unpruned
 search it replaced, `isomorphic` against the old backtracker and networkx,
-and the search budget."""
+the search budget, and the automorphism orbits against brute force."""
 
 import random
-from itertools import product
+from itertools import permutations, product
 
 import pytest
 from hypothesis import given, settings
@@ -19,8 +19,9 @@ from relpoly import (
     make_structure,
     sig,
 )
+from relpoly import canon
 from relpoly.canon import _canonical_key
-from relpoly.gallery import crown_oracle
+from relpoly.gallery import crown_oracle, half_graph_oracle, paley_graph
 
 SIGNATURES = (
     sig(("E", 2)),
@@ -179,3 +180,67 @@ def test_canon_search_budget(monkeypatch):
     monkeypatch.delenv("RELPOLY_SEARCH_BUDGET")
     _canonical_key.cache_clear()
     assert isomorphic(crown, permute(crown, list(reversed(range(10)))))
+
+
+def _classes(found) -> list[list[int]]:
+    """The orbit partition `canon.orbits` returns, as sorted classes."""
+    classes: dict[int, list[int]] = {}
+    for v, root in enumerate(found):
+        classes.setdefault(root, []).append(v)
+    return sorted(classes.values())
+
+
+def _brute_orbits(s) -> list[list[int]]:
+    """The orbits of Aut(s), from every permutation of its domain."""
+    rels = s.rel_sets()
+    root = list(range(s.domain))
+    for perm in permutations(range(s.domain)):
+        if all(tuple(perm[x] for x in t) in rel for rel in rels for t in rel):
+            for v in range(s.domain):
+                root[v] = min(root[v], root[perm[v]])
+    return _classes([min(v, *(u for u in range(s.domain) if root[u] == root[v]))
+                     for v in range(s.domain)])
+
+
+def test_orbits_of_symmetric_and_rigid_graphs(monkeypatch):
+    monkeypatch.setattr(canon, "_ORBITS", {})
+    for q in (5, 13, 17, 29, 37, 61):
+        g = paley_graph(q)
+        found, work = canon.orbits(g, 10**9)
+        assert _classes(found) == [list(range(q))] and work > 0
+        assert canon.orbits(g, 10**9) == (found, 0)  # kept in the cache
+    for n in range(1, 9):
+        found, _ = canon.orbits(half_graph_oracle(n), 10**9)
+        assert _classes(found) == [[i, 2 * n - 1 - i] for i in range(n)]
+    # the smallest asymmetric tree: legs of one, two and three edges
+    spider = make_structure(sig(("E", 2)), 7, {"E": [
+        e for u, v in ((0, 1), (0, 2), (2, 3), (0, 4), (4, 5), (5, 6)) for e in ((u, v), (v, u))]})
+    assert canon.orbits(spider, 10**9)[0] == tuple(range(7))
+    # a relation of arity 3 gets singleton orbits at no cost
+    triangle = make_structure(sig(("T", 3)), 3, {"T": list(permutations(range(3)))})
+    assert canon.orbits(triangle, 10**9) == ((0, 1, 2), 0)
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=120)
+@given(st.integers(0, 2**32), st.sampled_from((0, 40, 400, 10**9)))
+def test_orbits_lie_inside_the_true_orbits(seed, allowance):
+    """With any allowance each orbit found lies inside a true one, the work
+    stays within the allowance, and a search that ends in time (a cached
+    partition) finds the true orbits.  Structures up to 7 vertices, with
+    marks, loops and two directed relations, or copies of one."""
+    rng = random.Random(seed)
+    s = _random_case(rng)
+    if s.domain > 7:
+        s = _shuffled(rng, copies(random_graph(rng, 3, rng.random()), 2))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(canon, "_ORBITS", {})
+        found, work = canon.orbits(s, allowance)
+        complete = s in canon._ORBITS
+    truth = _brute_orbits(s)
+    assert work <= allowance
+    assert all(any(set(c) <= set(t) for t in truth) for c in _classes(found)), (s, found)
+    if complete:
+        assert _classes(found) == truth, (s, found)
+    if allowance == 10**9:
+        assert complete
+

@@ -27,9 +27,9 @@ from relpoly import (
     sig,
     super_patterns,
 )
-from relpoly import counting
+from relpoly import canon, counting
 from relpoly.counting import bell, gaifman_components, validate_partition
-from relpoly.gallery import cycle_graph, paley_graph
+from relpoly.gallery import cycle_graph, johnson_oracle, paley_graph
 
 from genutil import C4, K1, K2, K3, P3, graph, random_graph, random_structure
 from oracle_counting import oracle_hom, oracle_ind, oracle_inj, oracle_set_partitions
@@ -430,15 +430,30 @@ def _closed_walks(adjacency: list[list[int]], length: int) -> int:
 
 
 def test_hom_of_c5_into_paley_101_fits_a_small_search_budget(monkeypatch):
-    """The separator memo keeps the C5 search near 10^6 candidate images; the
-    plain search would try 3.3*10^8."""
+    """Paley_101 is one orbit, so the C5 search roots at two vertices and
+    keeps under 5*10^4 nodes with the orbit finder's work; the separator memo
+    alone tries 1,020,201 candidate images and the plain search 3.3*10^8."""
     q = 101
     squares = {x * x % q for x in range(1, q)}
     adjacency = [[v for v in range(q) if (u - v) % q in squares] for u in range(q)]
-    monkeypatch.setenv("RELPOLY_SEARCH_BUDGET", "2000000")
+    monkeypatch.setattr(canon, "_ORBITS", {})  # so that the finder's work is counted
+    monkeypatch.setenv("RELPOLY_SEARCH_BUDGET", "400000")
     report = hom_count(cycle_graph(5), paley_graph(q))
     assert report.value == _closed_walks(adjacency, 5) == 312337450
-    assert report.nodes_explored <= 2000000
+    assert 2 * 101 ** 2 < report.nodes_explored <= 400000
+    monkeypatch.setattr(counting, "_ORBIT_GATE", 10**12)
+    with pytest.raises(BudgetError, match="hom search explored"):
+        hom_count(cycle_graph(5), paley_graph(q))
+
+
+def test_hom_of_c8_into_kneser_21_2_fits_a_small_search_budget(monkeypatch):
+    """Kneser(21, 2) is one orbit of 210 vertices; the search without orbits
+    tries about 4.2*10^7 candidate images."""
+    monkeypatch.setattr(canon, "_ORBITS", {})
+    monkeypatch.setenv("RELPOLY_SEARCH_BUDGET", "1000000")
+    report = hom_count(cycle_graph(8), johnson_oracle(21, 2, {0}))
+    assert report.value == 731086920211050270
+    assert report.nodes_explored <= 1000000
 
 
 def test_search_budget(monkeypatch):
@@ -479,3 +494,137 @@ def test_ind_count_on_paley_matches_oracle():
                                  for f, k in super_patterns(C4, closure="simple"))
     assert report.value == by_inclusion_exclusion == 9744
     assert ind_count(C4, paley_graph(17)).value == oracle_ind(C4, paley_graph(17))[0] == 816
+
+
+def test_path_plans_keep_separators_to_one_vertex():
+    # the search order starts a path at an end, so that each depth's
+    # separator is the one vertex placed just before it
+    p8 = graph(8, [(i, i + 1) for i in range(7)])
+    (plan,) = counting._plan(p8, GRAPH_SIG, "hom")
+    assert plan.order[0] in (0, 7)
+    probe = list(range(8))
+    assert sorted(plan.separators) == list(range(2, 8))
+    assert all(isinstance(plan.separators[depth](probe), int) for depth in range(2, 8))
+    # a path of k vertices into a d-regular graph on n vertices: n * d^(k-1)
+    assert hom(p8, paley_graph(13)) == 13 * 6 ** 7
+    assert hom(p8, paley_graph(61)) == 61 * 30 ** 7
+
+
+def _circulant(n: int, jumps):
+    return graph(n, [(i, (i + j) % n) for i in range(n) for j in jumps if j % n])
+
+
+SIG_EU = sig(("E", 2), ("U", 1))
+
+
+@st.composite
+def _patterns_into_symmetric_targets(draw):
+    """A target with planted symmetry (a circulant, copies of a random graph
+    or of a random structure with unary marks and loops, a small Paley
+    graph) or a random graph, most of which are rigid; and a pattern of 2 to
+    4 vertices over the target's signature, loops and marks included."""
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    kind = draw(st.sampled_from(("circulant", "copies", "marked", "paley", "rigid")))
+    if kind == "circulant":
+        n = rng.randrange(4, 11)
+        target = _circulant(n, rng.sample(range(1, n // 2 + 1), rng.randrange(1, n // 2 + 1)))
+    elif kind == "copies":
+        target = copies(random_graph(rng, rng.randrange(2, 5), rng.random()), rng.randrange(2, 4))
+    elif kind == "marked":
+        target = copies(random_structure(rng, SIG_EU, rng.randrange(1, 4), 0.4),
+                        rng.randrange(2, 4))
+    elif kind == "paley":
+        target = paley_graph(rng.choice((5, 13)))
+    else:
+        target = random_graph(rng, rng.randrange(5, 10), 0.5)
+    pattern = random_structure(rng, target.signature, rng.randrange(2, 5),
+                               draw(st.sampled_from((0.15, 0.3, 0.5))))
+    return pattern, target
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=250)
+@given(_patterns_into_symmetric_targets())
+def test_orbit_weighting_matches_the_backtracker_property(case):
+    """With the gate at 0 every search of three or more depth-0 candidates
+    whose second subtree is not empty asks for orbits: first under the
+    kernel's allowance, which often runs out, then with an unbounded one
+    that finds every orbit."""
+    pattern, target = case
+    expected = [oracle(pattern, target)[0] for _, oracle in COUNTS]
+    real = canon.orbits
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(counting, "_ORBIT_GATE", 0)
+        mp.setattr(canon, "_ORBITS", {})
+        for unbounded in (False, True):
+            if unbounded:
+                mp.setattr(canon, "orbits", lambda s, _: real(s, 10**9))
+            for (count, _), value in zip(COUNTS, expected):
+                assert count(pattern, target).value == value, (count.__name__, unbounded)
+
+
+def test_orbit_weighting_searches_one_vertex_per_orbit(monkeypatch):
+    g = paley_graph(29)
+    for f in (cycle_graph(4), cycle_graph(5)):
+        for count in (inj_count, ind_count):
+            monkeypatch.setattr(canon, "_ORBITS", {})
+            rooted = count(f, g)
+            monkeypatch.setattr(counting, "_ORBIT_GATE", 10**12)
+            plain = count(f, g)
+            monkeypatch.undo()
+            assert rooted.value == plain.value
+            assert rooted.nodes_explored * 4 < plain.nodes_explored
+    assert ind(cycle_graph(4), g) == 9744 and hom(cycle_graph(5), g) == 533890
+
+
+def test_small_searches_never_ask_for_orbits(monkeypatch):
+    def refuse(*_):
+        raise AssertionError("orbits asked for below the gate")
+
+    monkeypatch.setattr(canon, "orbits", refuse)
+    g = paley_graph(13)
+    assert hom(K3, g) == 13 * 6 * 2  # n * degree * common neighbours of an edge
+    assert hom(cycle_graph(4), g) == oracle_hom(cycle_graph(4), g)[0]
+    assert ind(P3, g) == oracle_ind(P3, g)[0]
+
+
+def test_a_starved_orbit_finder_gives_the_exact_count_or_a_budget_error(monkeypatch):
+    g = paley_graph(29)
+    c5 = cycle_graph(5)
+    truth = [533890, 375550, 18270]
+    real = canon.orbits
+    for allowance in (0, 30, 300, 3000, 30000):
+        monkeypatch.setattr(canon, "_ORBITS", {})
+        monkeypatch.setattr(canon, "orbits", lambda s, a, cap=allowance: real(s, min(a, cap)))
+        assert [count(c5, g).value for count, _ in COUNTS] == truth
+    monkeypatch.undo()
+    outcomes = set()
+    for budget in range(2000, 40001, 2000):
+        monkeypatch.setattr(canon, "_ORBITS", {})
+        monkeypatch.setenv("RELPOLY_SEARCH_BUDGET", str(budget))
+        try:
+            outcomes.add(hom(c5, g) == truth[0])
+        except BudgetError as error:
+            assert str(error).startswith("hom search explored")
+            outcomes.add("budget")
+    assert outcomes == {True, "budget"}
+
+
+def test_a_leaf_map_that_is_no_automorphism_is_rejected(monkeypatch):
+    """Paley_13 beside a 5-cycle, with every leaf of the orbit finder read
+    as the rotation v -> v + 1 of all 18 vertices, which carries a Paley
+    vertex into the cycle: each is checked and rejected, so the orbits stay
+    singletons and no count changes."""
+    target = disjoint_union(paley_graph(13), cycle_graph(5))
+    leaves = []
+
+    def rotation(ref_colors, colors):
+        leaves.append(len(colors))
+        return [(v + 1) % len(colors) for v in range(len(colors))]
+
+    monkeypatch.setattr(canon, "_ORBITS", {})
+    monkeypatch.setattr(canon, "_leaf_map", rotation)
+    monkeypatch.setattr(counting, "_ORBIT_GATE", 0)
+    assert canon.orbits(target, 10**9)[0] == tuple(range(18)) and leaves
+    for f in (P3, C4):
+        for count, oracle in COUNTS:
+            assert count(f, target).value == oracle(f, target)[0], count.__name__
