@@ -2,7 +2,7 @@
 
 import os
 
-from .errors import ToolkitError
+from .errors import BudgetError, ToolkitError
 
 _DEFAULTS = {
     "RELPOLY_ASSIGNMENT_BUDGET": 10**8,   # assignments enumerated by count_satisfying
@@ -28,6 +28,14 @@ def assignment_budget() -> int:
 
 def tuple_budget() -> int:
     return get("RELPOLY_TUPLE_BUDGET")
+
+
+def charge_tuples(count: int, what: str) -> None:
+    """Refuse to build `count` of `what` (tuples, or vertices and tuples)
+    past the tuple budget, before any of them is built."""
+    limit = tuple_budget()
+    if count > limit:
+        raise BudgetError(f"{count} {what} exceed the tuple budget of {limit}")
 
 
 def dnf_budget() -> int:

@@ -101,7 +101,7 @@ def quotient(pattern: Structure, theta) -> Structure:
 # ---------------------------------------------------------------------------
 # Counting
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)  # slots: each target keeps its hom reports
 class CountReport:
     value: int
     mode: str
@@ -208,6 +208,10 @@ class shared_indexes:
 # The search recurses once per placed vertex; larger searches are refused
 # well inside Python's default recursion limit of 1000 frames.
 _MAX_SEARCH_VERTICES = 500
+
+# The hom counts one target remembers (`Structure.hom_reports`); past this
+# many patterns the oldest is dropped.
+_HOM_MEMO_CAP = 64
 
 # Depth 0 goes through the target's automorphism orbits only when the work
 # projected from its second candidate exceeds this many times the target's
@@ -495,11 +499,19 @@ def _count_maps(plan: _Search, target: Structure, image: list[int], mode: str,
 def hom_count(pattern: Structure, target: Structure) -> CountReport:
     """All relation-preserving maps; factorizes over the pattern's connected
     components and multiplies the per-component counts.  Inside a
-    `shared_indexes(target)` block it reuses the block's candidate indexes."""
+    `shared_indexes(target)` block it reuses the block's candidate indexes.
+
+    The report is remembered with the target, for at most _HOM_MEMO_CAP
+    patterns, and a later count of an equal pattern returns it while its
+    nodes fit the search budget; otherwise the count is searched again."""
+    budget = budgets.search_budget()
+    memo = target.hom_reports
+    report = memo.get(pattern)
+    if report is not None and report.nodes_explored <= budget:
+        return report
     shared = _SHARED.get()
     indexes = shared[1] if shared is not None and shared[0] is target else {}
     plan = _plan(pattern, target.signature, "hom")
-    budget = budgets.search_budget()
     image = [0] * pattern.domain
     value = 1
     nodes = 0
@@ -508,7 +520,10 @@ def hom_count(pattern: Structure, target: Structure) -> CountReport:
         value *= sub
         if value == 0:
             break
-    return CountReport(value, "hom", nodes)
+    if report is None and len(memo) >= _HOM_MEMO_CAP:
+        del memo[next(iter(memo))]
+    report = memo[pattern] = CountReport(value, "hom", nodes)
+    return report
 
 
 def _injective_count(pattern: Structure, target: Structure, mode: str) -> CountReport:

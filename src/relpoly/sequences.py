@@ -297,6 +297,8 @@ def ordered_sum_of(blocks, inner_signature: Signature) -> Structure:
             )
         offset += block.domain
     total = offset
+    budgets.charge_tuples((total * total - sum(b.domain ** 2 for b in blocks)) // 2,
+                          "ordered-sum order tuples")
     relations[u_name] = [(v,) for v in range(total)]
     spans = [(off, off + b.domain) for off, b in zip(offsets, blocks)]
     order = []

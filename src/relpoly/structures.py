@@ -9,7 +9,9 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 
+from . import budgets
 from .canon import canonical_form
 from .errors import BudgetError, SignatureError
 
@@ -99,6 +101,13 @@ class Structure:
     def total_tuples(self) -> int:
         return sum(len(r) for r in self.relations)
 
+    @cached_property
+    def hom_reports(self) -> dict:
+        """The hom counts into this structure, by pattern, that
+        `counting.hom_count` keeps for as long as the structure lives.  Not a
+        field, so equality and hashing never see it."""
+        return {}
+
 
 def make_structure(signature: Signature, domain: int, relations=None) -> Structure:
     """Build a structure, normalizing each relation to a sorted duplicate-free tuple set.
@@ -129,6 +138,7 @@ def build_transitive_tournament(n: int) -> Structure:
     """Marked linear order on n vertices: S(i, j) holds exactly when i < j."""
     if n < 0:
         raise SignatureError("order must be non-negative")
+    budgets.charge_tuples(n * (n - 1) // 2, "tournament order tuples")
     return make_structure(
         sig(("U", 1), ("S", 2)),
         n,
@@ -202,8 +212,9 @@ def copies(s: Structure, m: int) -> Structure:
     """m disjoint copies of s over the same signature (empty structure for m=0)."""
     if m < 0:
         raise SignatureError("copy count must be non-negative")
-    if m == 0:
+    if m == 0 or s.domain == 0:
         return make_structure(s.signature, 0)
+    budgets.charge_tuples(m * (s.domain + s.total_tuples()), "vertices and tuples of copies")
     return disjoint_union(*([s] * m))
 
 
@@ -297,6 +308,7 @@ def build_basic(spec: BasicStructureSpec) -> Structure:
     """Strong sum of l marked vertices then k marked tournaments, with the
     canonical symbol names; marked vertices occupy the lowest indices."""
     signature = basic_signature(spec.k, spec.l)
+    budgets.charge_tuples(sum(n * (n - 1) // 2 for n in spec.orders), "tournament order tuples")
     relations: dict[str, list] = {}
     for i in range(1, spec.l + 1):
         relations[f"U{i}E"] = [(i - 1,)]

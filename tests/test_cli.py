@@ -259,6 +259,31 @@ def test_hostile_patterns_fail_the_paley_check_at_once(tmp_path, capsys):
         assert captured.err.startswith("check failed: ") and message in captured.err
 
 
+def test_oversized_terms_fail_on_the_tuple_budget(tmp_path, capsys):
+    # each of these would hold billions of tuples; they are refused before
+    # any is built, instead of growing until memory runs out
+    start = time.perf_counter()
+    captured = _cli(capsys, ["structure", "build", "--kind", "tournament", "--n", "100000"],
+                    expect=1)
+    assert captured.out == ""
+    assert captured.err.startswith(
+        "check failed: 4999950000 tournament order tuples exceed the tuple budget of")
+    specs = (({"variant": "Basic", "k": 1, "l": 0, "orders": ["100000*n"]}, "S1(x,y)", "x,y",
+              "4999950000 tournament order tuples exceed the tuple budget of"),
+             ({"variant": "Copies", "count": "1000000000",
+               "inner": {"variant": "Basic", "k": 0, "l": 1, "orders": []}}, "U1E(x)", "x",
+              "2000000000 vertices and tuples of copies exceed the tuple budget of"))
+    for spec, formula, variables, message in specs:
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec))
+        captured = _cli(capsys, ["detect", "--spec", str(path), "--formula", formula,
+                                 "--vars", variables], expect=1)
+        fit = json.loads(captured.out)
+        assert fit["verdict"] == "Inconclusive" and fit["note"].startswith(message)
+        assert "Traceback" not in captured.err
+    assert time.perf_counter() - start < 5.0
+
+
 def test_counts_past_the_integer_digit_limit_fail_the_check(tmp_path, capsys):
     # hom(5000 isolated vertices, Paley_101) = 101^5000 has 10,022 digits and
     # the count into 10 isolated vertices 5001, past Python's 4300-digit limit

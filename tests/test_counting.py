@@ -1,5 +1,7 @@
+import gc
 import random
 import time
+import weakref
 from contextlib import nullcontext
 from itertools import product
 
@@ -11,7 +13,10 @@ from relpoly import (
     GRAPH_SIG,
     BudgetError,
     SignatureError,
+    Structure,
+    ToolkitError,
     copies,
+    count_satisfying,
     disjoint_union,
     hom,
     hom_count,
@@ -22,6 +27,8 @@ from relpoly import (
     inj_count,
     make_structure,
     mobius,
+    parse_formula,
+    qf_to_hom_basis,
     quotient,
     set_partitions,
     sig,
@@ -33,6 +40,12 @@ from relpoly.gallery import cycle_graph, johnson_oracle, paley_graph
 
 from genutil import C4, K1, K2, K3, P3, graph, random_graph, random_structure
 from oracle_counting import oracle_hom, oracle_ind, oracle_inj, oracle_set_partitions
+
+
+def fresh(s: Structure) -> Structure:
+    """A structure equal to `s` that remembers no hom counts, so that a count
+    into it searches (`copy.copy` would carry the remembered counts along)."""
+    return Structure(s.signature, s.domain, s.relations)
 
 
 def test_hom_examples():
@@ -359,11 +372,11 @@ def test_one_pattern_into_targets_of_different_signatures():
     for _ in range(2):
         for target in (extra, lacks_used, lacks_empty):
             for count, oracle in COUNTS:
-                report = count(pattern, target)
+                report = count(pattern, fresh(target))
                 value, nodes = oracle(pattern, target)
                 assert report.value == value, (count.__name__, target.signature)
                 assert report.nodes_explored <= nodes
-        assert hom(pattern, lacks_used) == 0 and hom(pattern, lacks_empty) == 6
+        assert hom(pattern, fresh(lacks_used)) == 0 and hom(pattern, fresh(lacks_empty)) == 6
         # the pattern lacks V, so an induced copy must avoid vertex 3
         assert ind(pattern, lacks_empty) == 6 and ind(pattern, extra) == 2
         for count, _ in COUNTS:
@@ -412,8 +425,9 @@ def test_one_plan_serves_many_targets_property(case):
     for target in targets:
         expected = [oracle(pattern, target) for _, oracle in COUNTS]
         for shared in (False, True):
-            with counting.shared_indexes(target) if shared else nullcontext():
-                reports = [count(pattern, target) for count, _ in COUNTS]
+            into = fresh(target)
+            with counting.shared_indexes(into) if shared else nullcontext():
+                reports = [count(pattern, into) for count, _ in COUNTS]
             for report, (value, nodes) in zip(reports, expected):
                 assert report.value == value, (report.mode, shared, pattern, target)
                 assert report.nodes_explored <= nodes, (report.mode, shared, pattern, target)
@@ -463,7 +477,7 @@ def test_search_budget(monkeypatch):
     for count, mode in ((hom_count, "hom"), (inj_count, "inj"), (ind_count, "ind")):
         with pytest.raises(BudgetError, match=f"{mode} search explored 2[1-9] nodes"):
             count(f, graph(6, [(i, j) for i in range(6) for j in range(i + 1, 6)]))
-    assert hom_count(K2, K3).value == 6
+    assert hom_count(K2, fresh(K3)).value == 6
 
 
 def test_searches_deeper_than_the_vertex_limit_are_refused():
@@ -559,7 +573,7 @@ def test_orbit_weighting_matches_the_backtracker_property(case):
             if unbounded:
                 mp.setattr(canon, "orbits", lambda s, _: real(s, 10**9))
             for (count, _), value in zip(COUNTS, expected):
-                assert count(pattern, target).value == value, (count.__name__, unbounded)
+                assert count(pattern, fresh(target)).value == value, (count.__name__, unbounded)
 
 
 def test_orbit_weighting_searches_one_vertex_per_orbit(monkeypatch):
@@ -595,14 +609,14 @@ def test_a_starved_orbit_finder_gives_the_exact_count_or_a_budget_error(monkeypa
     for allowance in (0, 30, 300, 3000, 30000):
         monkeypatch.setattr(canon, "_ORBITS", {})
         monkeypatch.setattr(canon, "orbits", lambda s, a, cap=allowance: real(s, min(a, cap)))
-        assert [count(c5, g).value for count, _ in COUNTS] == truth
+        assert [count(c5, fresh(g)).value for count, _ in COUNTS] == truth
     monkeypatch.undo()
     outcomes = set()
     for budget in range(2000, 40001, 2000):
         monkeypatch.setattr(canon, "_ORBITS", {})
         monkeypatch.setenv("RELPOLY_SEARCH_BUDGET", str(budget))
         try:
-            outcomes.add(hom(c5, g) == truth[0])
+            outcomes.add(hom(c5, fresh(g)) == truth[0])
         except BudgetError as error:
             assert str(error).startswith("hom search explored")
             outcomes.add("budget")
@@ -628,3 +642,87 @@ def test_a_leaf_map_that_is_no_automorphism_is_rejected(monkeypatch):
     for f in (P3, C4):
         for count, oracle in COUNTS:
             assert count(f, target).value == oracle(f, target)[0], count.__name__
+
+
+@st.composite
+def _interleaved_counts(draw):
+    """Twelve (count, pattern, target) calls over two patterns and two
+    targets over SIG_RUT, each present also as an equal but distinct object."""
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    patterns = [random_structure(rng, SIG_RUT, rng.randrange(0, 4), 0.2) for _ in range(2)]
+    targets = [random_structure(rng, SIG_RUT, rng.randrange(0, 5), 0.4) for _ in range(2)]
+    patterns += [fresh(p) for p in patterns]
+    targets += [fresh(t) for t in targets]
+    return [(rng.choice(COUNTS), rng.choice(patterns), rng.choice(targets)) for _ in range(12)]
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=100)
+@given(_interleaved_counts())
+def test_remembered_hom_counts_match_the_backtracker_property(calls):
+    for (count, oracle), pattern, target in calls:
+        report = count(pattern, target)
+        value, nodes = oracle(pattern, target)
+        assert report.value == value, (report.mode, pattern, target)
+        assert report.nodes_explored <= nodes, (report.mode, pattern, target)
+        if count is hom_count:
+            assert hom_count(pattern, target) is report
+            assert hom_count(fresh(pattern), target) is report
+
+
+def test_a_remembered_count_keeps_to_the_search_budget(monkeypatch):
+    f = disjoint_union(P3, K2)
+    k6 = graph(6, [(i, j) for i in range(6) for j in range(i + 1, 6)])
+    report = hom_count(f, k6)
+    monkeypatch.setenv("RELPOLY_SEARCH_BUDGET", str(report.nodes_explored))
+    assert hom_count(f, k6) is report
+    monkeypatch.setenv("RELPOLY_SEARCH_BUDGET", str(report.nodes_explored - 1))
+    with pytest.raises(BudgetError) as remembered:
+        hom_count(f, k6)
+    with pytest.raises(BudgetError) as searched:
+        hom_count(f, fresh(k6))
+    assert str(remembered.value) == str(searched.value)
+    assert str(remembered.value).startswith("hom search explored")
+    monkeypatch.setenv("RELPOLY_SEARCH_BUDGET", "1e9")
+    with pytest.raises(ToolkitError, match="RELPOLY_SEARCH_BUDGET must be a non-negative integer"):
+        hom_count(f, k6)
+    monkeypatch.delenv("RELPOLY_SEARCH_BUDGET")
+    assert hom_count(f, k6) is report
+
+
+def test_remembered_counts_keep_no_structure_alive(monkeypatch):
+    """Each of a and b is remembered as a pattern by the other, and g by
+    itself; none of them outlives its last outside reference."""
+    monkeypatch.setattr(canon, "_ORBITS", {})
+    rng = random.Random(5)
+    a, b, g = (random_graph(rng, 5, 0.6) for _ in range(3))
+    assert hom(a, b) == oracle_hom(a, b)[0] and hom(b, a) == oracle_hom(b, a)[0]
+    assert hom(g, g) == oracle_hom(g, g)[0] and inj(g, g) == oracle_inj(g, g)[0]
+    alive = [weakref.ref(s) for s in (a, b, g)]
+    del a, b, g
+    counting._plan.cache_clear()
+    canon._ORBITS.clear()
+    gc.collect()
+    assert [ref() for ref in alive] == [None, None, None]
+
+
+def test_a_target_remembers_at_most_the_memo_bound():
+    cap = counting._HOM_MEMO_CAP
+    target = fresh(K3)
+    patterns = [make_structure(GRAPH_SIG, k) for k in range(cap + 5)]
+    for k, pattern in enumerate(patterns):
+        assert hom(pattern, target) == 3 ** k
+        assert len(target.hom_reports) == min(k + 1, cap)
+    assert list(target.hom_reports) == patterns[5:]  # the oldest went first
+
+
+def test_a_second_basis_value_searches_nothing(monkeypatch):
+    phi = parse_formula("(E(x,y) & !(x = y)) | (E(y,z) & !E(x,z))", GRAPH_SIG)
+    basis = qf_to_hom_basis(phi)
+    target = random_graph(random.Random(6), 7)
+    first = basis.value(target)
+
+    def refuse(*_):
+        raise AssertionError("a remembered hom count was searched again")
+
+    monkeypatch.setattr(counting, "_count_maps", refuse)
+    assert basis.value(target) == first == count_satisfying(phi, target)

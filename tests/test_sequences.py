@@ -9,6 +9,7 @@ import pytest
 from relpoly import (
     GRAPH_SIG,
     BasicSeq,
+    BudgetError,
     CopiesSeq,
     FormulaParseError,
     InterpretedSeq,
@@ -583,3 +584,27 @@ def test_detector_on_generalized_basic_shapes():
     edge = make_structure(lam, 2, {"E'": [(0, 1), (1, 0)]})
     fit = detect_polynomial(spec, edge)
     assert fit.verdict == "Polynomial"
+
+
+def test_built_terms_are_charged_to_the_tuple_budget(monkeypatch):
+    """A tournament's order tuples, the vertices and tuples of copies and an
+    ordered sum's order tuples between blocks are charged to the tuple budget
+    before they are built: at the charge the term is built, one below it is
+    refused."""
+    n = parse_polynomial("n")
+    marked = BasicSeq(0, 1, ())  # one vertex, one tuple
+    cases = ((BasicSeq(1, 0, (n,)), 45, "tournament order tuples"),
+             (CopiesSeq(n, marked), 20, "vertices and tuples of copies"),
+             (OrderedSumSeq(marked, n), 45, "ordered-sum order tuples"))
+    for spec, charge, what in cases:
+        monkeypatch.setenv("RELPOLY_TUPLE_BUDGET", str(charge))
+        assert generate_term(spec, 10).domain == 10
+        monkeypatch.setenv("RELPOLY_TUPLE_BUDGET", str(charge - 1))
+        message = f"^{charge} {what} exceed the tuple budget of {charge - 1}$"
+        with pytest.raises(BudgetError, match=message):
+            generate_term(spec, 10)
+    with pytest.raises(BudgetError, match="^45 tournament order tuples exceed"):
+        build_transitive_tournament(10)
+    # copies of an empty term are empty, however many are asked for
+    empty = CopiesSeq(parse_polynomial("1000000000"), BasicSeq(0, 0, ()))
+    assert generate_term(empty, 0).domain == 0
