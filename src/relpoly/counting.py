@@ -4,7 +4,7 @@ partition-lattice machinery tying the three counts together."""
 from __future__ import annotations
 
 import math
-from contextvars import ContextVar
+from collections import defaultdict
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
@@ -162,47 +162,42 @@ def _no_items(_) -> tuple:
     return ()
 
 
-def _candidate_index(rel, here: tuple[int, ...], bound: tuple[int, ...]) -> dict:
+def _candidate_index(rel, here: tuple[int, ...], bound: tuple[int, ...], built) -> dict:
     """Map the images at the `bound` positions of a target tuple (keyed by
-    `_items(bound)`) to the set of w that fill every `here` position of some
-    tuple of `rel` agreeing with them."""
-    index: dict = {}
+    `_items(bound)`) to the w that fill every `here` position of some tuple of
+    `rel` agreeing with them, as (mask, members): an int with bit w set for
+    each such w, and the same w as an ascending tuple.  A tuple is its key and
+    its w, so `rel`, sorted, gives each key its w once each and ascending.
+
+    An index of `built` with the same members under every key (E(u,v) and
+    E(v,u) in a symmetric relation) is returned instead, before any mask is
+    made."""
+    found = defaultdict(list)
     first, rest = here[0], here[1:]
     if rest:
         at_here = itemgetter(*here)
         rel = [s for s in rel if at_here(s).count(s[first]) == len(here)]
     key = _items(bound)
     for s in rel:
-        k = key(s)
-        found = index.get(k)
-        if found is None:
-            index[k] = {s[first]}
-        else:
-            found.add(s[first])
-    return index
+        found[key(s)].append(s[first])
+    members_of = {k: tuple(members) for k, members in found.items()}
+    for index in built:
+        if len(index) == len(members_of) and all(
+                index.get(k, (0, None))[1] == members for k, members in members_of.items()):
+            return index
+    bit = (1).__lshift__
+    return {k: (sum(map(bit, members)), members) for k, members in members_of.items()}
 
 
-# The candidate indexes shared inside a `shared_indexes` block: the target
-# they index and a dict from tuple shape to index.
-_SHARED: ContextVar = ContextVar("relpoly_shared_indexes", default=None)
-
-
-class shared_indexes:
-    """Inside a `with shared_indexes(target)` block, hom counts into `target`
-    (this very object) build each candidate index once and share it; the
-    indexes are dropped on exit.  A class rather than a generator-based
-    context manager, because `HomBasis.value` enters one per call."""
-
-    __slots__ = ("target", "token")
-
-    def __init__(self, target: Structure):
-        self.target = target
-
-    def __enter__(self):
-        self.token = _SHARED.set((self.target, {}))
-
-    def __exit__(self, *exc):
-        _SHARED.reset(self.token)
+def _members(mask: int) -> list[int]:
+    """The positions of the set bits of `mask`, ascending, one step per set
+    bit, so that walking them costs in proportion to the candidates walked."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
 
 
 # The search recurses once per placed vertex; larger searches are refused
@@ -306,12 +301,12 @@ def _plan(pattern: Structure, signature: Signature, mode: str) -> tuple[_Search,
     return tuple(_search_plan(pattern, signature, symbols, vertices, mode) for vertices in groups)
 
 
-def _bind(plan: _Search, target: Structure, indexes: dict) -> list[list]:
+def _bind(plan: _Search, target: Structure) -> list[list]:
     """Per depth, the (index, key) lookups of the plan's steps into this
-    target.  `indexes` holds the candidate indexes built so far for the
-    target, by shape, and gains the new ones; an index equal to one already
-    built (E(u,v) and E(v,u) in a symmetric relation) is shared, so that the
-    search looks it up once."""
+    target.  The target keeps the candidate indexes built for it, by shape
+    (`Structure.candidate_indexes`), and gains the new ones; two shapes with
+    equal indexes share one, so that the search looks it up once."""
+    indexes = target.candidate_indexes
     lookups = []
     for at in plan.steps:
         bound: dict = {}
@@ -319,16 +314,15 @@ def _bind(plan: _Search, target: Structure, indexes: dict) -> list[list]:
             index = indexes.get(shape)
             if index is None:
                 rel = target.relations[symbol] if symbol is not None else ()
-                index = _candidate_index(rel, shape[1], shape[2])
-                index = next((b for b in indexes.values() if b == index), index)
-                indexes[shape] = index
+                index = indexes[shape] = _candidate_index(rel, shape[1], shape[2],
+                                                          indexes.values())
             bound.setdefault((id(index), us), (index, key_of))
         lookups.append(list(bound.values()))
     return lookups
 
 
 def _count_maps(plan: _Search, target: Structure, image: list[int], mode: str,
-                nodes: int, budget: int, indexes: dict) -> tuple[int, int]:
+                nodes: int, budget: int) -> tuple[int, int]:
     """Count relation-preserving maps of the plan's vertices into the target
     by an indexed candidate search.
 
@@ -336,7 +330,12 @@ def _count_maps(plan: _Search, target: Structure, image: list[int], mode: str,
     vertices to write images in.  `nodes` is the count of candidate images
     tried before this call and the return value includes it; the search stops
     with BudgetError once it exceeds `budget`, or at once for more than
-    _MAX_SEARCH_VERTICES vertices.  `indexes` is as in `_bind`.
+    _MAX_SEARCH_VERTICES vertices.
+
+    A depth's candidates are the `&` of its lookups' masks, less the used
+    images in inj and ind, and are counted by popcount.  A depth with one
+    lookup and nothing used among its candidates walks that entry's members;
+    any other walks the bits of the mask.
 
     In hom mode the count of extensions from a depth is cached under the
     images of the depth's separator, so the search order runs as a
@@ -363,7 +362,7 @@ def _count_maps(plan: _Search, target: Structure, image: list[int], mode: str,
         )
     injective = mode != "hom"
     induced = mode == "ind"
-    lookups = _bind(plan, target, indexes)
+    lookups = _bind(plan, target)
     memo_keys = plan.separators
     memos: dict[int, dict] = {} if injective else {depth: {} for depth in memo_keys}
     if induced:
@@ -371,8 +370,8 @@ def _count_maps(plan: _Search, target: Structure, image: list[int], mode: str,
         absent = [[(tsets[j], ts) for j, ts in at if ts and tsets[j]] for at in plan.absent]
     last = len(order) - 1
     n = target.domain
-    everything = frozenset(range(n)) if injective else range(n)
-    used: set[int] = set()
+    everything = ((1 << n) - 1, range(n))
+    used = 0  # the mask of the images placed so far, in inj and ind
 
     def stays_induced(depth: int, v: int, w: int) -> bool:
         image[v] = w
@@ -380,7 +379,7 @@ def _count_maps(plan: _Search, target: Structure, image: list[int], mode: str,
                        for tset, ts in absent[depth] for t in ts)
 
     def extend(depth: int) -> int:
-        nonlocal nodes
+        nonlocal nodes, used
         if depth > last:
             return 1
         memo = memos.get(depth)
@@ -391,42 +390,48 @@ def _count_maps(plan: _Search, target: Structure, image: list[int], mode: str,
                 return total
         checks = lookups[depth]
         if checks:
-            sets = []
+            mask = None
             for index, key_of in checks:
                 found = index.get(key_of(image))
-                if not found:
+                if found is None:
                     return 0
-                sets.append(found)
-            if len(sets) == 1:
-                candidates = sets[0]
-            else:
-                sets.sort(key=len)
-                candidates = sets[0].intersection(*sets[1:])
+                if mask is None:
+                    mask, candidates = found
+                else:
+                    mask &= found[0]
+                    candidates = None
         else:
-            candidates = everything
-        if injective and used:
-            candidates = candidates - used
-        nodes += len(candidates)
+            mask, candidates = everything
+        if used & mask:
+            mask &= ~used
+            candidates = None
+        size = mask.bit_count() if candidates is None else len(candidates)
+        nodes += size
         if nodes > budget:
             raise BudgetError(
                 f"{mode} search explored {nodes} nodes, over the budget of {budget}"
             )
+        v = order[depth]
+        if candidates is None and (depth < last or induced and absent[depth]):
+            candidates = _members(mask)
         if induced and absent[depth]:
-            v = order[depth]
             candidates = [w for w in candidates if stays_induced(depth, v, w)]
+            size = len(candidates)
         if depth == last:
-            total = len(candidates)
-        else:
-            v = order[depth]
+            total = size
+        elif injective:
             total = 0
             for w in candidates:
                 image[v] = w
-                if injective:
-                    used.add(w)
-                    total += extend(depth + 1)
-                    used.discard(w)
-                else:
-                    total += extend(depth + 1)
+                bit = 1 << w
+                used |= bit
+                total += extend(depth + 1)
+                used ^= bit
+        else:
+            total = 0
+            for w in candidates:
+                image[v] = w
+                total += extend(depth + 1)
         if memo is not None:
             memo[key] = total
         return total
@@ -438,21 +443,26 @@ def _count_maps(plan: _Search, target: Structure, image: list[int], mode: str,
         return extend(0), nodes
 
     def below(w: int) -> int:
+        nonlocal used
         image[order[0]] = w
         if not injective:
             return extend(1)
-        used.add(w)
+        used = 1 << w
         total = extend(1)
-        used.discard(w)
+        used = 0
         return total
 
     def rooted() -> int:
         """extend(0), with the gate after the second candidate."""
-        nonlocal nodes
-        sets = [index.get(()) for index, _ in lookups[0]]  # loops and marks of the first vertex
-        if not all(sets):
+        nonlocal nodes, used
+        found = [index.get(()) for index, _ in lookups[0]]  # loops and marks of the first vertex
+        if not all(found):
             return 0
-        candidates = set.intersection(*sets) if sets else everything
+        mask, candidates = found[0] if found else everything
+        if len(found) > 1:
+            for other, _ in found[1:]:
+                mask &= other
+            candidates = _members(mask)
         nodes += len(candidates)
         if nodes > budget:
             raise BudgetError(f"{mode} search explored {nodes} nodes, over the budget of {budget}")
@@ -477,9 +487,9 @@ def _count_maps(plan: _Search, target: Structure, image: list[int], mode: str,
             for w in todo:  # extend's own loop, without a call per candidate
                 image[v] = w
                 if injective:
-                    used.add(w)
+                    used = 1 << w
                     total += extend(1)
-                    used.discard(w)
+                    used = 0
                 else:
                     total += extend(1)
             return total
@@ -498,8 +508,7 @@ def _count_maps(plan: _Search, target: Structure, image: list[int], mode: str,
 
 def hom_count(pattern: Structure, target: Structure) -> CountReport:
     """All relation-preserving maps; factorizes over the pattern's connected
-    components and multiplies the per-component counts.  Inside a
-    `shared_indexes(target)` block it reuses the block's candidate indexes.
+    components and multiplies the per-component counts.
 
     The report is remembered with the target, for at most _HOM_MEMO_CAP
     patterns, and a later count of an equal pattern returns it while its
@@ -509,14 +518,12 @@ def hom_count(pattern: Structure, target: Structure) -> CountReport:
     report = memo.get(pattern)
     if report is not None and report.nodes_explored <= budget:
         return report
-    shared = _SHARED.get()
-    indexes = shared[1] if shared is not None and shared[0] is target else {}
     plan = _plan(pattern, target.signature, "hom")
     image = [0] * pattern.domain
     value = 1
     nodes = 0
     for component in plan:
-        sub, nodes = _count_maps(component, target, image, "hom", nodes, budget, indexes)
+        sub, nodes = _count_maps(component, target, image, "hom", nodes, budget)
         value *= sub
         if value == 0:
             break
@@ -533,7 +540,7 @@ def _injective_count(pattern: Structure, target: Structure, mode: str) -> CountR
         return CountReport(0, mode, 0)
     (plan,) = _plan(pattern, target.signature, mode)
     value, nodes = _count_maps(plan, target, [0] * pattern.domain, mode, 0,
-                               budgets.search_budget(), {})
+                               budgets.search_budget())
     return CountReport(value, mode, nodes)
 
 

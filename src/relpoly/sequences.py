@@ -152,6 +152,7 @@ def graph_from_edges(n: int, edges) -> Structure:
 
 
 def complete_graph(n: int) -> Structure:
+    budgets.charge_tuples(n * (n - 1), "edge tuples")
     return graph_from_edges(n, combinations(range(n), 2))
 
 
@@ -160,11 +161,13 @@ def empty_graph(n: int) -> Structure:
 
 
 def path_graph(n: int) -> Structure:
+    budgets.charge_tuples(2 * max(n - 1, 0), "edge tuples")
     return graph_from_edges(n, [(i, i + 1) for i in range(n - 1)])
 
 
 def cycle_graph(n: int) -> Structure:
     """The n-cycle; C_1 is a loop and C_2 a single edge."""
+    budgets.charge_tuples(2 * n, "edge tuples")
     return graph_from_edges(n, [(i, (i + 1) % n) for i in range(n)])
 
 
@@ -310,7 +313,10 @@ def ordered_sum_of(blocks, inner_signature: Signature) -> Structure:
 
 
 def ordered_sum(inner: SequenceSpec, n: int) -> Structure:
-    """Blocks are the inner sequence's terms at indices 1..n."""
+    """Blocks are the inner sequence's terms at indices 1..n.  The order
+    relation is built over every pair of blocks, so the pairs are charged
+    before any block is built, empty blocks included."""
+    budgets.charge_tuples(n * (n - 1) // 2, "ordered-sum block pairs")
     blocks = [generate_term(inner, i) for i in range(1, n + 1)]
     return ordered_sum_of(blocks, signature_of(inner))
 

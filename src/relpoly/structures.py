@@ -108,6 +108,13 @@ class Structure:
         field, so equality and hashing never see it."""
         return {}
 
+    @cached_property
+    def candidate_indexes(self) -> dict:
+        """The candidate indexes of the hom/inj/ind search into this
+        structure, by tuple shape, that `counting` builds on first use and
+        keeps for as long as the structure lives.  Not a field either."""
+        return {}
+
 
 def make_structure(signature: Signature, domain: int, relations=None) -> Structure:
     """Build a structure, normalizing each relation to a sorted duplicate-free tuple set.

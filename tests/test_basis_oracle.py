@@ -168,7 +168,7 @@ def _formulas_and_targets(draw):
 @settings(derandomize=True, deadline=None, database=None, max_examples=60)
 @given(_formulas_and_targets())
 def test_hom_basis_value_matches_count_satisfying(case):
-    """The basis terms share the target's candidate indexes within one
-    value call; the sum must still be the brute-force satisfaction count."""
+    """The basis terms reuse the candidate indexes the target keeps for every
+    count into it; the sum must still be the brute-force satisfaction count."""
     phi, target = case
     assert qf_to_hom_basis(phi).value(target) == count_satisfying(phi, target), phi

@@ -272,7 +272,13 @@ def test_oversized_terms_fail_on_the_tuple_budget(tmp_path, capsys):
               "4999950000 tournament order tuples exceed the tuple budget of"),
              ({"variant": "Copies", "count": "1000000000",
                "inner": {"variant": "Basic", "k": 0, "l": 1, "orders": []}}, "U1E(x)", "x",
-              "2000000000 vertices and tuples of copies exceed the tuple budget of"))
+              "2000000000 vertices and tuples of copies exceed the tuple budget of"),
+             ({"variant": "Reindexed", "by": "100000*n",
+               "inner": {"variant": "Custom", "name": "complete"}}, "E(x,y)", "x,y",
+              "9999900000 edge tuples exceed the tuple budget of"),
+             ({"variant": "OrderedSum", "length": "1000000*n",
+               "inner": {"variant": "Basic", "k": 0, "l": 0, "orders": []}}, "U(x)", "x",
+              "499999500000 ordered-sum block pairs exceed the tuple budget of"))
     for spec, formula, variables, message in specs:
         path = tmp_path / "spec.json"
         path.write_text(json.dumps(spec))

@@ -2,7 +2,6 @@ import gc
 import random
 import time
 import weakref
-from contextlib import nullcontext
 from itertools import product
 
 import pytest
@@ -404,8 +403,9 @@ def test_budgets_are_read_per_call_after_the_plan_is_cached(monkeypatch):
 
 @st.composite
 def _patterns_and_target_lists(draw):
-    """A pattern over SIG_RUT as in `_patterns_and_targets`, and three to five
-    targets over the signatures of TARGET_SIGS."""
+    """A pattern over SIG_RUT as in `_patterns_and_targets`, three to five
+    targets over the signatures of TARGET_SIGS, and two other patterns over
+    SIG_RUT."""
     rng = random.Random(draw(st.integers(0, 2**32)))
     density = draw(st.sampled_from((0.05, 0.15, 0.3)))
     pattern = random_structure(rng, SIG_RUT, rng.randrange(0, 5), density)
@@ -415,22 +415,29 @@ def _patterns_and_target_lists(draw):
     targets = [random_structure(rng, rng.choice(TARGET_SIGS), rng.randrange(0, 6),
                                 rng.choice((0.2, 0.4, 0.7)))
                for _ in range(rng.randrange(3, 6))]
-    return pattern, targets
+    others = [random_structure(rng, SIG_RUT, rng.randrange(1, 4), 0.3) for _ in range(2)]
+    return pattern, targets, others
 
 
 @settings(derandomize=True, deadline=None, database=None, max_examples=100)
 @given(_patterns_and_target_lists())
 def test_one_plan_serves_many_targets_property(case):
-    pattern, targets = case
+    """Each target is counted into twice: as a fresh object, and as one that
+    already keeps the candidate indexes of hom, inj and ind counts of other
+    patterns."""
+    pattern, targets, others = case
     for target in targets:
         expected = [oracle(pattern, target) for _, oracle in COUNTS]
-        for shared in (False, True):
+        for warm in (False, True):
             into = fresh(target)
-            with counting.shared_indexes(into) if shared else nullcontext():
-                reports = [count(pattern, into) for count, _ in COUNTS]
+            if warm:
+                for other in others:
+                    for count, _ in COUNTS:
+                        count(other, into)
+            reports = [count(pattern, into) for count, _ in COUNTS]
             for report, (value, nodes) in zip(reports, expected):
-                assert report.value == value, (report.mode, shared, pattern, target)
-                assert report.nodes_explored <= nodes, (report.mode, shared, pattern, target)
+                assert report.value == value, (report.mode, warm, pattern, target)
+                assert report.nodes_explored <= nodes, (report.mode, warm, pattern, target)
 
 
 def _closed_walks(adjacency: list[list[int]], length: int) -> int:
@@ -495,6 +502,33 @@ def test_searches_deeper_than_the_vertex_limit_are_refused():
     # oversized one ends the product
     assert hom(copies(K1, big.domain), K2) == 2 ** (limit + 1)
     assert hom(disjoint_union(K3, big), K2) == 0
+
+
+SIG_RU = sig(("R", 2), ("U", 1))
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_wide_masks_match_the_backtracker(seed):
+    """Targets of 0 or 64 to 130 vertices, so that the candidate masks span
+    several machine words.  hom, inj and ind are counted into one object in
+    turn, so that each later count reuses the indexes of the earlier ones,
+    and each must equal the count into a fresh object and the oracle."""
+    rng = random.Random(seed)
+    n = 0 if seed == 0 else rng.randrange(64, 131)
+    p = rng.choice((0.02, 0.04))
+    target = make_structure(SIG_RU, n, {
+        "R": [(u, v) for u in range(n) for v in range(n) if rng.random() < p],
+        "U": [(v,) for v in range(n) if rng.random() < 0.5],
+    })
+    pattern = random_structure(rng, SIG_RU, 1 + seed % 3, 0.4)
+    into = fresh(target)
+    for count, oracle in COUNTS:
+        report = count(pattern, into)
+        alone = count(pattern, fresh(target))
+        assert (report.value, report.nodes_explored) == (alone.value, alone.nodes_explored)
+        value, nodes = oracle(pattern, target)
+        assert report.value == value, (report.mode, seed, pattern)
+        assert report.nodes_explored <= nodes, (report.mode, seed, pattern)
 
 
 def test_ind_count_on_paley_matches_oracle():

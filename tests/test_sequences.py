@@ -587,18 +587,23 @@ def test_detector_on_generalized_basic_shapes():
 
 
 def test_built_terms_are_charged_to_the_tuple_budget(monkeypatch):
-    """A tournament's order tuples, the vertices and tuples of copies and an
-    ordered sum's order tuples between blocks are charged to the tuple budget
-    before they are built: at the charge the term is built, one below it is
-    refused."""
+    """A tournament's order tuples, the vertices and tuples of copies, an
+    ordered sum's block pairs and its order tuples between blocks, and the
+    edge tuples of the complete graph, the cycle and the path are charged to
+    the tuple budget before they are built: at the charge the term is built,
+    one below it is refused."""
     n = parse_polynomial("n")
     marked = BasicSeq(0, 1, ())  # one vertex, one tuple
-    cases = ((BasicSeq(1, 0, (n,)), 45, "tournament order tuples"),
-             (CopiesSeq(n, marked), 20, "vertices and tuples of copies"),
-             (OrderedSumSeq(marked, n), 45, "ordered-sum order tuples"))
-    for spec, charge, what in cases:
+    cases = ((BasicSeq(1, 0, (n,)), 10, 45, "tournament order tuples"),
+             (CopiesSeq(n, marked), 10, 20, "vertices and tuples of copies"),
+             (OrderedSumSeq(BasicSeq(0, 2, ()), n), 20, 180, "ordered-sum order tuples"),
+             (OrderedSumSeq(BasicSeq(0, 0, ()), n), 0, 45, "ordered-sum block pairs"),
+             (custom_seq("complete"), 10, 90, "edge tuples"),
+             (custom_seq("cycle"), 10, 20, "edge tuples"),
+             (custom_seq("path"), 10, 18, "edge tuples"))
+    for spec, domain, charge, what in cases:
         monkeypatch.setenv("RELPOLY_TUPLE_BUDGET", str(charge))
-        assert generate_term(spec, 10).domain == 10
+        assert generate_term(spec, 10).domain == domain
         monkeypatch.setenv("RELPOLY_TUPLE_BUDGET", str(charge - 1))
         message = f"^{charge} {what} exceed the tuple budget of {charge - 1}$"
         with pytest.raises(BudgetError, match=message):
