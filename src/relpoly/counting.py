@@ -162,22 +162,35 @@ def _no_items(_) -> tuple:
     return ()
 
 
-def _candidate_index(rel, here: tuple[int, ...], bound: tuple[int, ...], built) -> dict:
+def _candidate_index(rel, here: tuple[int, ...], bound: tuple[int, ...], built,
+                     masks: bool) -> dict:
     """Map the images at the `bound` positions of a target tuple (keyed by
     `_items(bound)`) to the w that fill every `here` position of some tuple of
-    `rel` agreeing with them, as (mask, members): an int with bit w set for
-    each such w, and the same w as an ascending tuple.  A tuple is its key and
-    its w, so `rel`, sorted, gives each key its w once each and ascending.
+    `rel` agreeing with them.  With `masks`, each entry is (mask, members):
+    an int with bit w set for each such w, and the same w as an ascending
+    tuple; otherwise it is the set of them, which the search never changes.  A
+    tuple is its key and its w, so `rel`, sorted, gives each key its w once
+    each and ascending.
 
     An index of `built` with the same members under every key (E(u,v) and
     E(v,u) in a symmetric relation) is returned instead, before any mask is
     made."""
-    found = defaultdict(list)
     first, rest = here[0], here[1:]
     if rest:
         at_here = itemgetter(*here)
         rel = [s for s in rel if at_here(s).count(s[first]) == len(here)]
     key = _items(bound)
+    if not masks:
+        index: dict = {}
+        for s in rel:
+            k = key(s)
+            found = index.get(k)
+            if found is None:
+                index[k] = {s[first]}
+            else:
+                found.add(s[first])
+        return next((b for b in built if b == index), index)
+    found = defaultdict(list)
     for s in rel:
         found[key(s)].append(s[first])
     members_of = {k: tuple(members) for k, members in found.items()}
@@ -199,6 +212,25 @@ def _members(mask: int) -> list[int]:
         mask ^= low
     return out
 
+
+# A target's candidates are bitmasks when it has at most this many vertices
+# and at least n/64 tuples per vertex, and sets otherwise (`_uses_masks`).  A
+# mask costs in proportion to its target's vertices, not to its key's
+# members: about n/8 bytes, and about n/30 digit steps to build, `&` and
+# count.  It pays where a key's members are many next to that, as on dense
+# targets, where a set intersection walks hundreds of members: hom(K3,
+# G(1024, 0.3)) takes 0.4 s with masks and 5.6 s with sets.  On sparse
+# targets building the masks costs more than they save (hom(K2, C_1024) takes
+# 1.6 times as long), and past 1024 vertices their memory would grow with
+# n^2 (0.65 GB for one index of C_100000), where that of sets follows the
+# tuples.  Up to 1024 vertices a mask is at most 35 digits, 164 bytes, less
+# than the smallest set's 216.
+_MASK_VERTICES = 1024
+
+
+def _uses_masks(target: Structure) -> bool:
+    n = target.domain
+    return n <= _MASK_VERTICES and 64 * target.total_tuples() >= n * n
 
 # The search recurses once per placed vertex; larger searches are refused
 # well inside Python's default recursion limit of 1000 frames.
@@ -301,9 +333,9 @@ def _plan(pattern: Structure, signature: Signature, mode: str) -> tuple[_Search,
     return tuple(_search_plan(pattern, signature, symbols, vertices, mode) for vertices in groups)
 
 
-def _bind(plan: _Search, target: Structure) -> list[list]:
+def _bind(plan: _Search, target: Structure, masks: bool) -> list[list]:
     """Per depth, the (index, key) lookups of the plan's steps into this
-    target.  The target keeps the candidate indexes built for it, by shape
+    target, whose indexes hold masks when `masks`.  The target keeps the candidate indexes built for it, by shape
     (`Structure.candidate_indexes`), and gains the new ones; two shapes with
     equal indexes share one, so that the search looks it up once."""
     indexes = target.candidate_indexes
@@ -314,8 +346,8 @@ def _bind(plan: _Search, target: Structure) -> list[list]:
             index = indexes.get(shape)
             if index is None:
                 rel = target.relations[symbol] if symbol is not None else ()
-                index = indexes[shape] = _candidate_index(rel, shape[1], shape[2],
-                                                          indexes.values())
+                index = indexes[shape] = _candidate_index(
+                    rel, shape[1], shape[2], indexes.values(), masks)
             bound.setdefault((id(index), us), (index, key_of))
         lookups.append(list(bound.values()))
     return lookups
@@ -332,10 +364,11 @@ def _count_maps(plan: _Search, target: Structure, image: list[int], mode: str,
     with BudgetError once it exceeds `budget`, or at once for more than
     _MAX_SEARCH_VERTICES vertices.
 
-    A depth's candidates are the `&` of its lookups' masks, less the used
-    images in inj and ind, and are counted by popcount.  A depth with one
+    A depth's candidates are the `&` of its lookups' candidates, less the
+    used images in inj and ind: bitmasks counted by popcount on targets that
+    `_uses_masks`, sets on the others.  A depth with one
     lookup and nothing used among its candidates walks that entry's members;
-    any other walks the bits of the mask.
+    any other walks the bits of the mask, or the set.
 
     In hom mode the count of extensions from a depth is cached under the
     images of the depth's separator, so the search order runs as a
@@ -362,7 +395,8 @@ def _count_maps(plan: _Search, target: Structure, image: list[int], mode: str,
         )
     injective = mode != "hom"
     induced = mode == "ind"
-    lookups = _bind(plan, target)
+    masks = _uses_masks(target)
+    lookups = _bind(plan, target, masks)
     memo_keys = plan.separators
     memos: dict[int, dict] = {} if injective else {depth: {} for depth in memo_keys}
     if induced:
@@ -370,8 +404,16 @@ def _count_maps(plan: _Search, target: Structure, image: list[int], mode: str,
         absent = [[(tsets[j], ts) for j, ts in at if ts and tsets[j]] for at in plan.absent]
     last = len(order) - 1
     n = target.domain
-    everything = ((1 << n) - 1, range(n))
-    used = 0  # the mask of the images placed so far, in inj and ind
+    if masks:
+        none = 0
+        everything = ((1 << n) - 1, range(n))
+    else:
+        none = set()
+        everything = (frozenset(range(n)) if injective else range(n), range(n))
+    # The images placed so far, in inj and ind.  A set is changed in place,
+    # each image added and removed again around its subtree, so that `none`
+    # stays empty.
+    used = none
 
     def stays_induced(depth: int, v: int, w: int) -> bool:
         image[v] = w
@@ -395,16 +437,21 @@ def _count_maps(plan: _Search, target: Structure, image: list[int], mode: str,
                 found = index.get(key_of(image))
                 if found is None:
                     return 0
-                if mask is None:
+                if mask is not None:
+                    mask = mask & (found[0] if masks else found)
+                    candidates = None if masks else mask
+                elif masks:
                     mask, candidates = found
                 else:
-                    mask &= found[0]
-                    candidates = None
+                    mask = candidates = found
         else:
             mask, candidates = everything
-        if used & mask:
-            mask &= ~used
-            candidates = None
+        if used:
+            if not masks:
+                mask = candidates = mask - used
+            elif used & mask:
+                mask &= ~used
+                candidates = None
         size = mask.bit_count() if candidates is None else len(candidates)
         nodes += size
         if nodes > budget:
@@ -421,12 +468,19 @@ def _count_maps(plan: _Search, target: Structure, image: list[int], mode: str,
             total = size
         elif injective:
             total = 0
-            for w in candidates:
-                image[v] = w
-                bit = 1 << w
-                used |= bit
-                total += extend(depth + 1)
-                used ^= bit
+            if masks:
+                for w in candidates:
+                    image[v] = w
+                    bit = 1 << w
+                    used |= bit
+                    total += extend(depth + 1)
+                    used ^= bit
+            else:
+                for w in candidates:
+                    image[v] = w
+                    used.add(w)
+                    total += extend(depth + 1)
+                    used.discard(w)
         else:
             total = 0
             for w in candidates:
@@ -447,9 +501,9 @@ def _count_maps(plan: _Search, target: Structure, image: list[int], mode: str,
         image[order[0]] = w
         if not injective:
             return extend(1)
-        used = 1 << w
+        used = 1 << w if masks else {w}
         total = extend(1)
-        used = 0
+        used = none
         return total
 
     def rooted() -> int:
@@ -458,11 +512,13 @@ def _count_maps(plan: _Search, target: Structure, image: list[int], mode: str,
         found = [index.get(()) for index, _ in lookups[0]]  # loops and marks of the first vertex
         if not all(found):
             return 0
+        if not masks:
+            found = [(s, s) for s in found]
         mask, candidates = found[0] if found else everything
         if len(found) > 1:
             for other, _ in found[1:]:
-                mask &= other
-            candidates = _members(mask)
+                mask = mask & other
+            candidates = _members(mask) if masks else mask
         nodes += len(candidates)
         if nodes > budget:
             raise BudgetError(f"{mode} search explored {nodes} nodes, over the budget of {budget}")
@@ -487,9 +543,9 @@ def _count_maps(plan: _Search, target: Structure, image: list[int], mode: str,
             for w in todo:  # extend's own loop, without a call per candidate
                 image[v] = w
                 if injective:
-                    used = 1 << w
+                    used = 1 << w if masks else {w}
                     total += extend(1)
-                    used = 0
+                    used = none
                 else:
                     total += extend(1)
             return total

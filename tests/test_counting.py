@@ -1,8 +1,13 @@
 import gc
+import json
+import os
 import random
+import subprocess
+import sys
 import time
 import weakref
 from itertools import product
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -507,12 +512,18 @@ def test_searches_deeper_than_the_vertex_limit_are_refused():
 SIG_RU = sig(("R", 2), ("U", 1))
 
 
+@pytest.mark.parametrize("sets", (False, True))
 @pytest.mark.parametrize("seed", range(12))
-def test_wide_masks_match_the_backtracker(seed):
-    """Targets of 0 or 64 to 130 vertices, so that the candidate masks span
-    several machine words.  hom, inj and ind are counted into one object in
-    turn, so that each later count reuses the indexes of the earlier ones,
-    and each must equal the count into a fresh object and the oracle."""
+def test_wide_targets_match_the_backtracker(seed, sets, monkeypatch):
+    """Targets of 0 or 64 to 130 vertices, dense enough for masks, so that
+    the candidate masks span several machine words; with `sets`, every target
+    is past the mask limit, so that the search runs on candidate sets, as it
+    does on sparse targets and on those of more than _MASK_VERTICES
+    vertices.  hom, inj and ind are counted into one object in turn, so that
+    each later count reuses the indexes of the earlier ones, and each must
+    equal the count into a fresh object and the oracle."""
+    if sets:
+        monkeypatch.setattr(counting, "_MASK_VERTICES", -1)
     rng = random.Random(seed)
     n = 0 if seed == 0 else rng.randrange(64, 131)
     p = rng.choice((0.02, 0.04))
@@ -520,6 +531,7 @@ def test_wide_masks_match_the_backtracker(seed):
         "R": [(u, v) for u in range(n) for v in range(n) if rng.random() < p],
         "U": [(v,) for v in range(n) if rng.random() < 0.5],
     })
+    assert counting._uses_masks(target) is not sets
     pattern = random_structure(rng, SIG_RU, 1 + seed % 3, 0.4)
     into = fresh(target)
     for count, oracle in COUNTS:
@@ -529,6 +541,35 @@ def test_wide_masks_match_the_backtracker(seed):
         value, nodes = oracle(pattern, target)
         assert report.value == value, (report.mode, seed, pattern)
         assert report.nodes_explored <= nodes, (report.mode, seed, pattern)
+
+
+_LONG_SPARSE_COUNTS = """
+import json, resource
+resource.setrlimit(resource.RLIMIT_AS, (400 << 20, 400 << 20))
+from relpoly import copies, hom, ind, inj
+from relpoly.gallery import complete_graph, cycle_graph, path_graph
+n = 100_000
+k2, p3, k3 = complete_graph(2), path_graph(3), complete_graph(3)
+cycle, path, triangles = cycle_graph(n), path_graph(n), copies(k3, n // 3)
+print(json.dumps([hom(k2, cycle), hom(p3, cycle), hom(k3, cycle), inj(p3, cycle),
+                  ind(p3, cycle), hom(p3, path), hom(k3, triangles), inj(p3, triangles)]))
+"""
+
+
+def test_long_sparse_targets_count_in_bounded_memory():
+    """A cycle, a path and copies of K3 on 10^5 vertices keep candidate sets,
+    whose memory is in proportion to the target's tuples.  Masks would take
+    about n/8 bytes per key, over 0.6 GB for one index of the cycle.  The
+    counts run in a process limited to 400 MB of address space and must end
+    within two minutes."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run([sys.executable, "-c", _LONG_SPARSE_COUNTS], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    n = 100_000
+    assert json.loads(done.stdout) == [2 * n, 4 * n, 0, 2 * n, 2 * n, 4 * n - 6,
+                                       2 * n - 2, 2 * n - 2]
 
 
 def test_ind_count_on_paley_matches_oracle():

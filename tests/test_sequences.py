@@ -44,7 +44,7 @@ from relpoly import (
     spec_to_json,
     telescoped_inj,
 )
-from relpoly import logic
+from relpoly import logic, sequences
 from relpoly.budgets import basis_budget
 from relpoly.gallery import ENTRIES, crown_scheme, cycle_graph
 from relpoly.logic import basis_work
@@ -613,3 +613,19 @@ def test_built_terms_are_charged_to_the_tuple_budget(monkeypatch):
     # copies of an empty term are empty, however many are asked for
     empty = CopiesSeq(parse_polynomial("1000000000"), BasicSeq(0, 0, ()))
     assert generate_term(empty, 0).domain == 0
+
+
+def test_ordered_sums_of_empty_blocks_stop_at_the_block_pairs(monkeypatch):
+    """The order relation is built by a walk over every pair of blocks, so an
+    ordered sum of n blocks charges n(n-1)/2 block pairs even when its blocks
+    are empty.  Under the default tuple budget of 10^7 the largest is 4,472
+    blocks (9,997,156 pairs); 4,473 are refused before any block is built.
+    Assembling the 4,472 blocks walks 10^7 pairs, so the test stops at the
+    assembly and counts the blocks handed to it."""
+    monkeypatch.delenv("RELPOLY_TUPLE_BUDGET", raising=False)
+    empty = BasicSeq(0, 0, ())
+    message = "^10001628 ordered-sum block pairs exceed the tuple budget of 10000000$"
+    with pytest.raises(BudgetError, match=message):
+        sequences.ordered_sum(empty, 4473)
+    monkeypatch.setattr(sequences, "ordered_sum_of", lambda blocks, _: len(blocks))
+    assert sequences.ordered_sum(empty, 4472) == 4472
