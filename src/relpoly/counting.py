@@ -263,10 +263,10 @@ class _Search(NamedTuple):
     their images alone.  A depth whose separator holds every placed vertex
     gets no key, since a memo keyed on it would see each key once.
 
-    `absent[depth]`, for ind only, holds (target symbol, pattern tuples) for
-    the tuples that hold the vertex placed at that depth, lie over placed
-    vertices only and are missing from the pattern; an induced map must send
-    each of them to a tuple missing from the target.
+    `absent[depth]` holds lookups of the same form for the tuples over placed
+    vertices that the pattern lacks, in ind only (empty in hom and inj): an
+    induced map sends none of them to a target tuple, so the images they find
+    are no candidates.
 
     A group of more than _MAX_SEARCH_VERTICES vertices keeps its vertices
     as `order` and no steps, and is refused when it is searched."""
@@ -284,15 +284,31 @@ def _search_plan(pattern: Structure, signature: Signature, symbols: tuple,
     order = _search_order(pattern, vertices)
     position = {v: i for i, v in enumerate(order)}
     steps: list[dict] = [{} for _ in order]
+    absent: list[dict] = [{} for _ in order]
+    # Every lookup of one shape, or over the same bound vertices, shares one
+    # object: ind has a lookup per tuple the pattern lacks.
+    shapes, keys = {}, {}
+
+    def add_lookup(at: list[dict], name: str, symbol: int | None, t: tuple) -> None:
+        depth = max(position[u] for u in t)
+        v = order[depth]
+        shape = (name, tuple(i for i, u in enumerate(t) if u == v),
+                 tuple(i for i, u in enumerate(t) if u != v))
+        shape = shapes.setdefault(shape, shape)
+        us = tuple(t[i] for i in shape[2])
+        us, key_of = keys.setdefault(us, (us, _items(us)))
+        at[depth].setdefault((shape, us), (symbol, shape, us, key_of))
+
     for (name, _), symbol, rel in zip(pattern.signature.symbols, symbols, pattern.relations):
         for t in rel:
-            if not all(u in position for u in t):
-                continue
-            depth = max(position[u] for u in t)
-            v = order[depth]
-            here = tuple(i for i, u in enumerate(t) if u == v)
-            bound = tuple(i for i, u in enumerate(t) if u != v)
-            steps[depth].setdefault(((name, here, bound), tuple(t[i] for i in bound)), symbol)
+            if all(u in position for u in t):
+                add_lookup(steps, name, symbol, t)
+    if mode == "ind":
+        have = {j: frozenset(rel) for j, rel in zip(symbols, pattern.relations)}
+        for j, (name, arity) in enumerate(signature.symbols):
+            for t in product(order, repeat=arity):
+                if t not in have.get(j, ()):
+                    add_lookup(absent, name, j, t)
     separators: dict = {}
     if len(order) > 2:  # in a connected pattern the first vertex is depth 1's separator
         last_read: dict[int, int] = {}
@@ -304,22 +320,8 @@ def _search_plan(pattern: Structure, signature: Signature, symbols: tuple,
             separator = tuple(u for u in order[:depth] if last_read.get(u, -1) >= depth)
             if len(separator) < depth:
                 separators[depth] = _items(separator)
-    absent = None
-    if mode == "ind":
-        have = {j: frozenset(rel) for j, rel in zip(symbols, pattern.relations)}
-        absent = tuple(
-            tuple((j, tuple(t for t in product(order[:depth + 1], repeat=arity)
-                            if v in t and t not in have.get(j, ())))
-                  for j, (_, arity) in enumerate(signature.symbols))
-            for depth, v in enumerate(order)
-        )
-    return _Search(
-        tuple(order),
-        tuple(tuple((symbol, shape, us, _items(us)) for (shape, us), symbol in at.items())
-              for at in steps),
-        separators,
-        absent,
-    )
+    return _Search(tuple(order), tuple(tuple(at.values()) for at in steps), separators,
+                   tuple(tuple(at.values()) for at in absent))
 
 
 @lru_cache(maxsize=256)
@@ -333,14 +335,15 @@ def _plan(pattern: Structure, signature: Signature, mode: str) -> tuple[_Search,
     return tuple(_search_plan(pattern, signature, symbols, vertices, mode) for vertices in groups)
 
 
-def _bind(plan: _Search, target: Structure, masks: bool) -> list[list]:
-    """Per depth, the (index, key) lookups of the plan's steps into this
-    target, whose indexes hold masks when `masks`.  The target keeps the candidate indexes built for it, by shape
+def _bind(plan: _Search, target: Structure, masks: bool) -> tuple[list[list], list[list]]:
+    """Per depth, the (index, key) lookups of the plan's steps, and those of
+    its absent tuples, into this target, whose indexes hold masks when
+    `masks`.  The target keeps the candidate indexes built for it, by shape
     (`Structure.candidate_indexes`), and gains the new ones; two shapes with
     equal indexes share one, so that the search looks it up once."""
     indexes = target.candidate_indexes
-    lookups = []
-    for at in plan.steps:
+
+    def bind(at: tuple) -> list:
         bound: dict = {}
         for symbol, shape, us, key_of in at:
             index = indexes.get(shape)
@@ -349,8 +352,9 @@ def _bind(plan: _Search, target: Structure, masks: bool) -> list[list]:
                 index = indexes[shape] = _candidate_index(
                     rel, shape[1], shape[2], indexes.values(), masks)
             bound.setdefault((id(index), us), (index, key_of))
-        lookups.append(list(bound.values()))
-    return lookups
+        return list(bound.values())
+
+    return [bind(at) for at in plan.steps], [bind(at) for at in plan.absent]
 
 
 def _count_maps(plan: _Search, target: Structure, image: list[int], mode: str,
@@ -368,7 +372,9 @@ def _count_maps(plan: _Search, target: Structure, image: list[int], mode: str,
     used images in inj and ind: bitmasks counted by popcount on targets that
     `_uses_masks`, sets on the others.  A depth with one
     lookup and nothing used among its candidates walks that entry's members;
-    any other walks the bits of the mask, or the set.
+    any other walks the bits of the mask, or the set.  The depth's nodes are
+    counted there; in ind the images its absent lookups find are removed
+    after that.
 
     In hom mode the count of extensions from a depth is cached under the
     images of the depth's separator, so the search order runs as a
@@ -393,16 +399,12 @@ def _count_maps(plan: _Search, target: Structure, image: list[int], mode: str,
             f"a search over {len(order)} pattern vertices exceeds the limit of "
             f"{_MAX_SEARCH_VERTICES}"
         )
-    injective = mode != "hom"
-    induced = mode == "ind"
-    masks = _uses_masks(target)
-    lookups = _bind(plan, target, masks)
-    memo_keys = plan.separators
-    memos: dict[int, dict] = {} if injective else {depth: {} for depth in memo_keys}
-    if induced:
-        tsets = target.rel_sets()
-        absent = [[(tsets[j], ts) for j, ts in at if ts and tsets[j]] for at in plan.absent]
     last = len(order) - 1
+    if last < 0:
+        return 1, nodes
+    injective = mode != "hom"
+    masks = _uses_masks(target)
+    lookups, absent = _bind(plan, target, masks)
     n = target.domain
     if masks:
         none = 0
@@ -410,17 +412,38 @@ def _count_maps(plan: _Search, target: Structure, image: list[int], mode: str,
     else:
         none = set()
         everything = (frozenset(range(n)) if injective else range(n), range(n))
+
+    # Depth 0 binds no vertex: its keys are all (), and nothing is used yet.
+    found = [index.get(()) for index, _ in lookups[0]]
+    if None in found:
+        return 0, nodes
+    if not masks:
+        found = [(s, s) for s in found]
+    mask, candidates = found[0] if found else everything
+    for other, _ in found[1:]:
+        mask = mask & other
+        candidates = None if masks else mask
+    nodes += mask.bit_count() if candidates is None else len(candidates)
+    if nodes > budget:
+        raise BudgetError(f"{mode} search explored {nodes} nodes, over the budget of {budget}")
+    for index, _ in absent[0]:
+        gone = index.get(())
+        if gone is not None:
+            mask = mask & ~gone[0] if masks else mask - gone
+            candidates = None if masks else mask
+    if last == 0:
+        return mask.bit_count() if candidates is None else len(candidates), nodes
+    if candidates is None:
+        candidates = _members(mask)
+    memo_keys = plan.separators
+    memos: dict[int, dict] = {} if injective else {depth: {} for depth in memo_keys}
     # The images placed so far, in inj and ind.  A set is changed in place,
     # each image added and removed again around its subtree, so that `none`
     # stays empty.
     used = none
 
-    def stays_induced(depth: int, v: int, w: int) -> bool:
-        image[v] = w
-        return not any(tuple([image[u] for u in t]) in tset
-                       for tset, ts in absent[depth] for t in ts)
-
     def extend(depth: int) -> int:
+        """The count of extensions from `depth` on, for depth >= 1."""
         nonlocal nodes, used
         if depth > last:
             return 1
@@ -455,20 +478,27 @@ def _count_maps(plan: _Search, target: Structure, image: list[int], mode: str,
         size = mask.bit_count() if candidates is None else len(candidates)
         nodes += size
         if nodes > budget:
-            raise BudgetError(
-                f"{mode} search explored {nodes} nodes, over the budget of {budget}"
-            )
-        v = order[depth]
-        if candidates is None and (depth < last or induced and absent[depth]):
-            candidates = _members(mask)
-        if induced and absent[depth]:
-            candidates = [w for w in candidates if stays_induced(depth, v, w)]
-            size = len(candidates)
+            raise BudgetError(f"{mode} search explored {nodes} nodes, over the budget of {budget}")
+        gone = absent[depth]
+        if gone:
+            for index, key_of in gone:
+                found = index.get(key_of(image))
+                if found is not None:
+                    mask = mask & ~found[0] if masks else mask - found
+                    candidates = None if masks else mask
+            size = mask.bit_count() if candidates is None else len(candidates)
         if depth == last:
             total = size
-        elif injective:
+        else:
+            if candidates is None:
+                candidates = _members(mask)
+            v = order[depth]
             total = 0
-            if masks:
+            if not injective:
+                for w in candidates:
+                    image[v] = w
+                    total += extend(depth + 1)
+            elif masks:
                 for w in candidates:
                     image[v] = w
                     bit = 1 << w
@@ -481,85 +511,53 @@ def _count_maps(plan: _Search, target: Structure, image: list[int], mode: str,
                     used.add(w)
                     total += extend(depth + 1)
                     used.discard(w)
-        else:
-            total = 0
-            for w in candidates:
-                image[v] = w
-                total += extend(depth + 1)
         if memo is not None:
             memo[key] = total
         return total
 
-    # One depth-0 subtree holds at most last * n^last nodes.  When that many
-    # over n - 2 candidates stay within the gate, as on every small target,
-    # the search is the plain one; `extend` itself never looks at the gate.
-    if not (last > 0 and last * n ** last * (n - 2) > _ORBIT_GATE * n):
-        return extend(0), nodes
+    v = order[0]
 
-    def below(w: int) -> int:
+    def search(ws) -> int:
+        """Depth 0's one loop: the maps sending the first vertex into `ws`."""
         nonlocal used
-        image[order[0]] = w
-        if not injective:
-            return extend(1)
-        used = 1 << w if masks else {w}
-        total = extend(1)
-        used = none
+        total = 0
+        for w in ws:
+            image[v] = w
+            if injective:
+                used = 1 << w if masks else {w}
+                total += extend(1)
+                used = none
+            else:
+                total += extend(1)
         return total
 
-    def rooted() -> int:
-        """extend(0), with the gate after the second candidate."""
-        nonlocal nodes, used
-        found = [index.get(()) for index, _ in lookups[0]]  # loops and marks of the first vertex
-        if not all(found):
-            return 0
-        if not masks:
-            found = [(s, s) for s in found]
-        mask, candidates = found[0] if found else everything
-        if len(found) > 1:
-            for other, _ in found[1:]:
-                mask = mask & other
-            candidates = _members(mask) if masks else mask
-        nodes += len(candidates)
-        if nodes > budget:
-            raise BudgetError(f"{mode} search explored {nodes} nodes, over the budget of {budget}")
-        if induced and absent[0]:
-            candidates = [w for w in candidates if stays_induced(0, order[0], w)]
-        if len(candidates) <= 2:
-            return sum(below(w) for w in candidates)
+    if len(candidates) <= 2:
+        total = search(candidates)
+    else:
         todo = iter(candidates)
-        first = next(todo)
-        first_total = below(first)
+        first, second = next(todo), next(todo)
+        first_total = search((first,))
         start = nodes
-        second = next(todo)
-        second_total = below(second)
+        second_total = search((second,))
         total = first_total + second_total
         # Projected from the second subtree, which finds the separator memos
         # filled by the first as every later one does; n alone settles most
-        # searches without summing the target's tuples.
+        # searches without summing the target's tuples.  One subtree holds
+        # at most last * n^last nodes, so small targets never reach the gate.
         projected = (nodes - start) * (len(candidates) - 2)
         limit = _ORBIT_GATE * n
         if projected <= limit or projected <= limit + _ORBIT_GATE * target.total_tuples():
-            v = order[0]
-            for w in todo:  # extend's own loop, without a call per candidate
-                image[v] = w
-                if injective:
-                    used = 1 << w if masks else {w}
-                    total += extend(1)
-                    used = none
-                else:
-                    total += extend(1)
-            return total
-        orbit_of, work = canon.orbits(target, min(projected, budget - nodes))
-        nodes += work  # at most the allowance, so still within the budget
-        subtotals = {orbit_of[first]: first_total, orbit_of[second]: second_total}
-        for w in todo:
-            sub = subtotals.get(orbit_of[w])
-            if sub is None:
-                sub = subtotals[orbit_of[w]] = below(w)
-            total += sub
-        return total
-
-    return rooted(), nodes
+            total += search(todo)
+        else:
+            orbit_of, work = canon.orbits(target, min(projected, budget - nodes))
+            nodes += work  # at most the allowance, so still within the budget
+            subtotals = {orbit_of[first]: first_total, orbit_of[second]: second_total}
+            for w in todo:
+                sub = subtotals.get(orbit_of[w])
+                if sub is None:
+                    sub = subtotals[orbit_of[w]] = search((w,))
+                total += sub
+    return total, nodes
 
 
 def hom_count(pattern: Structure, target: Structure) -> CountReport:

@@ -4,6 +4,7 @@ and the Paley-graph polynomial experiment."""
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
@@ -760,6 +761,9 @@ def paley_experiment(pattern: Structure, primes, fit_count: int | None = None,
     primes = list(primes)
     if not primes:
         raise SignatureError("at least one prime is required")
+    repeated = [q for q, times in Counter(primes).items() if times > 1]
+    if repeated:
+        raise SignatureError(f"prime {repeated[0]} is repeated")
     if fit_count is None:
         fit_count = len(primes) - 1 if len(primes) > 1 else 1
     if not 1 <= fit_count <= len(primes):

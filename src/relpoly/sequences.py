@@ -288,12 +288,12 @@ def ordered_sum_of(blocks, inner_signature: Signature) -> Structure:
             s_name, u_name,
         )
     relations: dict[str, list] = {name: [] for name in combined.names}
-    offsets = []
+    spans = []
     offset = 0
     for block in blocks:
         if block.signature != inner_signature:
             raise SignatureError("ordered-sum blocks must share the inner signature")
-        offsets.append(offset)
+        spans.append((offset, offset + block.domain))
         for name in inner_signature.names:
             relations[inner_map[name]].extend(
                 tuple(v + offset for v in t) for t in block.rel(name)
@@ -303,19 +303,15 @@ def ordered_sum_of(blocks, inner_signature: Signature) -> Structure:
     budgets.charge_tuples((total * total - sum(b.domain ** 2 for b in blocks)) // 2,
                           "ordered-sum order tuples")
     relations[u_name] = [(v,) for v in range(total)]
-    spans = [(off, off + b.domain) for off, b in zip(offsets, blocks)]
-    order = []
-    for i, (lo_i, hi_i) in enumerate(spans):
-        for lo_j, hi_j in spans[i + 1:]:
-            order.extend((x, y) for x in range(lo_i, hi_i) for y in range(lo_j, hi_j))
-    relations[s_name] = order
+    # each block's vertices precede every later vertex, one loop per block
+    relations[s_name] = [(x, y) for lo, hi in spans for x in range(lo, hi) for y in range(hi, total)]
     return make_structure(combined, total, relations)
 
 
 def ordered_sum(inner: SequenceSpec, n: int) -> Structure:
-    """Blocks are the inner sequence's terms at indices 1..n.  The order
-    relation is built over every pair of blocks, so the pairs are charged
-    before any block is built, empty blocks included."""
+    """Blocks are the inner sequence's terms at indices 1..n.  Its n(n-1)/2
+    block pairs are charged before any block is built, empty blocks
+    included, so that the charge bounds how many blocks are generated."""
     budgets.charge_tuples(n * (n - 1) // 2, "ordered-sum block pairs")
     blocks = [generate_term(inner, i) for i in range(1, n + 1)]
     return ordered_sum_of(blocks, signature_of(inner))

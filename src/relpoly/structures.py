@@ -95,9 +95,6 @@ class Structure:
     def rel(self, name: str) -> tuple[tuple[int, ...], ...]:
         return self.relations[self.signature.index(name)]
 
-    def rel_sets(self) -> tuple[frozenset, ...]:
-        return tuple(frozenset(r) for r in self.relations)
-
     def total_tuples(self) -> int:
         return sum(len(r) for r in self.relations)
 

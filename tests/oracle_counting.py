@@ -39,7 +39,7 @@ def _count_maps(pattern: Structure, target: Structure, vertices: list[int],
         for t in rel:
             if all(v in position for v in t):
                 check_at[max(position[v] for v in t)].append((idx, t))
-    target_sets = target.rel_sets()
+    target_sets = [frozenset(r) for r in target.relations]
     n = target.domain
     image: dict[int, int] = {}
     used: set[int] = set()

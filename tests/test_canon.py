@@ -192,7 +192,7 @@ def _classes(found) -> list[list[int]]:
 
 def _brute_orbits(s) -> list[list[int]]:
     """The orbits of Aut(s), from every permutation of its domain."""
-    rels = s.rel_sets()
+    rels = [frozenset(r) for r in s.relations]
     root = list(range(s.domain))
     for perm in permutations(range(s.domain)):
         if all(tuple(perm[x] for x in t) in rel for rel in rels for t in rel):

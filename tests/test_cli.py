@@ -440,6 +440,7 @@ MALFORMED_NUMBERS = {
     "orders-not-integers": ["structure", "build", "--kind", "basic", "--k", "1",
                             "--orders", "x"],
     "primes-not-integers": ["paley", "--cycle", "4", "--primes", "5,x"],
+    "prime-repeated": ["paley", "--cycle", "4", "--primes", "5,5,13", "--no-images"],
     "range-reversed": ["gallery", "run", "crown", "--range", "5:2", "--check"],
     "held-out-zero": ["decompose", "--spec", "LINE", "--cap", "2", "--held-out", "0"],
 }
