@@ -7,8 +7,8 @@ import math
 from collections import defaultdict
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product
-from operator import itemgetter
+from itertools import product, repeat
+from operator import contains, itemgetter
 from typing import NamedTuple
 
 from . import budgets, canon
@@ -166,40 +166,50 @@ def _candidate_index(rel, here: tuple[int, ...], bound: tuple[int, ...], built,
                      masks: bool) -> dict:
     """Map the images at the `bound` positions of a target tuple (keyed by
     `_items(bound)`) to the w that fill every `here` position of some tuple of
-    `rel` agreeing with them.  With `masks`, each entry is (mask, members):
-    an int with bit w set for each such w, and the same w as an ascending
-    tuple; otherwise it is the set of them, which the search never changes.  A
-    tuple is its key and its w, so `rel`, sorted, gives each key its w once
-    each and ascending.
+    `rel` agreeing with them, as a filter of them: with `masks`, a `_Mask`;
+    otherwise the set of them.  The search never changes an entry.
 
-    An index of `built` with the same members under every key (E(u,v) and
-    E(v,u) in a symmetric relation) is returned instead, before any mask is
-    made."""
+    An index of `built` that holds every (key, w) of `rel` and no more (E(u,v)
+    and E(v,u) in a symmetric relation) is returned instead, before any entry
+    is made: a tuple is its key and its w, so `rel` gives as many pairs as it
+    has tuples."""
     first, rest = here[0], here[1:]
     if rest:
         at_here = itemgetter(*here)
         rel = [s for s in rel if at_here(s).count(s[first]) == len(here)]
-    key = _items(bound)
-    if not masks:
-        index: dict = {}
-        for s in rel:
-            k = key(s)
-            found = index.get(k)
-            if found is None:
-                index[k] = {s[first]}
-            else:
-                found.add(s[first])
-        return next((b for b in built if b == index), index)
-    found = defaultdict(list)
-    for s in rel:
-        found[key(s)].append(s[first])
-    members_of = {k: tuple(members) for k, members in found.items()}
-    for index in built:
-        if len(index) == len(members_of) and all(
-                index.get(k, (0, None))[1] == members for k, members in members_of.items()):
+    key, w_of = _items(bound), itemgetter(first)
+    for index in built:  # each w of `rel` in the entry of its key, by C-level maps
+        if all(map(contains, map(index.get, map(key, rel), repeat(())), map(w_of, rel))) and (
+                sum(map(len, index.values())) == len(rel)):
             return index
+    found = defaultdict(set)
+    for s in rel:
+        found[key(s)].add(s[first])
+    found.default_factory = None  # so that no lookup can add a key
+    if not masks:
+        return found
     bit = (1).__lshift__
-    return {k: (sum(map(bit, members)), members) for k, members in members_of.items()}
+    return {k: _Mask(sum(map(bit, ws)), sorted(ws)) for k, ws in found.items()}
+
+
+class _Mask(int):
+    """A candidate filter on masks: an int with bit w set for each member w,
+    which keeps its members in ascending order.  Like a set, it iterates,
+    counts and tests them; `&` and `^` give plain ints."""
+
+    def __new__(cls, bits: int, members):
+        self = int.__new__(cls, bits)
+        self.members = members
+        return self
+
+    def __iter__(self):
+        return iter(self.members)
+
+    def __len__(self) -> int:
+        return len(self.members)
+
+    def __contains__(self, w: int) -> bool:
+        return self >> w & 1 == 1
 
 
 def _members(mask: int) -> list[int]:
@@ -236,9 +246,9 @@ def _uses_masks(target: Structure) -> bool:
 # well inside Python's default recursion limit of 1000 frames.
 _MAX_SEARCH_VERTICES = 500
 
-# The hom counts one target remembers (`Structure.hom_reports`); past this
-# many patterns the oldest is dropped.
-_HOM_MEMO_CAP = 64
+# The counts one target remembers (`Structure.count_reports`); past this
+# many (mode, pattern) pairs the oldest is dropped.
+_MEMO_CAP = 64
 
 # Depth 0 goes through the target's automorphism orbits only when the work
 # projected from its second candidate exceeds this many times the target's
@@ -336,12 +346,13 @@ def _plan(pattern: Structure, signature: Signature, mode: str) -> tuple[_Search,
 
 
 def _bind(plan: _Search, target: Structure, masks: bool) -> tuple[list[list], list[list]]:
-    """Per depth, the (index, key) lookups of the plan's steps, and those of
+    """Per depth, the (index.get, key) lookups of the plan's steps, and those of
     its absent tuples, into this target, whose indexes hold masks when
     `masks`.  The target keeps the candidate indexes built for it, by shape
     (`Structure.candidate_indexes`), and gains the new ones; two shapes with
     equal indexes share one, so that the search looks it up once."""
     indexes = target.candidate_indexes
+    gets: dict = {}  # one bound `get` per index, shared by all its lookups
 
     def bind(at: tuple) -> list:
         bound: dict = {}
@@ -351,7 +362,8 @@ def _bind(plan: _Search, target: Structure, masks: bool) -> tuple[list[list], li
                 rel = target.relations[symbol] if symbol is not None else ()
                 index = indexes[shape] = _candidate_index(
                     rel, shape[1], shape[2], indexes.values(), masks)
-            bound.setdefault((id(index), us), (index, key_of))
+            get = gets.setdefault(id(index), index.get)
+            bound.setdefault((id(index), us), (get, key_of))
         return list(bound.values())
 
     return [bind(at) for at in plan.steps], [bind(at) for at in plan.absent]
@@ -368,12 +380,13 @@ def _count_maps(plan: _Search, target: Structure, image: list[int], mode: str,
     with BudgetError once it exceeds `budget`, or at once for more than
     _MAX_SEARCH_VERTICES vertices.
 
-    A depth's candidates are the `&` of its lookups' candidates, less the
-    used images in inj and ind: bitmasks counted by popcount on targets that
-    `_uses_masks`, sets on the others.  A depth with one
-    lookup and nothing used among its candidates walks that entry's members;
-    any other walks the bits of the mask, or the set.  The depth's nodes are
-    counted there; in ind the images its absent lookups find are removed
+    A depth's candidates are a filter: the `&` of its lookups' entries, less
+    the used images in inj and ind, dropped from a filter f as `f ^ (f & g)`:
+    bitmasks on targets that `_uses_masks` and sets on the others, told apart
+    only by the few operations the setup below picks.  A depth with one
+    lookup and nothing dropped walks that entry's members; any other walks
+    its filter, which the last depth only counts.  The depth's nodes are
+    counted there; in ind the images its absent lookups find are dropped
     after that.
 
     In hom mode the count of extensions from a depth is cached under the
@@ -406,48 +419,49 @@ def _count_maps(plan: _Search, target: Structure, image: list[int], mode: str,
     masks = _uses_masks(target)
     lookups, absent = _bind(plan, target, masks)
     n = target.domain
+    # `size` counts a filter's members, `walk` iterates them and `one` makes
+    # the filter of one image.
     if masks:
-        none = 0
-        everything = ((1 << n) - 1, range(n))
+        size, walk, one = int.bit_count, _members, (1).__lshift__
+        everything = _Mask((1 << n) - 1, range(n))
     else:
-        none = set()
-        everything = (frozenset(range(n)) if injective else range(n), range(n))
+        size, walk, one = len, iter, lambda w: {w}
+        everything = frozenset(range(n)) if injective else range(n)
 
     # Depth 0 binds no vertex: its keys are all (), and nothing is used yet.
-    found = [index.get(()) for index, _ in lookups[0]]
+    found = [get(()) for get, _ in lookups[0]]
     if None in found:
         return 0, nodes
-    if not masks:
-        found = [(s, s) for s in found]
-    mask, candidates = found[0] if found else everything
-    for other, _ in found[1:]:
+    mask = candidates = found[0] if found else everything
+    for other in found[1:]:
         mask = mask & other
-        candidates = None if masks else mask
-    nodes += mask.bit_count() if candidates is None else len(candidates)
+        candidates = None
+    nodes += size(mask)
     if nodes > budget:
         raise BudgetError(f"{mode} search explored {nodes} nodes, over the budget of {budget}")
-    for index, _ in absent[0]:
-        gone = index.get(())
-        if gone is not None:
-            mask = mask & ~gone[0] if masks else mask - gone
-            candidates = None if masks else mask
+    for get, _ in absent[0]:
+        found = get(())
+        if found is not None:
+            drop = mask & found
+            if drop:
+                mask = mask ^ drop
+                candidates = None
+    count = size(mask)
     if last == 0:
-        return mask.bit_count() if candidates is None else len(candidates), nodes
+        return count, nodes
     if candidates is None:
-        candidates = _members(mask)
+        candidates = walk(mask)
     memo_keys = plan.separators
-    memos: dict[int, dict] = {} if injective else {depth: {} for depth in memo_keys}
-    # The images placed so far, in inj and ind.  A set is changed in place,
-    # each image added and removed again around its subtree, so that `none`
-    # stays empty.
-    used = none
+    memos = [None if injective or depth not in memo_keys else {} for depth in range(last + 1)]
+    # The filter of the images placed so far, in inj and ind.  A set is
+    # changed in place, each image added and removed again around its
+    # subtree; no other filter ever is.
+    used = None
 
     def extend(depth: int) -> int:
-        """The count of extensions from `depth` on, for depth >= 1."""
+        """The count of extensions from `depth` on, for 1 <= depth <= last."""
         nonlocal nodes, used
-        if depth > last:
-            return 1
-        memo = memos.get(depth)
+        memo = memos[depth]
         if memo is not None:
             key = memo_keys[depth](image)
             total = memo.get(key)
@@ -456,61 +470,54 @@ def _count_maps(plan: _Search, target: Structure, image: list[int], mode: str,
         checks = lookups[depth]
         if checks:
             mask = None
-            for index, key_of in checks:
-                found = index.get(key_of(image))
+            for get, key_of in checks:
+                found = get(key_of(image))
                 if found is None:
                     return 0
-                if mask is not None:
-                    mask = mask & (found[0] if masks else found)
-                    candidates = None if masks else mask
-                elif masks:
-                    mask, candidates = found
-                else:
+                if mask is None:
                     mask = candidates = found
+                else:
+                    mask = mask & found
+                    candidates = None
         else:
-            mask, candidates = everything
-        if used:
-            if not masks:
-                mask = candidates = mask - used
-            elif used & mask:
-                mask &= ~used
-                candidates = None
-        size = mask.bit_count() if candidates is None else len(candidates)
-        nodes += size
+            mask = candidates = everything
+        gone = absent[depth]
+        count = size(mask)
+        if injective:
+            drop = mask & used
+            if drop:
+                count -= size(drop)
+                if gone or depth < last:  # the filter is read again
+                    mask, candidates = mask ^ drop, None
+        nodes += count
         if nodes > budget:
             raise BudgetError(f"{mode} search explored {nodes} nodes, over the budget of {budget}")
-        gone = absent[depth]
         if gone:
-            for index, key_of in gone:
-                found = index.get(key_of(image))
+            for get, key_of in gone:
+                found = get(key_of(image))
                 if found is not None:
-                    mask = mask & ~found[0] if masks else mask - found
-                    candidates = None if masks else mask
-            size = mask.bit_count() if candidates is None else len(candidates)
+                    drop = mask & found
+                    if drop:
+                        mask = mask ^ drop
+                        candidates = None
         if depth == last:
-            total = size
+            total = size(mask) if gone else count
         else:
             if candidates is None:
-                candidates = _members(mask)
+                candidates = walk(mask)
             v = order[depth]
             total = 0
-            if not injective:
+            if injective:
                 for w in candidates:
                     image[v] = w
-                    total += extend(depth + 1)
-            elif masks:
-                for w in candidates:
-                    image[v] = w
-                    bit = 1 << w
-                    used |= bit
+                    bit = one(w)
+                    used ^= bit
                     total += extend(depth + 1)
                     used ^= bit
             else:
                 for w in candidates:
                     image[v] = w
-                    used.add(w)
                     total += extend(depth + 1)
-                    used.discard(w)
         if memo is not None:
             memo[key] = total
         return total
@@ -524,14 +531,11 @@ def _count_maps(plan: _Search, target: Structure, image: list[int], mode: str,
         for w in ws:
             image[v] = w
             if injective:
-                used = 1 << w if masks else {w}
-                total += extend(1)
-                used = none
-            else:
-                total += extend(1)
+                used = one(w)
+            total += extend(1)
         return total
 
-    if len(candidates) <= 2:
+    if count <= 2:
         total = search(candidates)
     else:
         todo = iter(candidates)
@@ -544,7 +548,7 @@ def _count_maps(plan: _Search, target: Structure, image: list[int], mode: str,
         # filled by the first as every later one does; n alone settles most
         # searches without summing the target's tuples.  One subtree holds
         # at most last * n^last nodes, so small targets never reach the gate.
-        projected = (nodes - start) * (len(candidates) - 2)
+        projected = (nodes - start) * (count - 2)
         limit = _ORBIT_GATE * n
         if projected <= limit or projected <= limit + _ORBIT_GATE * target.total_tuples():
             total += search(todo)
@@ -560,52 +564,47 @@ def _count_maps(plan: _Search, target: Structure, image: list[int], mode: str,
     return total, nodes
 
 
-def hom_count(pattern: Structure, target: Structure) -> CountReport:
-    """All relation-preserving maps; factorizes over the pattern's connected
-    components and multiplies the per-component counts.
-
-    The report is remembered with the target, for at most _HOM_MEMO_CAP
-    patterns, and a later count of an equal pattern returns it while its
-    nodes fit the search budget; otherwise the count is searched again."""
+def _count(pattern: Structure, target: Structure, mode: str) -> CountReport:
+    """The product of the `mode` counts of the plan's groups, remembered with
+    the target for at most _MEMO_CAP (mode, pattern) pairs: a later count of
+    an equal pattern returns the report while its nodes fit the search budget
+    and is searched again otherwise."""
     budget = budgets.search_budget()
-    memo = target.hom_reports
-    report = memo.get(pattern)
+    memo = target.count_reports
+    report = memo.get((mode, pattern))
     if report is not None and report.nodes_explored <= budget:
         return report
-    plan = _plan(pattern, target.signature, "hom")
-    image = [0] * pattern.domain
-    value = 1
-    nodes = 0
-    for component in plan:
-        sub, nodes = _count_maps(component, target, image, "hom", nodes, budget)
-        value *= sub
-        if value == 0:
-            break
-    if report is None and len(memo) >= _HOM_MEMO_CAP:
+    value, nodes = 1, 0
+    if mode != "hom" and pattern.domain > target.domain:
+        _target_symbols(pattern.signature, target.signature)  # conflicting arities still raise
+        value = 0
+    else:
+        image = [0] * pattern.domain
+        for component in _plan(pattern, target.signature, mode):
+            sub, nodes = _count_maps(component, target, image, mode, nodes, budget)
+            value *= sub
+            if value == 0:
+                break
+    if report is None and len(memo) >= _MEMO_CAP:
         del memo[next(iter(memo))]
-    report = memo[pattern] = CountReport(value, "hom", nodes)
+    report = memo[mode, pattern] = CountReport(value, mode, nodes)
     return report
 
 
-def _injective_count(pattern: Structure, target: Structure, mode: str) -> CountReport:
-    """The "inj" or "ind" count, over the whole pattern at once."""
-    if pattern.domain > target.domain:
-        _target_symbols(pattern.signature, target.signature)  # conflicting arities still raise
-        return CountReport(0, mode, 0)
-    (plan,) = _plan(pattern, target.signature, mode)
-    value, nodes = _count_maps(plan, target, [0] * pattern.domain, mode, 0,
-                               budgets.search_budget())
-    return CountReport(value, mode, nodes)
+def hom_count(pattern: Structure, target: Structure) -> CountReport:
+    """All relation-preserving maps; factorizes over the pattern's connected
+    components and multiplies the per-component counts."""
+    return _count(pattern, target, "hom")
 
 
 def inj_count(pattern: Structure, target: Structure) -> CountReport:
     """Injective relation-preserving maps (no component factorization)."""
-    return _injective_count(pattern, target, "inj")
+    return _count(pattern, target, "inj")
 
 
 def ind_count(pattern: Structure, target: Structure) -> CountReport:
     """Injective maps whose image induces exactly the pattern's relations."""
-    return _injective_count(pattern, target, "ind")
+    return _count(pattern, target, "ind")
 
 
 def hom(pattern: Structure, target: Structure) -> int:

@@ -10,7 +10,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Callable
 
-from .budgets import basis_budget
+from .budgets import basis_budget, charge_tuples
 from .canon import canonical_form
 from .counting import bell, hom_count, inj_count, quotient, set_partitions
 from .errors import BudgetError, SignatureError, UnboundedDegreeError, ValidationError
@@ -693,6 +693,7 @@ def is_prime(q: int) -> bool:
 
 def paley_graph(q: int) -> Structure:
     """Vertices are the integers mod q; x ~ y when x - y is a nonzero square."""
+    charge_tuples(q * (q - 1), "edge tuples")
     if not is_prime(q):
         raise SignatureError(f"{q} is not prime")
     if q % 4 != 1:

@@ -99,9 +99,9 @@ class Structure:
         return sum(len(r) for r in self.relations)
 
     @cached_property
-    def hom_reports(self) -> dict:
-        """The hom counts into this structure, by pattern, that
-        `counting.hom_count` keeps for as long as the structure lives.  Not a
+    def count_reports(self) -> dict:
+        """The hom/inj/ind counts into this structure, by (mode, pattern),
+        that `counting` keeps for as long as the structure lives.  Not a
         field, so equality and hashing never see it."""
         return {}
 

@@ -246,14 +246,18 @@ def test_paley_image_count_over_budget_fails(capsys):
 def test_hostile_patterns_fail_the_paley_check_at_once(tmp_path, capsys):
     # Bell(3000) is refused before the triangle reaches it, and the message
     # does not spell it out; a 4000-cycle is refused before the search
-    # recurses once per vertex
+    # recurses once per vertex; a Paley graph of a huge prime is refused on
+    # its edge tuples before its primality is tested
     edgeless = tmp_path / "edgeless.json"
     edgeless.write_text(json.dumps(
         {"signature": [{"name": "E", "arity": 2}], "domain": 3000, "relations": {"E": []}}))
-    for args, message in ((["--pattern", str(edgeless)], "Bell(3000) quotients"),
-                          (["--cycle", "4000"], "search over 4000 pattern vertices")):
+    for args, message in (
+            (["--pattern", str(edgeless), "--primes", "5"], "Bell(3000) quotients"),
+            (["--cycle", "4000", "--primes", "5"], "search over 4000 pattern vertices"),
+            (["--cycle", "4", "--primes", "5,1000000009"],
+             "1000000017000000072 edge tuples exceed the tuple budget of")):
         start = time.perf_counter()
-        captured = _cli(capsys, ["paley", *args, "--primes", "5"], expect=1)
+        captured = _cli(capsys, ["paley", *args], expect=1)
         assert time.perf_counter() - start < 5.0
         assert captured.out == ""
         assert captured.err.startswith("check failed: ") and message in captured.err

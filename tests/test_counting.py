@@ -301,13 +301,20 @@ def _patterns_and_targets(draw):
 @settings(derandomize=True, deadline=None, database=None, max_examples=150)
 @given(_patterns_and_targets())
 def test_kernel_matches_the_backtracker_property(case):
+    """Each case is counted twice, into fresh copies of the target: with the
+    kernel's own choice, candidate masks on nearly every drawn target, and
+    on candidate sets throughout."""
     pattern, target = case
-    for count, oracle in ((hom_count, oracle_hom), (inj_count, oracle_inj),
-                          (ind_count, oracle_ind)):
-        report = count(pattern, target)
-        value, nodes = oracle(pattern, target)
-        assert report.value == value, (count.__name__, pattern, target)
-        assert report.nodes_explored <= nodes, (count.__name__, pattern, target)
+    for sets in (False, True):
+        with pytest.MonkeyPatch.context() as mp:
+            if sets:
+                mp.setattr(counting, "_MASK_VERTICES", -1)
+            into = fresh(target)
+            reports = [count(pattern, into) for count, _ in COUNTS]
+        for report, (count, oracle) in zip(reports, COUNTS):
+            value, nodes = oracle(pattern, target)
+            assert report.value == value, (count.__name__, sets, pattern, target)
+            assert report.nodes_explored <= nodes, (count.__name__, sets, pattern, target)
 
 
 @st.composite
@@ -656,9 +663,9 @@ def test_orbit_weighting_searches_one_vertex_per_orbit(monkeypatch):
     for f in (cycle_graph(4), cycle_graph(5)):
         for count in (inj_count, ind_count):
             monkeypatch.setattr(canon, "_ORBITS", {})
-            rooted = count(f, g)
+            rooted = count(f, fresh(g))
             monkeypatch.setattr(counting, "_ORBIT_GATE", 10**12)
-            plain = count(f, g)
+            plain = count(f, fresh(g))
             monkeypatch.undo()
             assert rooted.value == plain.value
             assert rooted.nodes_explored * 4 < plain.nodes_explored
@@ -796,9 +803,8 @@ def test_remembered_hom_counts_match_the_backtracker_property(calls):
         value, nodes = oracle(pattern, target)
         assert report.value == value, (report.mode, pattern, target)
         assert report.nodes_explored <= nodes, (report.mode, pattern, target)
-        if count is hom_count:
-            assert hom_count(pattern, target) is report
-            assert hom_count(fresh(pattern), target) is report
+        assert count(pattern, target) is report
+        assert count(fresh(pattern), target) is report
 
 
 def test_a_remembered_count_keeps_to_the_search_budget(monkeypatch):
@@ -838,13 +844,15 @@ def test_remembered_counts_keep_no_structure_alive(monkeypatch):
 
 
 def test_a_target_remembers_at_most_the_memo_bound():
-    cap = counting._HOM_MEMO_CAP
+    cap = counting._MEMO_CAP
     target = fresh(K3)
     patterns = [make_structure(GRAPH_SIG, k) for k in range(cap + 5)]
     for k, pattern in enumerate(patterns):
         assert hom(pattern, target) == 3 ** k
-        assert len(target.hom_reports) == min(k + 1, cap)
-    assert list(target.hom_reports) == patterns[5:]  # the oldest went first
+        assert len(target.count_reports) == min(k + 1, cap)
+    assert list(target.count_reports) == [("hom", p) for p in patterns[5:]]  # oldest first out
+    assert ind(K1, target) == 3  # every mode shares the one bound
+    assert list(target.count_reports) == [("hom", p) for p in patterns[6:]] + [("ind", K1)]
 
 
 def test_a_second_basis_value_searches_nothing(monkeypatch):
