@@ -35,21 +35,11 @@ DEFAULT_CAP = 12
 _BRUTE_CAP = 8
 
 
-def _codes(s: Structure, binary: list) -> list[list[int]]:
-    """codes[u][v] has bit 2i set when (u, v) is in the i-th binary relation
-    and bit 2i + 1 when (v, u) is."""
-    n = s.domain
-    codes = [[0] * n for _ in range(n)]
-    for bit, rel in enumerate(binary):
-        for u, v in rel:
-            codes[u][v] |= 1 << (2 * bit)
-            codes[v][u] |= 1 << (2 * bit + 1)
-    return codes
-
-
-def _inputs(s: Structure) -> tuple[list[list[int]], list[int], list[int]]:
-    """The binary codes (see `_codes`), and per vertex the bit masks of the
-    unary relations holding it and of the binary relations looping on it."""
+def _inputs(s: Structure) -> tuple[list[dict[int, int]], list[int], list[int]]:
+    """Per vertex u: a map from each other vertex v sharing a binary tuple
+    with u to the pair's code, which has bit 2i set when (u, v) is in the
+    i-th binary relation and bit 2i + 1 when (v, u) is; and the bit masks of
+    the unary relations holding u and of the binary relations looping on u."""
     n = s.domain
     binary = [s.rel(name) for name, arity in s.signature.symbols if arity == 2]
     unary_names = [name for name, arity in s.signature.symbols if arity == 1]
@@ -57,31 +47,31 @@ def _inputs(s: Structure) -> tuple[list[list[int]], list[int], list[int]]:
     for bit, name in enumerate(unary_names):
         for (v,) in s.rel(name):
             unary_mask[v] |= 1 << bit
+    adjacency: list[dict[int, int]] = [{} for _ in range(n)]
     loop_mask = [0] * n
     for bit, rel in enumerate(binary):
         for u, v in rel:
             if u == v:
                 loop_mask[v] |= 1 << bit
-    return _codes(s, binary), unary_mask, loop_mask
+            else:
+                adjacency[u][v] = adjacency[u].get(v, 0) | 1 << (2 * bit)
+                adjacency[v][u] = adjacency[v].get(u, 0) | 1 << (2 * bit + 1)
+    return adjacency, unary_mask, loop_mask
 
 
-def _refine_colors(codes: list[list[int]], unary_mask, loop_mask) -> tuple[list[int], int]:
+def _refine_colors(adjacency: list[dict[int, int]], unary_mask, loop_mask) -> tuple[list[int], int]:
     """The stable colouring, and the number of refinement rounds it took."""
-    n = len(codes)
     # Colours are ranks of sorted keys, never of first appearance: the
     # stream records them and the orbit finder starts from them, so they
     # must not depend on the labeling.
-    initial = [(unary_mask[v], loop_mask[v]) for v in range(n)]
+    initial = list(zip(unary_mask, loop_mask))
     ranking = {key: rank for rank, key in enumerate(sorted(set(initial)))}
     colors = [ranking[key] for key in initial]
     rounds = 0
     while True:
         rounds += 1
-        keys = []
-        for v in range(n):
-            row = codes[v]
-            neigh = sorted((row[u], colors[u]) for u in range(n) if u != v and row[u])
-            keys.append((colors[v], tuple(neigh)))
+        keys = [(colors[v], tuple(sorted((code, colors[u]) for u, code in row.items())))
+                for v, row in enumerate(adjacency)]
         ranking = {}
         for key in sorted(set(keys)):
             ranking[key] = len(ranking)
@@ -100,16 +90,16 @@ def _root(orbit: list[int], v: int) -> int:
 
 def _canonical_stream(s: Structure) -> tuple:
     n = s.domain
-    codes, unary_mask, loop_mask = _inputs(s)
-    colors, _ = _refine_colors(codes, unary_mask, loop_mask)
+    adjacency, unary_mask, loop_mask = _inputs(s)
+    colors, _ = _refine_colors(adjacency, unary_mask, loop_mask)
 
     def is_twin(u: int, v: int) -> bool:
         if unary_mask[u] != unary_mask[v] or loop_mask[u] != loop_mask[v]:
             return False
-        cu, cv = codes[u], codes[v]
-        if cu[v] != cv[u]:
+        au, av = adjacency[u], adjacency[v]
+        if au.get(v) != av.get(u) or len(au) != len(av):
             return False
-        return all(cu[w] == cv[w] for w in range(n) if w != u and w != v)
+        return all(w == v or av.get(w) == code for w, code in au.items())
 
     budget = budgets.search_budget()
     nodes = 0
@@ -153,7 +143,7 @@ def _canonical_stream(s: Structure) -> tuple:
         )
         candidates = []
         for v in remaining_by_color[color]:
-            row = tuple(codes[v][u] for u in labeled)
+            row = tuple(adjacency[v].get(u, 0) for u in labeled)
             candidates.append((row, v))
         candidates.sort()
         min_row = candidates[0][0]
@@ -268,7 +258,7 @@ def _shape(colors: list[int]) -> tuple[int, int | None]:
     return hash(tuple(sizes)), None if split is None else split[1]
 
 
-def _individualise(neighbours: list, colors: list[int], v: int, charge) -> list[int]:
+def _individualise(adjacency: list, colors: list[int], v: int, charge) -> list[int]:
     """`colors`, an equitable colouring whose colours are the first positions
     of their cells in a vertex order, with v split off its cell and refined
     until equitable again.  Only cells that changed are used as splitters:
@@ -293,9 +283,9 @@ def _individualise(neighbours: list, colors: list[int], v: int, charge) -> list[
         hits: dict[int, list[int]] = {}
         work = 0
         for u in cells[splitter]:
-            row = neighbours[u]
+            row = adjacency[u]
             work += len(row)
-            for x, code in row:
+            for x, code in row.items():
                 hit = hits.get(x)
                 if hit is None:
                     hits[x] = [code]
@@ -350,9 +340,7 @@ def orbits(s: Structure, allowance: int) -> tuple[tuple[int, ...], int]:
     n = s.domain
     if any(arity > 2 and rel for (_, arity), rel in zip(s.signature.symbols, s.relations)):
         return tuple(range(n)), 0
-    codes, unary_mask, loop_mask = _inputs(s)
-    neighbours = [[(u, code) for u, code in enumerate(row) if code and u != v]
-                  for v, row in enumerate(codes)]
+    adjacency, unary_mask, loop_mask = _inputs(s)
     checks = [(frozenset(rel), rel) for rel in s.relations if rel]
     check_work = s.total_tuples()
     spent = 0
@@ -366,7 +354,7 @@ def orbits(s: Structure, allowance: int) -> tuple[tuple[int, ...], int]:
 
     def individualise(colors: list[int], v: int) -> list[int]:
         charge(n)
-        return _individualise(neighbours, colors, v, charge)
+        return _individualise(adjacency, colors, v, charge)
 
     def path_from(r: int) -> tuple[list, list[int]]:
         """The shape of each colouring on r's path, and its discrete leaf."""
@@ -417,7 +405,7 @@ def orbits(s: Structure, allowance: int) -> tuple[tuple[int, ...], int]:
 
     complete = True
     try:
-        ranks, rounds = _refine_colors(codes, unary_mask, loop_mask)
+        ranks, rounds = _refine_colors(adjacency, unary_mask, loop_mask)
         charge(rounds * n * n)
         cells: dict[int, list[int]] = {}
         for v, c in enumerate(ranks):

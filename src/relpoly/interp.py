@@ -28,7 +28,7 @@ from .logic import (
     Or,
     TrueNode,
     FalseNode,
-    _children,
+    _all_variables,
     _int_literal,
     _rebuild,
     atom,
@@ -363,6 +363,8 @@ def apply_quotient_with_report(
     on every member of a class, and declared class-size certificates are
     checked where they apply (a non-constant size needs the sequence index n).
     """
+    if n is not None and n < 0:
+        raise SignatureError("sequence index must be non-negative")
     base = qs.base
     tuples = _domain_tuples(base, base.rho0, a)
     pairs = _relations(_EQUIV_SIG, (qs.varpi,), a, tuples, _singletons(tuples))
@@ -442,16 +444,6 @@ def _fresh_tuple_names(base: str, p: int, used: set[str]) -> tuple[str, ...]:
         used.add(candidate)
         names.append(candidate)
     return tuple(names)
-
-
-def _all_variables(node: Node) -> set[str]:
-    """Every variable name in the formula, free, bound or quantified."""
-    if isinstance(node, Eq):
-        return {node.left, node.right}
-    if isinstance(node, Atom):
-        return set(node.args)
-    own = {node.var} if isinstance(node, (Exists, Forall)) else set()
-    return own.union(*map(_all_variables, _children(node)))
 
 
 def translate_formula(scheme: InterpretationScheme, phi: Formula) -> Formula:

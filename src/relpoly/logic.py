@@ -14,7 +14,7 @@ import re
 import sys
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product
+from itertools import count, product
 
 from . import budgets
 from .canon import canonical_form
@@ -217,10 +217,20 @@ def rename_symbols(node: Node, mapping: dict[str, str]) -> Node:
     return _rebuild(node, lambda child: rename_symbols(child, mapping))
 
 
-def substitute(node: Node, mapping: dict[str, str], fresh_counter: list[int] | None = None) -> Node:
-    """Capture-avoiding substitution of free variables by variables."""
-    if fresh_counter is None:
-        fresh_counter = [0]
+def _all_variables(node: Node) -> set[str]:
+    """Every variable name in the formula, free, bound or quantified."""
+    if isinstance(node, Eq):
+        return {node.left, node.right}
+    if isinstance(node, Atom):
+        return set(node.args)
+    own = {node.var} if isinstance(node, (Exists, Forall)) else set()
+    return own.union(*map(_all_variables, _children(node)))
+
+
+def substitute(node: Node, mapping: dict[str, str]) -> Node:
+    """Capture-avoiding substitution of free variables by variables: a bound
+    variable that some substituted name would fall under is renamed to one
+    that occurs nowhere in its body or among the substituted names."""
     if isinstance(node, Eq):
         return Eq(mapping.get(node.left, node.left), mapping.get(node.right, node.right))
     if isinstance(node, Atom):
@@ -231,13 +241,13 @@ def substitute(node: Node, mapping: dict[str, str], fresh_counter: list[int] | N
         if var in inner:
             del inner[var]
         if var in inner.values():
-            fresh = f"{var}_q{fresh_counter[0]}"
-            fresh_counter[0] += 1
+            taken = _all_variables(node.body) | set(inner.values())
+            fresh = next(f"{var}_q{k}" for k in count() if f"{var}_q{k}" not in taken)
             inner[var] = fresh
             var = fresh
-        body = substitute(node.body, inner, fresh_counter)
+        body = substitute(node.body, inner)
         return Exists(var, body) if isinstance(node, Exists) else Forall(var, body)
-    return _rebuild(node, lambda child: substitute(child, mapping, fresh_counter))
+    return _rebuild(node, lambda child: substitute(child, mapping))
 
 
 # ---------------------------------------------------------------------------
@@ -675,6 +685,11 @@ def eval_formula(phi: Formula, s: Structure, assignment: dict[str, int]) -> bool
         a = tuple(assignment[v] for v in phi.free_vars)
     except KeyError as exc:
         raise BindingError(f"assignment is missing variable {exc.args[0]!r}") from exc
+    for value in a:
+        if type(value) is not int or not 0 <= value < s.domain:
+            raise BindingError(
+                f"assigned value {value!r} is not a vertex of a domain of size {s.domain}"
+            )
     _charge_assignments(phi, s, 0)
     return evaluator(phi, s)(a)
 

@@ -27,6 +27,8 @@ class Signature:
         if len(set(names)) != len(names):
             raise SignatureError(f"duplicate symbol names in signature: {names}")
         for name, arity in self.symbols:
+            if type(name) is not str:
+                raise SignatureError(f"symbol name {name!r} is not a string")
             if arity < 1:
                 raise SignatureError(f"symbol {name!r} has arity {arity}; arity must be >= 1")
 
@@ -410,8 +412,10 @@ def structure_from_json(text: str) -> Structure:
     try:
         signature = Signature(tuple((s["name"], s["arity"]) for s in payload["signature"]))
         domain = payload["domain"]
-        relations = {name: [tuple(t) for t in tuples]
-                     for name, tuples in payload.get("relations", {}).items()}
+        relations = payload.get("relations", {})
+        if type(relations) is not dict:
+            raise SignatureError("malformed structure JSON: relations must be an object")
+        relations = {name: [tuple(t) for t in tuples] for name, tuples in relations.items()}
     except (KeyError, TypeError) as exc:
         raise SignatureError(f"malformed structure JSON: {exc}") from exc
     for value in (domain, *(v for tuples in relations.values() for t in tuples for v in t)):

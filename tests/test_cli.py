@@ -409,7 +409,15 @@ HOSTILE_EXPONENTS = {
 }
 
 
-@pytest.mark.parametrize("case", [*HOSTILE_SPECS, *HOSTILE_EXPONENTS, "domain-not-integer",
+# case -> fields that replace those of K2's structure JSON
+HOSTILE_STRUCTURES = {
+    "domain-not-integer": {"domain": "x"},
+    "relations-not-object": {"relations": []},
+    "symbol-name-not-text": {"signature": [{"name": 5, "arity": 2}], "relations": {}},
+}
+
+
+@pytest.mark.parametrize("case", [*HOSTILE_SPECS, *HOSTILE_EXPONENTS, *HOSTILE_STRUCTURES,
                                   "range-without-colon"])
 def test_hostile_inputs_exit_2(case, files, tmp_path, capsys):
     if case in HOSTILE_EXPONENTS:
@@ -424,9 +432,8 @@ def test_hostile_inputs_exit_2(case, files, tmp_path, capsys):
         spec_path = tmp_path / "spec.json"
         spec_path.write_text(json.dumps(HOSTILE_SPECS[case]))
         args = ["detect", "--spec", str(spec_path), "--pattern", files["k2"]]
-    elif case == "domain-not-integer":
-        bad = json.loads(structure_to_json(K2))
-        bad["domain"] = "x"
+    elif case in HOSTILE_STRUCTURES:
+        bad = {**json.loads(structure_to_json(K2)), **HOSTILE_STRUCTURES[case]}
         bad_path = tmp_path / "bad.json"
         bad_path.write_text(json.dumps(bad))
         args = ["count", "--mode", "hom", "--pattern", files["k2"], "--target", str(bad_path)]
@@ -441,6 +448,8 @@ def test_hostile_inputs_exit_2(case, files, tmp_path, capsys):
 # file holding a Basic spec of one tournament of order n
 MALFORMED_NUMBERS = {
     "assign-not-integers": ["eval", "--formula", "E(x,y)", "--in", "K3", "--assign", "a,b"],
+    "assign-past-the-domain": ["eval", "--formula", "x = x", "--in", "K3", "--assign", "99"],
+    "assign-negative": ["eval", "--formula", "E(x,y)", "--in", "K3", "--assign=-1,2"],
     "orders-not-integers": ["structure", "build", "--kind", "basic", "--k", "1",
                             "--orders", "x"],
     "primes-not-integers": ["paley", "--cycle", "4", "--primes", "5,x"],
@@ -460,6 +469,20 @@ def test_malformed_numbers_exit_2(case, files, tmp_path, capsys):
     assert captured.out == ""
     assert captured.err.startswith("error:")
     assert "Traceback" not in captured.err
+
+
+def test_negative_index_for_a_class_size_certificate_exits_2(files, tmp_path, capsys):
+    scheme_path = tmp_path / "scheme.int"
+    scheme_path.write_text(
+        "interpretation classes {\n  source: graph;\n  target: graph;\n  p: 1;\n"
+        "  domain(x1): true;\n  E(x1; y1): E(x1,y1);\n  equiv(x1; y1): x1 = y1;\n"
+        "  class c: eta=true, size=n;\n}\n"
+    )
+    args = ["interpret", "--scheme", str(scheme_path), "--in", files["k3"]]
+    assert '"classes"' in _cli(capsys, [*args, "--n", "1"]).out
+    captured = _cli(capsys, [*args, "--n=-1"], expect=2)
+    assert captured.out == ""
+    assert captured.err == "error: sequence index must be non-negative\n"
 
 
 # An integer literal past Python's default limit of 4300 digits for text

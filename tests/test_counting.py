@@ -559,16 +559,20 @@ n = 100_000
 k2, p3, k3 = complete_graph(2), path_graph(3), complete_graph(3)
 cycle, path, triangles = cycle_graph(n), path_graph(n), copies(k3, n // 3)
 print(json.dumps([hom(k2, cycle), hom(p3, cycle), hom(k3, cycle), inj(p3, cycle),
-                  ind(p3, cycle), hom(p3, path), hom(k3, triangles), inj(p3, triangles)]))
+                  ind(p3, cycle), hom(p3, path), hom(k3, triangles), inj(p3, triangles),
+                  hom(path_graph(60), cycle_graph(8000))]))
 """
 
 
 def test_long_sparse_targets_count_in_bounded_memory():
     """A cycle, a path and copies of K3 on 10^5 vertices keep candidate sets,
     whose memory is in proportion to the target's tuples.  Masks would take
-    about n/8 bytes per key, over 0.6 GB for one index of the cycle.  The
-    counts run in a process limited to 400 MB of address space and must end
-    within two minutes."""
+    about n/8 bytes per key, over 0.6 GB for one index of the cycle.  A path
+    of 60 vertices is large enough to ask for the orbits of an 8000-cycle,
+    and the orbit finder's inputs are in proportion to its tuples too: a
+    structure of n^2 entries would not fit.  A k-vertex path has n * 2^(k-1)
+    homomorphisms into an n-cycle.  The counts run in a process limited to
+    400 MB of address space and must end within two minutes."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     done = subprocess.run([sys.executable, "-c", _LONG_SPARSE_COUNTS], env=env,
@@ -576,7 +580,7 @@ def test_long_sparse_targets_count_in_bounded_memory():
     assert done.returncode == 0, done.stderr
     n = 100_000
     assert json.loads(done.stdout) == [2 * n, 4 * n, 0, 2 * n, 2 * n, 4 * n - 6,
-                                       2 * n - 2, 2 * n - 2]
+                                       2 * n - 2, 2 * n - 2, 8000 * 2 ** 59]
 
 
 def test_ind_count_on_paley_matches_oracle():

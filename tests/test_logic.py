@@ -25,6 +25,7 @@ from relpoly import (
 from relpoly.logic import (
     Exists, Forall, basis_work, build_formula, conj, disj, evaluator, row_kernel,
 )
+from relpoly.interp import instantiate
 from oracle_isomorphism import backtrack_weakly_isomorphic
 from oracle_logic import _eval_node, to_dnf
 
@@ -118,6 +119,22 @@ def test_eval_formula():
     assert eval_formula(fa, t3, {"x": 1})
     with pytest.raises(BindingError):
         eval_formula(s, t3, {"x1": 0})
+    for outside in (99, -1, 3):
+        with pytest.raises(BindingError, match=f"{outside} is not a vertex of a domain of size 3"):
+            eval_formula(s, t3, {"x1": outside, "x2": 2})
+
+
+def test_substitution_renames_a_bound_variable_to_a_fresh_name():
+    """Renaming the bound y of phi to y_q0 would capture the y_q0 that
+    replaces z; the fresh name must avoid every substituted name."""
+    graph_sig = sig(("E", 2))
+    phi = parse_formula("exists y (E(x1,y) & E(y,z))", graph_sig)
+    psi = build_formula(instantiate(phi, ["y", "y_q0"]), graph_sig, ("y", "y_q0"))
+    path = make_structure(graph_sig, 3, {"E": [(0, 1), (1, 0), (1, 2), (2, 1)]})
+    for a, b in product(range(3), repeat=2):
+        assert eval_formula(psi, path, {"y": a, "y_q0": b}) == \
+            eval_formula(phi, path, {"x1": a, "z": b})
+    assert eval_formula(psi, path, {"y": 0, "y_q0": 2})
 
 
 def test_count_satisfying(monkeypatch):
