@@ -2,27 +2,28 @@
 
 Two structures over the same signature get equal keys exactly when some
 domain bijection carries every relation onto its namesake.  The key is the
-minimum of a per-vertex encoding stream over all labelings compatible with an
-iterated-refinement coloring.  The search is a branch and bound with twin
-elimination and automorphism pruning (McKay & Piperno, Practical graph
-isomorphism II, 2014): a leaf that repeats the best stream yields an
-automorphism and a jump back to where its labeling parts from the best one,
-and of the candidates in one orbit of the automorphisms fixing the current
-prefix only the first is tried.  Each search level counts against
+minimum of a per-vertex encoding stream over all labelings compatible with
+the coarsest equitable colouring (`_Partition`).  The search is a branch and
+bound with twin elimination and automorphism pruning (McKay & Piperno,
+Practical graph isomorphism II, 2014): a leaf that repeats the best stream
+yields an automorphism and a jump back to where its labeling parts from the
+best one, and of the candidates in one orbit of the automorphisms fixing the
+current prefix only the first is tried.  Each search level counts against
 RELPOLY_SEARCH_BUDGET.  A signature with a symbol of arity > 2 goes through
 a brute force over all labelings instead, capped at 8 vertices.
 
-`orbits` gives the counting kernel the automorphism orbits of a target.
-Starting from the same colour refinement, it pairs individualisations of two
-vertices of one cell down to discrete colourings, and keeps only the
+`orbits` gives the counting kernel the automorphism orbits of a target.  On
+the same partition it individualises two vertices of one cell, refining and
+undoing in place down to discrete colourings, and keeps only the
 permutations that preserve every relation.
 """
 
 from __future__ import annotations
 
-from collections import deque
+import weakref
+from collections import defaultdict, deque
 from functools import lru_cache
-from itertools import permutations
+from itertools import groupby, permutations
 from typing import TYPE_CHECKING
 
 from . import budgets
@@ -35,11 +36,12 @@ DEFAULT_CAP = 12
 _BRUTE_CAP = 8
 
 
-def _inputs(s: Structure) -> tuple[list[dict[int, int]], list[int], list[int]]:
+def _inputs(s: Structure) -> tuple[list[dict[int, int]], list[tuple[int, int]]]:
     """Per vertex u: a map from each other vertex v sharing a binary tuple
     with u to the pair's code, which has bit 2i set when (u, v) is in the
-    i-th binary relation and bit 2i + 1 when (v, u) is; and the bit masks of
-    the unary relations holding u and of the binary relations looping on u."""
+    i-th binary relation and bit 2i + 1 when (v, u) is; and the pair of bit
+    masks of the unary relations holding u and of the binary relations
+    looping on u."""
     n = s.domain
     binary = [s.rel(name) for name, arity in s.signature.symbols if arity == 2]
     unary_names = [name for name, arity in s.signature.symbols if arity == 1]
@@ -56,29 +58,115 @@ def _inputs(s: Structure) -> tuple[list[dict[int, int]], list[int], list[int]]:
             else:
                 adjacency[u][v] = adjacency[u].get(v, 0) | 1 << (2 * bit)
                 adjacency[v][u] = adjacency[v].get(u, 0) | 1 << (2 * bit + 1)
-    return adjacency, unary_mask, loop_mask
+    return adjacency, list(zip(unary_mask, loop_mask))
 
 
-def _refine_colors(adjacency: list[dict[int, int]], unary_mask, loop_mask) -> tuple[list[int], int]:
-    """The stable colouring, and the number of refinement rounds it took."""
-    # Colours are ranks of sorted keys, never of first appearance: the
-    # stream records them and the orbit finder starts from them, so they
-    # must not depend on the labeling.
-    initial = list(zip(unary_mask, loop_mask))
-    ranking = {key: rank for rank, key in enumerate(sorted(set(initial)))}
-    colors = [ranking[key] for key in initial]
-    rounds = 0
-    while True:
-        rounds += 1
-        keys = [(colors[v], tuple(sorted((code, colors[u]) for u, code in row.items())))
-                for v, row in enumerate(adjacency)]
-        ranking = {}
-        for key in sorted(set(keys)):
-            ranking[key] = len(ranking)
-        new = [ranking[k] for k in keys]
-        if new == colors:
-            return colors, rounds
-        colors = new
+class _Partition:
+    """An ordered partition of the vertices, refined and undone in place.
+
+    Each cell is a run of `order` named by its first position: `color[v]` is
+    the start of v's cell, `size[start]` the cell's length and `pos[v]` v's
+    place in `order`.  Cells start as the classes of `keys` in key order and
+    are refined to the coarsest equitable colouring: a splitter cell splits
+    every cell by the sorted codes from its members to each vertex.  The
+    vertices it misses sort first and keep the cell's colour, so a split
+    moves only the vertices it hits.  Cells are split and queued in the order
+    of their starts, so no colour depends on the labeling unless `keys` do.
+    `charge` gets the neighbour entries each splitter reads, the vertices
+    each split moves and what each `shape` scans.  Splits are logged, and
+    `undo` merges them back down to a mark."""
+
+    def __init__(self, adjacency: list[dict[int, int]], keys: list, charge=lambda work: None):
+        n = len(keys)
+        self.adjacency, self.charge, self.log, self.cells = adjacency, charge, [], 1
+        self.order, self.pos, self.color = list(range(n)), list(range(n)), [0] * n
+        self.size = [n] + [0] * n
+        classes = groupby(sorted(range(n), key=keys.__getitem__), keys.__getitem__)
+        parts = [list(members) for _, members in classes]
+        self.refine([0, *self._split(0, parts[1:])])
+
+    def _split(self, start: int, parts: list[list[int]]) -> list[int]:
+        """Move `parts` to the back of cell `start` as new cells, in order,
+        and return their starts."""
+        order, pos, color, size = self.order, self.pos, self.color, self.size
+        end = free = start + size[start]
+        starts = []
+        for part in reversed(parts):
+            free -= len(part)
+            starts.insert(0, free)
+            size[free] = len(part)
+            for i, x in enumerate(part, free):
+                y, p = order[i], pos[x]
+                order[p], pos[y], order[i], pos[x] = y, p, x, i
+                color[x] = free
+        self.log.append((start, free, end))
+        self.charge(end - free)
+        size[start] = free - start
+        self.cells += len(parts)
+        return starts
+
+    def refine(self, queue: list[int]) -> None:
+        """Split cells, from the splitters `queue` on, until all are equitable."""
+        order, color, size, adjacency = self.order, self.color, self.size, self.adjacency
+        queue, queued = deque(queue), set(queue)
+        while queue and self.cells < len(order):
+            splitter = queue.popleft()
+            queued.discard(splitter)
+            hits: defaultdict[int, list[int]] = defaultdict(list)
+            for u in order[splitter:splitter + size[splitter]]:
+                for x, code in adjacency[u].items():
+                    hits[x].append(code)
+            self.charge(sum(map(len, hits.values())))
+            by_cell: dict[int, dict] = {}
+            for x, found in hits.items():
+                found.sort()
+                by_cell.setdefault(color[x], {}).setdefault(tuple(found), []).append(x)
+            for start, groups in sorted(by_cell.items()):
+                missed = size[start] - sum(map(len, groups.values()))
+                if not missed and len(groups) == 1:
+                    continue
+                parts = [groups[key] for key in sorted(groups)]
+                cells = [start, *self._split(start, parts if missed else parts[1:])]
+                # A cell not queued has refined the others already, so all
+                # but its largest fragment suffice: that one's effect follows.
+                if start not in queued:
+                    cells.remove(max(cells, key=size.__getitem__))
+                for c in cells:
+                    if c not in queued:
+                        queue.append(c)
+                        queued.add(c)
+
+    def individualise(self, v: int) -> tuple[int, int]:
+        """Split v off the back of its cell, of two or more vertices, and
+        refine; the mark to undo to."""
+        mark = len(self.log), self.cells
+        self.refine(self._split(self.color[v], [[v]]))
+        return mark
+
+    def undo(self, mark: tuple[int, int]) -> None:
+        """Merge back every split logged since `mark` was taken."""
+        depth, self.cells = mark
+        order, color, log = self.order, self.color, self.log
+        while len(log) > depth:
+            start, at, end = log.pop()
+            for x in order[at:end]:
+                color[x] = start
+            self.size[start] = end - start
+
+    def shape(self) -> tuple[int | None, list[int] | None]:
+        """A hash of the cells' sizes in position order, and the vertices of
+        the smallest cell of two or more (the first on a tie) in ascending
+        order; both None if the colouring is discrete."""
+        size, n = self.size, len(self.order)
+        if self.cells == n:
+            return None, None
+        cells, start = [], 0
+        while start < n:
+            cells.append((size[start], start))
+            start += size[start]
+        k, start = min(c for c in cells if c[0] > 1)
+        self.charge(len(cells) + k)
+        return hash(tuple(cells)), sorted(self.order[start:start + k])
 
 
 def _root(orbit: list[int], v: int) -> int:
@@ -90,11 +178,11 @@ def _root(orbit: list[int], v: int) -> int:
 
 def _canonical_stream(s: Structure) -> tuple:
     n = s.domain
-    adjacency, unary_mask, loop_mask = _inputs(s)
-    colors, _ = _refine_colors(adjacency, unary_mask, loop_mask)
+    adjacency, masks = _inputs(s)
+    part = _Partition(adjacency, masks)
 
     def is_twin(u: int, v: int) -> bool:
-        if unary_mask[u] != unary_mask[v] or loop_mask[u] != loop_mask[v]:
+        if masks[u] != masks[v]:
             return False
         au, av = adjacency[u], adjacency[v]
         if au.get(v) != av.get(u) or len(au) != len(av):
@@ -108,9 +196,7 @@ def _canonical_stream(s: Structure) -> tuple:
     automorphisms: list[list[int]] = []
     jump = -1   # depth the search unwinds to after finding an automorphism
     labeled: list[int] = []
-    remaining_by_color: dict[int, set[int]] = {}
-    for v in range(n):
-        remaining_by_color.setdefault(colors[v], set()).add(v)
+    remaining_by_color = {c: set(part.order[c:c + part.size[c]]) for c in set(part.color)}
 
     def search(stream: list):
         nonlocal best, best_labeled, nodes, jump
@@ -170,7 +256,7 @@ def _canonical_stream(s: Structure) -> tuple:
                 if any(_root(orbit, v) == _root(orbit, w) for w in tried):
                     continue
             tried.append(v)
-            level = (size, color, unary_mask[v], loop_mask[v], min_row)
+            level = (size, color, *masks[v], min_row)
             stream.append(level)
             if best is not None and stream > best[: len(stream)]:
                 stream.pop()
@@ -229,13 +315,8 @@ def canonical_form(s: Structure, cap: int = DEFAULT_CAP) -> bytes:
 # ---------------------------------------------------------------------------
 # Automorphism orbits
 
-class _OutOfAllowance(Exception):
-    pass
-
-
-# Complete orbit partitions of the last few structures asked about.
-_ORBITS: dict = {}
-_ORBITS_CAP = 16
+# Complete orbit partitions, each kept while its structure lives.
+_ORBITS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
 def _leaf_map(ref_colors: list[int], colors: list[int]) -> list[int]:
@@ -247,92 +328,22 @@ def _leaf_map(ref_colors: list[int], colors: list[int]) -> list[int]:
     return [where[c] for c in ref_colors]
 
 
-def _shape(colors: list[int]) -> tuple[int, int | None]:
-    """A hash of the cell sizes by colour, and the colour of the smallest
-    cell of two or more vertices (the lowest such colour on a tie), None if
-    the colouring is discrete."""
-    sizes = [0] * len(colors)
-    for c in colors:
-        sizes[c] += 1
-    split = min(((k, c) for c, k in enumerate(sizes) if k > 1), default=None)
-    return hash(tuple(sizes)), None if split is None else split[1]
-
-
-def _individualise(adjacency: list, colors: list[int], v: int, charge) -> list[int]:
-    """`colors`, an equitable colouring whose colours are the first positions
-    of their cells in a vertex order, with v split off its cell and refined
-    until equitable again.  Only cells that changed are used as splitters:
-    each splits every cell by the (code) multiset of its members' neighbours
-    inside it, and the fragments take consecutive positions in key order.  So
-    the result does not depend on the labeling, as long as `colors` does not.
-    `charge` is called with the neighbour entries each splitter reads."""
-    n = len(colors)
-    colors = list(colors)
-    cells: dict[int, list[int]] = {}
-    for u, c in enumerate(colors):
-        cells.setdefault(c, []).append(u)
-    cell = cells[colors[v]]
-    cell.remove(v)
-    colors[v] = colors[v] + len(cell)
-    cells[colors[v]] = [v]
-    queue = deque([colors[v]])
-    queued = {colors[v]}
-    while queue and len(cells) < n:
-        splitter = queue.popleft()
-        queued.discard(splitter)
-        hits: dict[int, list[int]] = {}
-        work = 0
-        for u in cells[splitter]:
-            row = adjacency[u]
-            work += len(row)
-            for x, code in row.items():
-                hit = hits.get(x)
-                if hit is None:
-                    hits[x] = [code]
-                else:
-                    hit.append(code)
-        charge(work)
-        by_cell: dict[int, dict] = {}
-        for x, found in hits.items():
-            found.sort()
-            by_cell.setdefault(colors[x], {}).setdefault(tuple(found), []).append(x)
-        for start in sorted(by_cell):
-            groups = by_cell[start]
-            members = cells[start]
-            if sum(map(len, groups.values())) < len(members):
-                groups[()] = [x for x in members if x not in hits]
-            if len(groups) == 1:
-                continue
-            parts = [groups[key] for key in sorted(groups)]
-            largest = max(range(len(parts)), key=lambda i: len(parts[i]))
-            keep_all = start in queued
-            for i, part in enumerate(parts):
-                cells[start] = part
-                for x in part:
-                    colors[x] = start
-                if (keep_all or i != largest) and start not in queued:
-                    queue.append(start)
-                    queued.add(start)
-                start += len(part)
-    return colors
-
-
 def orbits(s: Structure, allowance: int) -> tuple[tuple[int, ...], int]:
     """Each vertex's orbit representative under a group of automorphisms of
     `s`, and the work spent finding it.
 
     For vertices r and w of one refined cell, the finder individualises r and
-    refines, then individualises the first vertex of the smallest
+    refines, then individualises the lowest vertex of the smallest
     non-singleton cell until the colouring is discrete.  On w's side it
     follows every individualisation that keeps the cell sizes equal, and the
     two discrete leaves give a candidate permutation sigma with sigma(r) = w.
     Each sigma is checked against every relation of `s` before it is used,
     and the orbits are the components of the checked ones; so each orbit
-    lies inside a true orbit whatever the search misses.  Work is counted as
-    vertices and neighbour entries refined plus tuples checked.  A search
-    that would pass `allowance` stops and returns the orbits found so far; a
-    complete partition is kept in a small cache.  A structure with a
-    relation of arity > 2 gets singleton orbits.
+    lies inside a true orbit whatever the search misses.  Work is what the
+    partition charges plus the tuples checked.  A search that would pass
+    `allowance` stops and returns the orbits found so far; a complete
+    partition is kept while `s` lives.  A structure with a relation of arity
+    > 2 gets singleton orbits.
     """
     found = _ORBITS.get(s)
     if found is not None:
@@ -340,7 +351,7 @@ def orbits(s: Structure, allowance: int) -> tuple[tuple[int, ...], int]:
     n = s.domain
     if any(arity > 2 and rel for (_, arity), rel in zip(s.signature.symbols, s.relations)):
         return tuple(range(n)), 0
-    adjacency, unary_mask, loop_mask = _inputs(s)
+    adjacency, masks = _inputs(s)
     checks = [(frozenset(rel), rel) for rel in s.relations if rel]
     check_work = s.total_tuples()
     spent = 0
@@ -349,45 +360,39 @@ def orbits(s: Structure, allowance: int) -> tuple[tuple[int, ...], int]:
     def charge(work: int) -> None:
         nonlocal spent
         if spent + work > allowance:
-            raise _OutOfAllowance
+            raise BudgetError("out of allowance")
         spent += work
 
-    def individualise(colors: list[int], v: int) -> list[int]:
-        charge(n)
-        return _individualise(adjacency, colors, v, charge)
-
     def path_from(r: int) -> tuple[list, list[int]]:
-        """The shape of each colouring on r's path, and its discrete leaf."""
-        shapes = []
-        colors = individualise(base, r)
-        while True:
-            shapes.append(_shape(colors))
-            split = shapes[-1][1]
-            if split is None:
-                return shapes, colors
-            colors = individualise(colors, colors.index(split))
-
-    def children(colors: list[int], cell: list[int], shape: int):
-        for y in cell:
-            nxt = individualise(colors, y)
-            if _shape(nxt)[0] == shape:
-                yield nxt
+        """The shape hash of each colouring on r's path, and its leaf."""
+        shapes, cell = [], [r]
+        while cell is not None:
+            part.individualise(cell[0])
+            shape, cell = part.shape()
+            shapes.append(shape)
+        leaf = list(part.color)
+        part.undo(base)
+        return shapes, leaf
 
     def follow(shapes: list, leaf: list[int], w: int) -> list[int] | None:
         """A checked sigma with sigma(r) = w, for the r whose path has the
         colouring shapes `shapes` and the leaf `leaf`: a depth-first search
         over the individualisations that keep w's side in the same shapes,
-        kept on a list because a path can be as long as the domain."""
-        branches = [children(base, [w], shapes[0][0])]
+        kept on lists because a path can be as long as the domain."""
+        # Per depth, the vertices left to try and the mark of the choice above.
+        branches = [([w], base)]
         while branches:
-            colors = next(branches[-1], None)
-            if colors is None:
+            tries, above = branches[-1]
+            if not tries:
+                part.undo(above)
                 branches.pop()
                 continue
             depth = len(branches) - 1
-            split = shapes[depth][1]
-            if split is not None:
-                cell = [v for v, c in enumerate(colors) if c == split]
+            mark = part.individualise(tries.pop())
+            shape, cell = part.shape()
+            if shape != shapes[depth]:
+                part.undo(mark)
+            elif cell is not None:
                 # Below the first level a cell is tried from its second
                 # vertex on, while r's path took the first.  Where any choice
                 # extends, as under a symmetric group of the cell, the leaves
@@ -395,31 +400,23 @@ def orbits(s: Structure, allowance: int) -> tuple[tuple[int, ...], int]:
                 # them in long cycles instead of fixing most of their vertices.
                 if depth:
                     cell = cell[1:] + cell[:1]
-                branches.append(children(colors, cell, shapes[depth + 1][0]))
-            elif _shape(colors)[1] is None:  # discrete, so sigma is a permutation
-                sigma = _leaf_map(leaf, colors)
+                branches.append((cell[::-1], mark))
+            else:  # discrete, so sigma is a permutation
+                sigma = _leaf_map(leaf, part.color)
                 charge(check_work)
                 if all(tuple([sigma[x] for x in t]) in rset for rset, rel in checks for t in rel):
+                    part.undo(base)
                     return sigma
+                part.undo(mark)
         return None
 
-    complete = True
     try:
-        ranks, rounds = _refine_colors(adjacency, unary_mask, loop_mask)
-        charge(rounds * n * n)
-        cells: dict[int, list[int]] = {}
-        for v, c in enumerate(ranks):
-            cells.setdefault(c, []).append(v)
-        base = [0] * n  # each vertex coloured by its cell's first position
-        start = 0
-        for c in range(len(cells)):
-            for v in cells[c]:
-                base[v] = start
-            start += len(cells[c])
+        part = _Partition(adjacency, masks, charge)
+        base = len(part.log), part.cells
         paths: dict[int, tuple] = {}
-        for cell in cells.values():
+        for c in sorted(set(part.color)):
             reps: list[int] = []
-            for w in cell:
+            for w in part.order[c:c + part.size[c]]:
                 if any(_root(parent, r) == _root(parent, w) for r in reps):
                     continue
                 for r in reps:
@@ -432,11 +429,7 @@ def orbits(s: Structure, allowance: int) -> tuple[tuple[int, ...], int]:
                         break
                 else:
                     reps.append(w)
-    except _OutOfAllowance:
-        complete = False
-    found = tuple(_root(parent, v) for v in range(n))
-    if complete:
-        if len(_ORBITS) >= _ORBITS_CAP:
-            del _ORBITS[next(iter(_ORBITS))]
-        _ORBITS[s] = found
+    except BudgetError:  # from charge
+        return tuple(_root(parent, v) for v in range(n)), spent
+    found = _ORBITS[s] = tuple(_root(parent, v) for v in range(n))
     return found, spent

@@ -632,6 +632,9 @@ def bounded_decompose(spec: SequenceSpec, degree_cap: int,
     exceeds the cap aborts with an unbounded-degree error."""
     if held_out < 1:
         raise SignatureError("held_out must be positive")
+    for name, bound in (("degree_cap", degree_cap), ("d_max", d_max)):
+        if bound is not None and bound < 0:
+            raise SignatureError(f"{name} must be non-negative")
     d = domain_degree(spec)
     if d_max is not None:
         d = min(d, d_max)

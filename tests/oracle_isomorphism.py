@@ -1,12 +1,17 @@
 """Reference isomorphism engines, kept as oracles for relpoly.canon.
 
 `_canonical_stream` is the canon search relpoly used before automorphism
-pruning: refinement, branch and bound and twin elimination only, with its
-own `_binary_code` lookups.  Its stream is the one `canonical_form` must
-reproduce byte for byte (see `unpruned_key`).  `_refine_colors` ranks the
-initial colours by sorted key; the old code ranked them by first appearance,
-which made keys of structures with unary marks or loops depend on the
-labeling.
+pruning: branch and bound and twin elimination only, with its own
+`_binary_code` lookups.  Its stream is the one `canonical_form` must
+reproduce byte for byte (see `unpruned_key`), so it numbers its colours as
+canon's partition does, by the first position of each cell.
+
+`round_based_colors` is colour refinement in rounds, as canon computed it
+before its partition refined in place: every round recolours each vertex by
+its colour and the sorted (code, colour) pairs of its neighbours.  Canon's
+partition must have the same cells.  The initial colours are ranked by
+sorted key; the old code ranked them by first appearance, which made keys of
+structures with unary marks or loops depend on the labeling.
 
 `_vertex_profile` and `_find_vertex_bijection` are the profile-guided
 backtracker that `structures.isomorphic` used before it became a
@@ -19,7 +24,7 @@ structures name their symbols differently.
 
 from itertools import permutations
 
-from relpoly.canon import _brute_stream
+from relpoly.canon import _Partition, _brute_stream, _inputs
 from relpoly.errors import BudgetError
 from relpoly.structures import Structure
 
@@ -34,9 +39,8 @@ def _binary_code(s: Structure, u: int, v: int, binary: list[frozenset]) -> int:
     return code
 
 
-def _refine_colors(s: Structure, binary: list[frozenset], unary_mask, loop_mask):
+def _refine_colors(s: Structure, binary: list[frozenset], initial: list):
     n = s.domain
-    initial = [(unary_mask[v], loop_mask[v]) for v in range(n)]
     ranking = {key: rank for rank, key in enumerate(sorted(set(initial)))}
     colors = [ranking[key] for key in initial]
     while True:
@@ -57,7 +61,7 @@ def _refine_colors(s: Structure, binary: list[frozenset], unary_mask, loop_mask)
         colors = new
 
 
-def _canonical_stream(s: Structure) -> tuple:
+def _masks(s: Structure) -> tuple[list[frozenset], list[int], list[int]]:
     n = s.domain
     binary = [frozenset(s.rel(name)) for name, arity in s.signature.symbols if arity == 2]
     unary_names = [name for name, arity in s.signature.symbols if arity == 1]
@@ -70,7 +74,20 @@ def _canonical_stream(s: Structure) -> tuple:
         for v in range(n):
             if (v, v) in rel:
                 loop_mask[v] |= 1 << bit
-    colors = _refine_colors(s, binary, unary_mask, loop_mask)
+    return binary, unary_mask, loop_mask
+
+
+def round_based_colors(s: Structure, initial: list | None = None) -> list[int]:
+    """The stable colouring of rounds of colour refinement from `initial`, one
+    key per vertex (by default the masks of its unary marks and loops)."""
+    binary, unary_mask, loop_mask = _masks(s)
+    return _refine_colors(s, binary, initial or list(zip(unary_mask, loop_mask)))
+
+
+def _canonical_stream(s: Structure) -> tuple:
+    n = s.domain
+    binary, unary_mask, loop_mask = _masks(s)
+    colors = _Partition(*_inputs(s)).color
 
     def is_twin(u: int, v: int) -> bool:
         if unary_mask[u] != unary_mask[v] or loop_mask[u] != loop_mask[v]:

@@ -1,6 +1,7 @@
-"""The one isomorphism engine: the pruned canon search against the unpruned
-search it replaced, `isomorphic` against the old backtracker and networkx,
-the search budget, and the automorphism orbits against brute force."""
+"""The one isomorphism engine: the partition refined in place against colour
+refinement in rounds, the pruned canon search against the unpruned search it
+replaced, `isomorphic` against the old backtracker and networkx, the search
+budget, and the automorphism orbits against brute force."""
 
 import random
 from itertools import permutations, product
@@ -10,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from genutil import permute, random_graph, random_structure
-from oracle_isomorphism import backtrack_isomorphic, unpruned_key
+from oracle_isomorphism import backtrack_isomorphic, round_based_colors, unpruned_key
 from relpoly import (
     BudgetError,
     canonical_form,
@@ -21,7 +22,7 @@ from relpoly import (
 )
 from relpoly import canon
 from relpoly.canon import _canonical_key
-from relpoly.gallery import crown_oracle, half_graph_oracle, paley_graph
+from relpoly.gallery import crown_oracle, cycle_graph, half_graph_oracle, paley_graph
 
 SIGNATURES = (
     sig(("E", 2)),
@@ -99,6 +100,64 @@ def test_keys_match_the_unpruned_search():
             assert canonical_form(_shuffled(rng, s), cap=16) == key, s
         unions += 1
     assert unions == 27
+
+
+def _partition(s):
+    return canon._Partition(*canon._inputs(s))
+
+
+def _cells(part) -> list[tuple[int, frozenset]]:
+    """The partition's cells in position order, each with its start, read
+    from `order` and `size`; checks that `pos` inverts `order` and that every
+    vertex is coloured by its cell's start."""
+    assert all(part.order[p] == v for v, p in enumerate(part.pos))
+    cells, start = [], 0
+    while start < len(part.order):
+        members = frozenset(part.order[start:start + part.size[start]])
+        assert all(part.color[v] == start for v in members)
+        cells.append((start, members))
+        start += part.size[start]
+    assert len(cells) == part.cells
+    return cells
+
+
+def test_partition_matches_the_round_based_refinement():
+    """On the cases of `test_keys_match_the_unpruned_search` the in-place
+    partition has the cells of colour refinement in rounds."""
+    rng = random.Random(2014)
+    cases = [_random_case(rng) for _ in range(2000)]
+    for s in cases + list(_cycle_unions(9)):
+        part = _partition(s)
+        _cells(part)
+        assert _classes(part.color) == _classes(round_based_colors(s)), s
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=150)
+@given(st.integers(0, 2**32).map(lambda seed: _random_case(random.Random(seed))),
+       st.lists(st.integers(0, 2**16), max_size=8), st.integers(0, 8))
+def test_individualise_then_undo_restores_the_partition(s, picks, back):
+    """Each individualisation refines to the round-based refinement of the
+    colouring with that vertex split off; undoing to any mark restores the
+    colours and cells exactly as they were when the mark was taken."""
+    part = _partition(s)
+    states, marks = [], []
+    for pick in picks:
+        v = pick % s.domain
+        if part.size[part.color[v]] == 1:
+            continue
+        states.append((list(part.color), _cells(part)))
+        split_off = [(c, u == v) for u, c in enumerate(part.color)]
+        marks.append(part.individualise(v))
+        _cells(part)
+        assert _classes(part.color) == _classes(round_based_colors(s, split_off)), (s, v)
+    if marks:
+        back %= len(marks)
+        part.undo(marks[back])
+        assert (part.color, _cells(part)) == states[back]
+        del marks[back:], states[back:]
+    while marks:
+        part.undo(marks.pop())
+        assert (part.color, _cells(part)) == states.pop()
 
 
 def _flip(rng, s):
@@ -219,6 +278,10 @@ def test_orbits_of_symmetric_and_rigid_graphs(monkeypatch):
     # a relation of arity 3 gets singleton orbits at no cost
     triangle = make_structure(sig(("T", 3)), 3, {"T": list(permutations(range(3)))})
     assert canon.orbits(triangle, 10**9) == ((0, 1, 2), 0)
+    # a long cycle: its refinement reads 16,000 neighbour entries, not n^2
+    cycle = cycle_graph(8000)
+    found, _ = canon.orbits(cycle, 10**6)
+    assert _classes(found) == [list(range(8000))] and cycle in canon._ORBITS
 
 
 @settings(derandomize=True, deadline=None, database=None, max_examples=120)

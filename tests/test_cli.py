@@ -456,6 +456,8 @@ MALFORMED_NUMBERS = {
     "prime-repeated": ["paley", "--cycle", "4", "--primes", "5,5,13", "--no-images"],
     "range-reversed": ["gallery", "run", "crown", "--range", "5:2", "--check"],
     "held-out-zero": ["decompose", "--spec", "LINE", "--cap", "2", "--held-out", "0"],
+    "cap-negative": ["decompose", "--spec", "LINE", "--cap", "-1"],
+    "d-max-negative": ["decompose", "--spec", "LINE", "--cap", "2", "--d-max", "-1"],
 }
 
 
