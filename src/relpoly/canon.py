@@ -1,21 +1,22 @@
 """Canonical keys for small structures: the toolkit's one isomorphism engine.
 
 Two structures over the same signature get equal keys exactly when some
-domain bijection carries every relation onto its namesake.  The key is the
-minimum of a per-vertex encoding stream over all labelings compatible with
-the coarsest equitable colouring (`_Partition`).  The search is a branch and
-bound with twin elimination and automorphism pruning (McKay & Piperno,
-Practical graph isomorphism II, 2014): a leaf that repeats the best stream
-yields an automorphism and a jump back to where its labeling parts from the
-best one, and of the candidates in one orbit of the automorphisms fixing the
-current prefix only the first is tried.  Each search level counts against
-RELPOLY_SEARCH_BUDGET.  A signature with a symbol of arity > 2 goes through
-a brute force over all labelings instead, capped at 8 vertices.
+domain bijection carries every relation onto its namesake.  Keys and
+`orbits` walk one individualise-refine tree (McKay & Piperno, Practical
+graph isomorphism II, 2014) on one `_Partition`, refined and undone in
+place: at a node each vertex of the smallest cell of two or more is
+individualised in turn.  A key is the least stream over the leaves: the cell
+sizes at each level, then the structure relabelled by the discrete
+colouring.  A leaf that repeats the best stream yields an automorphism and a
+jump back to where its path parts from the best one; of the vertices in one
+orbit of the automorphisms fixing the path only the first is tried, and a
+prefix above the best stream's is cut.  Each node counts against
+RELPOLY_SEARCH_BUDGET.  A structure with a non-empty relation of arity > 2
+is keyed by a brute force over all labelings instead, capped at 8 vertices
+and tagged apart.
 
-`orbits` gives the counting kernel the automorphism orbits of a target.  On
-the same partition it individualises two vertices of one cell, refining and
-undoing in place down to discrete colourings, and keeps only the
-permutations that preserve every relation.
+`orbits` gives the counting kernel a target's automorphism orbits from the
+same tree, keeping only the leaf maps that preserve every relation.
 """
 
 from __future__ import annotations
@@ -153,20 +154,20 @@ class _Partition:
                 color[x] = start
             self.size[start] = end - start
 
-    def shape(self) -> tuple[int | None, list[int] | None]:
-        """A hash of the cells' sizes in position order, and the vertices of
-        the smallest cell of two or more (the first on a tie) in ascending
-        order; both None if the colouring is discrete."""
+    def shape(self) -> tuple[tuple[int, ...], list[int] | None]:
+        """The cells' sizes in position order, and the vertices of the
+        smallest cell of two or more (the first on a tie) in ascending
+        order; () and None if the colouring is discrete."""
         size, n = self.size, len(self.order)
         if self.cells == n:
-            return None, None
+            return (), None
         cells, start = [], 0
         while start < n:
             cells.append((size[start], start))
             start += size[start]
         k, start = min(c for c in cells if c[0] > 1)
         self.charge(len(cells) + k)
-        return hash(tuple(cells)), sorted(self.order[start:start + k])
+        return tuple(c[0] for c in cells), sorted(self.order[start:start + k])
 
 
 def _root(orbit: list[int], v: int) -> int:
@@ -176,45 +177,44 @@ def _root(orbit: list[int], v: int) -> int:
     return v
 
 
+def _leaf_map(ref_colors: list[int], colors: list[int]) -> list[int]:
+    """The permutation taking each vertex of one discrete colouring to the
+    vertex of the same colour in the other."""
+    where = [0] * len(colors)
+    for v, c in enumerate(colors):
+        where[c] = v
+    return [where[c] for c in ref_colors]
+
+
 def _canonical_stream(s: Structure) -> tuple:
     n = s.domain
     adjacency, masks = _inputs(s)
     part = _Partition(adjacency, masks)
-
-    def is_twin(u: int, v: int) -> bool:
-        if masks[u] != masks[v]:
-            return False
-        au, av = adjacency[u], adjacency[v]
-        if au.get(v) != av.get(u) or len(au) != len(av):
-            return False
-        return all(w == v or av.get(w) == code for w, code in au.items())
-
     budget = budgets.search_budget()
     nodes = 0
     best: list | None = None
-    best_labeled: list[int] = []
+    best_path: list[int] = []
+    best_colors: list[int] = []
     automorphisms: list[list[int]] = []
     jump = -1   # depth the search unwinds to after finding an automorphism
-    labeled: list[int] = []
-    remaining_by_color = {c: set(part.order[c:c + part.size[c]]) for c in set(part.color)}
+    path: list[int] = []
 
-    def search(stream: list):
-        nonlocal best, best_labeled, nodes, jump
-        depth = len(labeled)
-        if depth == n:
-            if best is None or stream < best:
-                best = list(stream)
-                best_labeled = list(labeled)
-            elif stream == best:
-                # Both labelings give the best stream, so the map from one to
+    def search(stream: list, cell: list[int] | None) -> None:
+        nonlocal best, best_path, best_colors, nodes, jump
+        if cell is None:  # discrete: the structure relabelled by its colours
+            color = part.color
+            leaf = [*stream, tuple(
+                (masks[v], tuple(sorted((color[u], code) for u, code in adjacency[v].items())))
+                for v in part.order)]
+            if best is None or leaf < best:
+                best, best_path, best_colors = leaf, list(path), list(color)
+            elif leaf == best:
+                # Both leaves give the best stream, so the map from one to
                 # the other is an automorphism.  It carries the subtree where
                 # best was found onto the current one from the depth where
-                # the two labelings part, so the rest of it is skipped.
-                gamma = [0] * n
-                for u, v in zip(best_labeled, labeled):
-                    gamma[u] = v
-                automorphisms.append(gamma)
-                jump = next(i for i in range(n) if best_labeled[i] != labeled[i])
+                # the two paths part, so the rest of it is skipped.
+                automorphisms.append(_leaf_map(best_colors, color))
+                jump = next(i for i, (u, v) in enumerate(zip(best_path, path)) if u != v)
             return
         nodes += 1
         if nodes > budget:
@@ -222,60 +222,44 @@ def _canonical_stream(s: Structure) -> tuple:
                 f"canonical form search on {n} vertices explored {nodes} nodes, "
                 f"over the budget of {budget}"
             )
-        # Smallest remaining class first: its vertices are individualized
-        # early, so later rows discriminate instead of branching blindly.
-        size, color = min(
-            (len(vs), c) for c, vs in remaining_by_color.items() if vs
-        )
-        candidates = []
-        for v in remaining_by_color[color]:
-            row = tuple(adjacency[v].get(u, 0) for u in labeled)
-            candidates.append((row, v))
-        candidates.sort()
-        min_row = candidates[0][0]
-        picked: list[int] = []
-        for row, v in candidates:
-            if row != min_row:
-                break
-            if any(is_twin(v, w) for w in picked):
-                continue
-            picked.append(v)
-        # Orbits of the automorphisms found so far that fix the prefix
-        # pointwise: a candidate in the orbit of one already tried has an
+        # Orbits of the automorphisms found so far that fix the path
+        # pointwise: a vertex in the orbit of one already tried has an
         # isomorphic subtree.
         orbit = list(range(n))
         merged = 0
         tried: list[int] = []
-        for v in picked:
+        for v in cell:
             if tried:
                 for gamma in automorphisms[merged:]:
-                    if all(gamma[u] == u for u in labeled):
+                    if all(gamma[u] == u for u in path):
                         for u in range(n):
                             orbit[_root(orbit, u)] = _root(orbit, gamma[u])
                 merged = len(automorphisms)
                 if any(_root(orbit, v) == _root(orbit, w) for w in tried):
                     continue
             tried.append(v)
-            level = (size, color, *masks[v], min_row)
-            stream.append(level)
-            if best is not None and stream > best[: len(stream)]:
-                stream.pop()
-                continue
-            labeled.append(v)
-            remaining_by_color[color].discard(v)
-            search(stream)
-            remaining_by_color[color].add(v)
-            labeled.pop()
+            mark = part.individualise(v)
+            sizes, below = part.shape()
+            stream.append(sizes)
+            if best is None or stream <= best[: len(stream)]:
+                path.append(v)
+                search(stream, below)
+                path.pop()
             stream.pop()
+            part.undo(mark)
             if jump >= 0:
-                if jump < depth:
+                if jump < len(path):
                     return
                 jump = -1
-        return
 
-    search([])
+    search([], part.shape()[1])
     assert best is not None
     return tuple(best)
+
+
+def _wide(s: Structure) -> bool:
+    """Whether some relation of arity > 2 holds a tuple."""
+    return any(arity > 2 and rel for (_, arity), rel in zip(s.signature.symbols, s.relations))
 
 
 def _brute_stream(s: Structure) -> tuple:
@@ -295,8 +279,8 @@ def _brute_stream(s: Structure) -> tuple:
 
 @lru_cache(maxsize=65536)
 def _canonical_key(s: Structure) -> bytes:
-    if any(arity > 2 for _, arity in s.signature.symbols):
-        stream = _brute_stream(s)
+    if _wide(s):
+        stream = ("brute", _brute_stream(s))
     elif s.domain == 0:
         stream = ()
     else:
@@ -317,15 +301,6 @@ def canonical_form(s: Structure, cap: int = DEFAULT_CAP) -> bytes:
 
 # Complete orbit partitions, each kept while its structure lives.
 _ORBITS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
-
-
-def _leaf_map(ref_colors: list[int], colors: list[int]) -> list[int]:
-    """The permutation taking each vertex of one discrete colouring to the
-    vertex of the same colour in the other."""
-    where = [0] * len(colors)
-    for v, c in enumerate(colors):
-        where[c] = v
-    return [where[c] for c in ref_colors]
 
 
 def orbits(s: Structure, allowance: int) -> tuple[tuple[int, ...], int]:
@@ -349,7 +324,7 @@ def orbits(s: Structure, allowance: int) -> tuple[tuple[int, ...], int]:
     if found is not None:
         return found, 0
     n = s.domain
-    if any(arity > 2 and rel for (_, arity), rel in zip(s.signature.symbols, s.relations)):
+    if _wide(s):
         return tuple(range(n)), 0
     adjacency, masks = _inputs(s)
     checks = [(frozenset(rel), rel) for rel in s.relations if rel]
@@ -364,12 +339,12 @@ def orbits(s: Structure, allowance: int) -> tuple[tuple[int, ...], int]:
         spent += work
 
     def path_from(r: int) -> tuple[list, list[int]]:
-        """The shape hash of each colouring on r's path, and its leaf."""
+        """The hash of each colouring's shape on r's path, and its leaf."""
         shapes, cell = [], [r]
         while cell is not None:
             part.individualise(cell[0])
             shape, cell = part.shape()
-            shapes.append(shape)
+            shapes.append(hash(shape))
         leaf = list(part.color)
         part.undo(base)
         return shapes, leaf
@@ -390,7 +365,7 @@ def orbits(s: Structure, allowance: int) -> tuple[tuple[int, ...], int]:
             depth = len(branches) - 1
             mark = part.individualise(tries.pop())
             shape, cell = part.shape()
-            if shape != shapes[depth]:
+            if hash(shape) != shapes[depth]:
                 part.undo(mark)
             elif cell is not None:
                 # Below the first level a cell is tried from its second

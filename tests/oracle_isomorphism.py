@@ -1,10 +1,15 @@
 """Reference isomorphism engines, kept as oracles for relpoly.canon.
 
-`_canonical_stream` is the canon search relpoly used before automorphism
-pruning: branch and bound and twin elimination only, with its own
-`_binary_code` lookups.  Its stream is the one `canonical_form` must
-reproduce byte for byte (see `unpruned_key`), so it numbers its colours as
-canon's partition does, by the first position of each cell.
+`_tree_stream` walks canon's individualise-refine tree with neither its
+automorphism nor its prefix pruning: from the refined partition it
+individualises each vertex of each target cell in turn and keeps the least
+stream of cell sizes per level ending in the leaf's relabelled structure.
+It skips only a twin of a vertex tried before in the same cell: swapping
+two twins and fixing the rest is an automorphism that fixes the path, so
+their subtrees give the same streams, and without the skip an edgeless
+9-vertex structure has 9! leaves.  `canonical_form` must reproduce that
+stream byte for byte (see `unpruned_key`), so the test checks that the
+pruning loses no leaf.
 
 `round_based_colors` is colour refinement in rounds, as canon computed it
 before its partition refined in place: every round recolours each vertex by
@@ -84,79 +89,50 @@ def round_based_colors(s: Structure, initial: list | None = None) -> list[int]:
     return _refine_colors(s, binary, initial or list(zip(unary_mask, loop_mask)))
 
 
-def _canonical_stream(s: Structure) -> tuple:
-    n = s.domain
-    binary, unary_mask, loop_mask = _masks(s)
-    colors = _Partition(*_inputs(s)).color
-
-    def is_twin(u: int, v: int) -> bool:
-        if unary_mask[u] != unary_mask[v] or loop_mask[u] != loop_mask[v]:
-            return False
-        if _binary_code(s, u, v, binary) != _binary_code(s, v, u, binary):
-            return False
-        return all(
-            _binary_code(s, u, w, binary) == _binary_code(s, v, w, binary)
-            for w in range(n)
-            if w != u and w != v
-        )
-
+def _tree_stream(s: Structure) -> tuple:
+    adjacency, masks = _inputs(s)
+    part = _Partition(adjacency, masks)
     best: list | None = None
-    labeled: list[int] = []
-    remaining_by_color: dict[int, set[int]] = {}
-    for v in range(n):
-        remaining_by_color.setdefault(colors[v], set()).add(v)
 
-    def search(stream: list):
+    def twins(u: int, v: int) -> bool:
+        """Whether swapping u and v and fixing the rest is an automorphism."""
+        au, av = adjacency[u], adjacency[v]
+        return (masks[u] == masks[v] and au.get(v) == av.get(u) and len(au) == len(av)
+                and all(w == v or av.get(w) == code for w, code in au.items()))
+
+    def walk(stream: list, cell: list[int] | None) -> None:
         nonlocal best
-        if len(labeled) == n:
-            if best is None or stream < best:
-                best = list(stream)
+        if cell is None:
+            leaf = tuple(
+                (masks[v], tuple(sorted((part.color[u], code) for u, code in adjacency[v].items())))
+                for v in part.order
+            )
+            if best is None or stream + [leaf] < best:
+                best = stream + [leaf]
             return
-        # Smallest remaining class first: its vertices are individualized
-        # early, so later rows discriminate instead of branching blindly.
-        size, color = min(
-            (len(vs), c) for c, vs in remaining_by_color.items() if vs
-        )
-        candidates = []
-        for v in remaining_by_color[color]:
-            row = tuple(_binary_code(s, v, u, binary) for u in labeled)
-            candidates.append((row, v))
-        candidates.sort()
-        min_row = candidates[0][0]
-        picked: list[int] = []
-        for row, v in candidates:
-            if row != min_row:
-                break
-            if any(is_twin(v, w) for w in picked):
+        for i, v in enumerate(cell):
+            if any(twins(u, v) for u in cell[:i]):
                 continue
-            picked.append(v)
-        for v in picked:
-            level = (size, color, unary_mask[v], loop_mask[v], min_row)
-            stream.append(level)
-            if best is not None and stream > best[: len(stream)]:
-                stream.pop()
-                continue
-            labeled.append(v)
-            remaining_by_color[color].discard(v)
-            search(stream)
-            remaining_by_color[color].add(v)
-            labeled.pop()
-            stream.pop()
-        return
+            mark = part.individualise(v)
+            sizes, below = part.shape()
+            walk(stream + [sizes], below)
+            part.undo(mark)
 
-    search([])
+    walk([], part.shape()[1])
     assert best is not None
     return tuple(best)
 
 
 def unpruned_key(s: Structure) -> bytes:
-    """The key `canonical_form` gave before automorphism pruning."""
-    if any(arity > 2 for _, arity in s.signature.symbols):
-        stream = _brute_stream(s)
+    """The key `canonical_form` must give: the least stream of the whole
+    individualise-refine tree, or the brute force's for a non-empty relation
+    of arity > 2."""
+    if any(arity > 2 and rel for (_, arity), rel in zip(s.signature.symbols, s.relations)):
+        stream = ("brute", _brute_stream(s))
     elif s.domain == 0:
         stream = ()
     else:
-        stream = _canonical_stream(s)
+        stream = _tree_stream(s)
     return repr((s.domain, s.signature.symbols, stream)).encode()
 
 

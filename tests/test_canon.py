@@ -241,6 +241,36 @@ def test_canon_search_budget(monkeypatch):
     assert isomorphic(crown, permute(crown, list(reversed(range(10)))))
 
 
+def test_cycles_and_paley_61_key_in_a_few_nodes(monkeypatch):
+    """Individualising one vertex of a cycle splits it by distance, and the
+    automorphisms found at the first leaves prune the rest of the tree."""
+    monkeypatch.setenv("RELPOLY_SEARCH_BUDGET", "100")
+    _canonical_key.cache_clear()
+    for n in (20, 40, 64):
+        assert canonical_form(cycle_graph(n), cap=64) == unpruned_key(cycle_graph(n))
+    paley = paley_graph(61)
+    assert isomorphic(paley, _shuffled(random.Random(61), paley))
+
+
+def test_empty_relations_of_arity_three_do_not_force_the_brute_force():
+    """Only a non-empty relation of arity > 2 is keyed by the brute force,
+    capped at 8 vertices; the two kinds of key never meet."""
+    signature = sig(("E", 2), ("R", 3))
+
+    def directed_cycle(n):
+        return make_structure(signature, n, {"E": [(i, (i + 1) % n) for i in range(n)], "R": []})
+
+    cycle = directed_cycle(9)
+    assert isomorphic(cycle, _shuffled(random.Random(9), cycle))
+    assert not isomorphic(cycle, copies(make_structure(signature, 3, {
+        "E": [(0, 1), (1, 2), (2, 0)], "R": []}), 3))
+    marked = make_structure(signature, 3, {"E": [(0, 1), (1, 2), (2, 0)], "R": [(0, 1, 2)]})
+    assert canonical_form(marked) != canonical_form(directed_cycle(3))
+    assert canonical_form(marked) == unpruned_key(marked)
+    with pytest.raises(BudgetError, match="arity > 2 is capped at 8 vertices"):
+        canonical_form(copies(marked, 3))
+
+
 def _classes(found) -> list[list[int]]:
     """The orbit partition `canon.orbits` returns, as sorted classes."""
     classes: dict[int, list[int]] = {}
