@@ -5,15 +5,15 @@ domain bijection carries every relation onto its namesake.  Keys and
 `orbits` walk one individualise-refine tree (McKay & Piperno, Practical
 graph isomorphism II, 2014) on one `_Partition`, refined and undone in
 place: at a node each vertex of the smallest cell of two or more is
-individualised in turn.  A key is the least stream over the leaves: the cell
-sizes at each level, then the structure relabelled by the discrete
-colouring.  A leaf that repeats the best stream yields an automorphism and a
-jump back to where its path parts from the best one; of the vertices in one
-orbit of the automorphisms fixing the path only the first is tried, and a
-prefix above the best stream's is cut.  Each node counts against
-RELPOLY_SEARCH_BUDGET.  A structure with a non-empty relation of arity > 2
-is keyed by a brute force over all labelings instead, capped at 8 vertices
-and tagged apart.
+individualised in turn.  Refinement reads the codes of every pair of
+positions of every relation, so one tree serves every arity.  A key is the
+least stream over the leaves: the cell sizes at each level, then the
+structure relabelled by the discrete colouring, which ends with the sorted
+tuples of each non-empty relation of arity > 2.  A leaf that repeats the
+best stream yields an automorphism and a jump back to where its path parts
+from the best one; of the vertices in one orbit of the automorphisms fixing
+the path only the first is tried, and a prefix above the best stream's is
+cut.  Each node counts against RELPOLY_SEARCH_BUDGET.
 
 `orbits` gives the counting kernel a target's automorphism orbits from the
 same tree, keeping only the leaf maps that preserve every relation.
@@ -24,7 +24,8 @@ from __future__ import annotations
 import weakref
 from collections import defaultdict, deque
 from functools import lru_cache
-from itertools import groupby, permutations
+from itertools import combinations, groupby
+from operator import itemgetter
 from typing import TYPE_CHECKING
 
 from . import budgets
@@ -34,31 +35,38 @@ if TYPE_CHECKING:
     from .structures import Structure
 
 DEFAULT_CAP = 12
-_BRUTE_CAP = 8
 
 
 def _inputs(s: Structure) -> tuple[list[dict[int, int]], list[tuple[int, int]]]:
-    """Per vertex u: a map from each other vertex v sharing a binary tuple
-    with u to the pair's code, which has bit 2i set when (u, v) is in the
-    i-th binary relation and bit 2i + 1 when (v, u) is; and the pair of bit
-    masks of the unary relations holding u and of the binary relations
-    looping on u."""
+    """Per vertex u: a map from each other vertex v sharing a tuple with u to
+    the pair's code; and the pair of bit masks of the unary relations holding
+    u and of the position pairs looping on u.  The relations of arity >= 2
+    are taken by arity, stably, and each pair of positions i < j of each is
+    the k-th pair: a tuple with u at i and v at j sets bit 2k of the code
+    from u to v and bit 2k + 1 of the code from v to u, or loop bit k of u
+    if u = v.  So the code of a binary pair has bit 2i set when (u, v) is in
+    the i-th binary relation and bit 2i + 1 when (v, u) is."""
     n = s.domain
-    binary = [s.rel(name) for name, arity in s.signature.symbols if arity == 2]
-    unary_names = [name for name, arity in s.signature.symbols if arity == 1]
     unary_mask = [0] * n
-    for bit, name in enumerate(unary_names):
-        for (v,) in s.rel(name):
-            unary_mask[v] |= 1 << bit
-    adjacency: list[dict[int, int]] = [{} for _ in range(n)]
     loop_mask = [0] * n
-    for bit, rel in enumerate(binary):
-        for u, v in rel:
-            if u == v:
-                loop_mask[v] |= 1 << bit
-            else:
-                adjacency[u][v] = adjacency[u].get(v, 0) | 1 << (2 * bit)
-                adjacency[v][u] = adjacency[v].get(u, 0) | 1 << (2 * bit + 1)
+    adjacency: list[dict[int, int]] = [{} for _ in range(n)]
+    unary = pair = 0
+    for (_, arity), rel in sorted(zip(s.signature.symbols, s.relations), key=lambda e: e[0][1]):
+        if arity == 1:
+            for (v,) in rel:
+                unary_mask[v] |= 1 << unary
+            unary += 1
+            continue
+        for i, j in combinations(range(arity), 2):
+            forward, backward, loop = 1 << 2 * pair, 1 << 2 * pair + 1, 1 << pair
+            pair += 1
+            # A binary tuple is its own pair; itemgetter would cost a call each.
+            for u, v in rel if arity == 2 else map(itemgetter(i, j), rel):
+                if u == v:
+                    loop_mask[v] |= loop
+                else:
+                    adjacency[u][v] = adjacency[u].get(v, 0) | forward
+                    adjacency[v][u] = adjacency[v].get(u, 0) | backward
     return adjacency, list(zip(unary_mask, loop_mask))
 
 
@@ -189,6 +197,8 @@ def _leaf_map(ref_colors: list[int], colors: list[int]) -> list[int]:
 def _canonical_stream(s: Structure) -> tuple:
     n = s.domain
     adjacency, masks = _inputs(s)
+    wide = [(i, rel) for i, ((_, arity), rel) in enumerate(zip(s.signature.symbols, s.relations))
+            if arity > 2 and rel]
     part = _Partition(adjacency, masks)
     budget = budgets.search_budget()
     nodes = 0
@@ -206,6 +216,8 @@ def _canonical_stream(s: Structure) -> tuple:
             leaf = [*stream, tuple(
                 (masks[v], tuple(sorted((color[u], code) for u, code in adjacency[v].items())))
                 for v in part.order)]
+            for i, rel in wide:
+                leaf.append((i, tuple(sorted(tuple([color[x] for x in t]) for t in rel))))
             if best is None or leaf < best:
                 best, best_path, best_colors = leaf, list(path), list(color)
             elif leaf == best:
@@ -257,31 +269,9 @@ def _canonical_stream(s: Structure) -> tuple:
     return tuple(best)
 
 
-def _wide(s: Structure) -> bool:
-    """Whether some relation of arity > 2 holds a tuple."""
-    return any(arity > 2 and rel for (_, arity), rel in zip(s.signature.symbols, s.relations))
-
-
-def _brute_stream(s: Structure) -> tuple:
-    if s.domain > _BRUTE_CAP:
-        raise BudgetError(
-            f"canonical form for arity > 2 is capped at {_BRUTE_CAP} vertices (got {s.domain})"
-        )
-    best = None
-    for perm in permutations(range(s.domain)):
-        encoded = tuple(
-            tuple(sorted(tuple(perm[v] for v in t) for t in rel)) for rel in s.relations
-        )
-        if best is None or encoded < best:
-            best = encoded
-    return best
-
-
 @lru_cache(maxsize=65536)
 def _canonical_key(s: Structure) -> bytes:
-    if _wide(s):
-        stream = ("brute", _brute_stream(s))
-    elif s.domain == 0:
+    if s.domain == 0:
         stream = ()
     else:
         stream = _canonical_stream(s)
@@ -317,15 +307,12 @@ def orbits(s: Structure, allowance: int) -> tuple[tuple[int, ...], int]:
     lies inside a true orbit whatever the search misses.  Work is what the
     partition charges plus the tuples checked.  A search that would pass
     `allowance` stops and returns the orbits found so far; a complete
-    partition is kept while `s` lives.  A structure with a relation of arity
-    > 2 gets singleton orbits.
+    partition is kept while `s` lives.
     """
     found = _ORBITS.get(s)
     if found is not None:
         return found, 0
     n = s.domain
-    if _wide(s):
-        return tuple(range(n)), 0
     adjacency, masks = _inputs(s)
     checks = [(frozenset(rel), rel) for rel in s.relations if rel]
     check_work = s.total_tuples()

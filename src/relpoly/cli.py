@@ -63,6 +63,13 @@ def _load_text(path: str) -> str:
         raise UsageError(f"cannot read {path}: {exc}") from exc
 
 
+def _write_text(path: str, text: str) -> None:
+    try:
+        Path(path).write_text(text)
+    except OSError as exc:
+        raise UsageError(f"cannot write {path}: {exc}") from exc
+
+
 def load_structure(path: str) -> Structure:
     return structure_from_json(_load_text(path))
 
@@ -184,7 +191,7 @@ def _cmd_structure(args, out) -> int:
         s = build_basic(BasicStructureSpec(args.k, args.l, orders))
     text = structure_to_json(s)
     if args.out:
-        Path(args.out).write_text(text)
+        _write_text(args.out, text)
         _emit_json(out, {"written": args.out, "domain": s.domain})
     else:
         out.append(text)
@@ -246,11 +253,11 @@ def _cmd_interpret(args, out) -> int:
         extra = {}
     text = structure_to_json(result)
     if args.out:
-        Path(args.out).write_text(text)
+        _write_text(args.out, text)
     else:
         out.append(text)
     if args.mapfile:
-        Path(args.mapfile).write_text(json.dumps({"tuples": table}, indent=2) + "\n")
+        _write_text(args.mapfile, json.dumps({"tuples": table}, indent=2) + "\n")
     if args.out:
         _emit_json(out, {"written": args.out, "domain": result.domain, **extra})
     elif extra:
@@ -271,7 +278,7 @@ def _cmd_detect(args, out) -> int:
         query = parse_formula(text, signature_of(spec), _declared(args))
     fit = detect_polynomial(spec, query, verify_count=args.verify)
     if args.csv:
-        Path(args.csv).write_text(detect_csv(fit))
+        _write_text(args.csv, detect_csv(fit))
     _emit_json(out, fit)
     return 0 if fit.verdict == "Polynomial" else 1
 
@@ -293,7 +300,7 @@ def _cmd_gallery(args, out) -> int:
         built = generate_term(entry.spec(params), args.n)
         text = structure_to_json(built)
         if args.out:
-            Path(args.out).write_text(text)
+            _write_text(args.out, text)
             _emit_json(out, {"written": args.out, "domain": built.domain})
         else:
             out.append(text)

@@ -70,15 +70,14 @@ def edge_count(g: Structure) -> int:
 
 
 def max_degree(g: Structure) -> int:
-    neighbors: dict[int, set[int]] = {v: set() for v in range(g.domain)}
-    for name, arity in g.signature.symbols:
-        if arity != 2:
-            continue
-        for u, v in g.rel(name):
-            if u != v:
-                neighbors[u].add(v)
-                neighbors[v].add(u)
-    return max((len(s) for s in neighbors.values()), default=0)
+    """The largest Gaifman degree: how many other vertices share a tuple of
+    some relation with one vertex."""
+    neighbors: list[set[int]] = [set() for _ in range(g.domain)]
+    for rel in g.relations:
+        for t in rel:
+            for u in t:
+                neighbors[u].update(t)
+    return max((len(s) - 1 for s in neighbors if s), default=0)
 
 
 def star_graph(n: int) -> Structure:

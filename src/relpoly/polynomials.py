@@ -85,8 +85,9 @@ def from_binomial(coeffs) -> IntPolynomial:
 
 
 def from_power(coeffs) -> IntPolynomial:
-    """Binomial-basis form of sum coeffs[k] * n^k (integer coefficients)."""
-    coeffs = [int(c) for c in coeffs]
+    """Binomial-basis form of sum coeffs[k] * n^k, for exact (integer or
+    Fraction) coefficients of a polynomial taking integer values."""
+    coeffs = list(coeffs)
     degree = len(coeffs) - 1
     values = [sum(c * n**k for k, c in enumerate(coeffs)) for n in range(max(degree + 1, 1))]
     return interpolate(list(enumerate(values)))
@@ -154,7 +155,7 @@ def eval_fit(coeffs, x: int) -> Fraction:
 # ---------------------------------------------------------------------------
 # Parsing of integer polynomial expressions in n
 
-_POLY_TOKEN = re.compile(r"\s*(?:(?P<int>\d+)|(?P<n>n)|(?P<op>[-+*^()])|(?P<C>C))")
+_POLY_TOKEN = re.compile(r"\s*(?:(?P<int>\d+)|(?P<n>n)|(?P<op>[-+*^(),])|(?P<C>C))")
 # The largest exponent literal and the largest degree a parsed expression may
 # reach at any step, like the nesting limit of 100 levels.
 MAX_DEGREE = 100
@@ -162,7 +163,8 @@ MAX_DEGREE = 100
 
 class _PolyParser(_Tokens):
     """Grammar: expr := term (('+'|'-') term)*; term := factor ('*' factor)*;
-    factor := base ('^' INT)?; base := INT | 'n' | '(' expr ')' | '-' factor."""
+    factor := base ('^' INT)?;
+    base := INT | 'n' | 'C' '(' 'n' ',' INT ')' | '(' expr ')' | '-' factor."""
 
     def __init__(self, text: str):
         super().__init__(text, _POLY_TOKEN, "polynomial")
@@ -211,6 +213,19 @@ class _PolyParser(_Tokens):
             return [_int_literal(value, offset)]
         if kind == "n":
             return [0, 1]
+        if kind == "C":  # C(n,k) = n(n-1)...(n-k+1) / k!
+            for want in ("(", "n", ",", "int", ")"):
+                tok = self.next()
+                if want not in tok[:2]:
+                    raise FormulaParseError("expected C(n,k) with k an integer literal", tok[2])
+                if want == "int":
+                    k, k_offset = _int_literal(tok[1], tok[2]), tok[2]
+            if k > MAX_DEGREE:
+                raise FormulaParseError(f"polynomial degree exceeds {MAX_DEGREE}", k_offset)
+            result = [Fraction(1)]
+            for i in range(k):
+                result = _mul(result, [Fraction(-i, i + 1), Fraction(1, i + 1)])
+            return result
         if value not in ("(", "-"):
             raise FormulaParseError("expected a polynomial term", offset)
         self.nest(offset)
@@ -253,7 +268,7 @@ def _mul(a, b):
 
 
 def parse_polynomial(text: str) -> IntPolynomial:
-    """Parse an integer-coefficient expression in n ("n", "2*n+1", "n^2")."""
+    """Parse an integer-valued expression in n ("n", "2*n+1", "n^2", "C(n,2)")."""
     power = _PolyParser(text).parse()
     while len(power) > 1 and power[-1] == 0:
         power.pop()

@@ -379,9 +379,8 @@ def component_census(s: Structure) -> dict[bytes, tuple[Structure, int]]:
 
 def isomorphic(a: Structure, b: Structure, cap: int = 64) -> bool:
     """Isomorphism under the identity symbol map (signatures must agree): the
-    Gaifman components of a and b have equal multisets of canonical keys.  A
-    component with a non-empty relation of arity > 2 may have at most 8
-    vertices."""
+    Gaifman components of a and b have equal multisets of canonical keys, of
+    any arity."""
     if a.signature != b.signature or a.domain != b.domain:
         return False
     if a.domain > cap:

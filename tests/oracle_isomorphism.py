@@ -3,13 +3,19 @@
 `_tree_stream` walks canon's individualise-refine tree with neither its
 automorphism nor its prefix pruning: from the refined partition it
 individualises each vertex of each target cell in turn and keeps the least
-stream of cell sizes per level ending in the leaf's relabelled structure.
-It skips only a twin of a vertex tried before in the same cell: swapping
-two twins and fixing the rest is an automorphism that fixes the path, so
-their subtrees give the same streams, and without the skip an edgeless
-9-vertex structure has 9! leaves.  `canonical_form` must reproduce that
-stream byte for byte (see `unpruned_key`), so the test checks that the
-pruning loses no leaf.
+stream of cell sizes per level ending in the leaf's relabelled structure,
+the tuples of each non-empty relation of arity > 2 last.  It skips only a
+twin of a vertex tried before in the same cell: swapping two twins and
+fixing the rest is an automorphism that fixes the path, so their subtrees
+give the same streams, and without the skip an edgeless 9-vertex structure
+has 9! leaves.  Pair codes alone do not make a swap an automorphism once a
+relation has arity > 2, so the swap is checked against those relations too.
+`canonical_form` must reproduce that stream byte for byte (see
+`unpruned_key`), so the test checks that the pruning loses no leaf.
+
+`brute_stream` is the least encoding of a structure over all n! labelings,
+the reference that shares nothing with canon: two structures over one
+signature are isomorphic exactly when their brute streams are equal.
 
 `round_based_colors` is colour refinement in rounds, as canon computed it
 before its partition refined in place: every round recolours each vertex by
@@ -29,7 +35,7 @@ structures name their symbols differently.
 
 from itertools import permutations
 
-from relpoly.canon import _Partition, _brute_stream, _inputs
+from relpoly.canon import _Partition, _inputs
 from relpoly.errors import BudgetError
 from relpoly.structures import Structure
 
@@ -89,26 +95,45 @@ def round_based_colors(s: Structure, initial: list | None = None) -> list[int]:
     return _refine_colors(s, binary, initial or list(zip(unary_mask, loop_mask)))
 
 
+def brute_stream(s: Structure) -> tuple:
+    """The least tuple of sorted relabelled relations over all labelings."""
+    best = None
+    for perm in permutations(range(s.domain)):
+        encoded = tuple(
+            tuple(sorted(tuple(perm[v] for v in t) for t in rel)) for rel in s.relations
+        )
+        if best is None or encoded < best:
+            best = encoded
+    return best
+
+
 def _tree_stream(s: Structure) -> tuple:
     adjacency, masks = _inputs(s)
+    wide = [(i, rel) for i, ((_, arity), rel) in enumerate(zip(s.signature.symbols, s.relations))
+            if arity > 2 and rel]
+    wide_sets = [frozenset(rel) for _, rel in wide]
     part = _Partition(adjacency, masks)
     best: list | None = None
 
     def twins(u: int, v: int) -> bool:
         """Whether swapping u and v and fixing the rest is an automorphism."""
         au, av = adjacency[u], adjacency[v]
+        swap = {u: v, v: u}
         return (masks[u] == masks[v] and au.get(v) == av.get(u) and len(au) == len(av)
-                and all(w == v or av.get(w) == code for w, code in au.items()))
+                and all(w == v or av.get(w) == code for w, code in au.items())
+                and all(tuple(swap.get(x, x) for x in t) in rel for rel in wide_sets for t in rel))
 
     def walk(stream: list, cell: list[int] | None) -> None:
         nonlocal best
         if cell is None:
-            leaf = tuple(
+            leaf = [tuple(
                 (masks[v], tuple(sorted((part.color[u], code) for u, code in adjacency[v].items())))
                 for v in part.order
-            )
-            if best is None or stream + [leaf] < best:
-                best = stream + [leaf]
+            )]
+            leaf += [(i, tuple(sorted(tuple(part.color[x] for x in t) for t in rel)))
+                     for i, rel in wide]
+            if best is None or stream + leaf < best:
+                best = stream + leaf
             return
         for i, v in enumerate(cell):
             if any(twins(u, v) for u in cell[:i]):
@@ -125,11 +150,8 @@ def _tree_stream(s: Structure) -> tuple:
 
 def unpruned_key(s: Structure) -> bytes:
     """The key `canonical_form` must give: the least stream of the whole
-    individualise-refine tree, or the brute force's for a non-empty relation
-    of arity > 2."""
-    if any(arity > 2 and rel for (_, arity), rel in zip(s.signature.symbols, s.relations)):
-        stream = ("brute", _brute_stream(s))
-    elif s.domain == 0:
+    individualise-refine tree."""
+    if s.domain == 0:
         stream = ()
     else:
         stream = _tree_stream(s)

@@ -96,19 +96,21 @@ def to_expression(self: IntPolynomial) -> str:
 
 
 def from_power(coeffs) -> IntPolynomial:
-    """Binomial-basis form of sum coeffs[k] * n^k (integer coefficients)."""
-    coeffs = [int(c) for c in coeffs]
+    """Binomial-basis form of sum coeffs[k] * n^k (exact coefficients of an
+    integer-valued polynomial)."""
+    coeffs = list(coeffs)
     degree = len(coeffs) - 1
     values = [sum(c * n**k for k, c in enumerate(coeffs)) for n in range(max(degree + 1, 1))]
     return interpolate(list(enumerate(values)))
 
 
-_POLY_TOKEN = re.compile(r"\s*(?:(?P<int>\d+)|(?P<n>n)|(?P<op>[-+*^()])|(?P<C>C))")
+_POLY_TOKEN = re.compile(r"\s*(?:(?P<int>\d+)|(?P<n>n)|(?P<op>[-+*^(),])|(?P<C>C))")
 
 
 class _PolyParser:
     """Grammar: expr := term (('+'|'-') term)*; term := factor ('*' factor)*;
-    factor := base ('^' INT)?; base := INT | 'n' | '(' expr ')' | '-' factor."""
+    factor := base ('^' INT)?;
+    base := INT | 'n' | 'C' '(' 'n' ',' INT ')' | '(' expr ')' | '-' factor."""
 
     def __init__(self, text: str):
         self.text = text
@@ -187,6 +189,8 @@ class _PolyParser:
             return [int(value)]
         if kind == "n":
             return [0, 1]
+        if kind == "C":
+            return self.binomial()
         if value not in ("(", "-"):
             raise FormulaParseError("expected a polynomial term", offset)
         self.depth += 1
@@ -203,9 +207,26 @@ class _PolyParser:
         self.depth -= 1
         return inner
 
+    def binomial(self):
+        """The rest of C(n,k): the falling factorial n(n-1)...(n-k+1),
+        multiplied out in integers, over k!."""
+        tokens = []
+        for want in ("(", "n", ",", "int", ")"):
+            tok = self.next()
+            if tok[0] != want and tok[1] != want:
+                raise FormulaParseError("expected C(n,k) with k an integer literal", tok[2])
+            tokens.append(tok)
+        k = int(tokens[3][1])
+        if k > MAX_DEGREE:
+            raise FormulaParseError(f"polynomial degree exceeds {MAX_DEGREE}", tokens[3][2])
+        falling = [1]
+        for i in range(k):
+            falling = _mul(falling, [-i, 1])
+        return [Fraction(c, math.factorial(k)) for c in falling]
+
 
 def parse_polynomial(text: str) -> IntPolynomial:
-    """Parse an integer-coefficient expression in n ("n", "2*n+1", "n^2")."""
+    """Parse an integer-valued expression in n ("n", "2*n+1", "n^2", "C(n,2)")."""
     power = _PolyParser(text).parse()
     while len(power) > 1 and power[-1] == 0:
         power.pop()

@@ -1,6 +1,7 @@
 """The one isomorphism engine: the partition refined in place against colour
 refinement in rounds, the pruned canon search against the unpruned search it
-replaced, `isomorphic` against the old backtracker and networkx, the search
+replaced, keys of relations of arity > 2 against the brute force over all
+labelings, `isomorphic` against the old backtracker and networkx, the search
 budget, and the automorphism orbits against brute force."""
 
 import random
@@ -11,7 +12,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from genutil import permute, random_graph, random_structure
-from oracle_isomorphism import backtrack_isomorphic, round_based_colors, unpruned_key
+from oracle_isomorphism import (
+    backtrack_isomorphic,
+    brute_stream,
+    round_based_colors,
+    unpruned_key,
+)
 from relpoly import (
     BudgetError,
     canonical_form,
@@ -29,6 +35,12 @@ SIGNATURES = (
     sig(("U", 1), ("V", 1), ("E", 2)),
     sig(("R", 2), ("S", 2)),
     sig(("U", 1), ("R", 2)),
+)
+WIDE_SIGNATURES = (
+    sig(("T", 3)),
+    sig(("T", 3), ("U", 1)),
+    sig(("E", 2), ("T", 3)),
+    sig(("Q", 4), ("E", 2)),
 )
 
 
@@ -56,6 +68,17 @@ def _random_case(rng):
             base = random_structure(rng, rng.choice(SIGNATURES), k, 0.6 * rng.random())
         s = copies(base, m)
     return _shuffled(rng, s)
+
+
+def _random_wide(rng, max_vertices=6):
+    """A random structure of 1 to max_vertices vertices over a signature with
+    a relation of arity 3 or 4, each relation holding up to 2n random tuples
+    (duplicates merge), randomly labeled."""
+    signature = rng.choice(WIDE_SIGNATURES)
+    n = rng.randint(1, max_vertices)
+    return make_structure(signature, n, {
+        name: [tuple(rng.randrange(n) for _ in range(arity)) for _ in range(rng.randint(0, 2 * n))]
+        for name, arity in signature.symbols})
 
 
 def _cycle_unions(max_vertices):
@@ -195,8 +218,7 @@ def test_isomorphic_agrees_with_backtracker_and_networkx():
         assert isomorphic(a, b) == expected, (a, b)
         assert nx.is_isomorphic(as_nx(a), as_nx(b)) == expected, (a, b)
         outcomes.add(expected)
-    # Structures with marks, loops and directed relations, and arity 3 (the
-    # brute-force keys).
+    # Structures with marks, loops and directed relations, and arity 3.
     for signature in SIGNATURES + (sig(("T", 3), ("U", 1)),):
         for _ in range(40):
             a = random_structure(rng, signature, rng.randint(1, 5), 0.5 * rng.random())
@@ -253,8 +275,8 @@ def test_cycles_and_paley_61_key_in_a_few_nodes(monkeypatch):
 
 
 def test_empty_relations_of_arity_three_do_not_force_the_brute_force():
-    """Only a non-empty relation of arity > 2 is keyed by the brute force,
-    capped at 8 vertices; the two kinds of key never meet."""
+    """An empty relation of arity > 2 adds nothing to the key; a non-empty one
+    ends each leaf with its tuples, whatever the number of vertices."""
     signature = sig(("E", 2), ("R", 3))
 
     def directed_cycle(n):
@@ -267,8 +289,43 @@ def test_empty_relations_of_arity_three_do_not_force_the_brute_force():
     marked = make_structure(signature, 3, {"E": [(0, 1), (1, 2), (2, 0)], "R": [(0, 1, 2)]})
     assert canonical_form(marked) != canonical_form(directed_cycle(3))
     assert canonical_form(marked) == unpruned_key(marked)
-    with pytest.raises(BudgetError, match="arity > 2 is capped at 8 vertices"):
-        canonical_form(copies(marked, 3))
+    three = copies(marked, 3)
+    assert canonical_form(three) == unpruned_key(three)
+    assert isomorphic(three, _shuffled(random.Random(3), three))
+    assert canonical_form(three) != canonical_form(copies(directed_cycle(3), 3))
+
+
+def test_wide_keys_match_the_brute_force():
+    """Over signatures with relations of arity 3 and 4, keys are equal
+    exactly when the brute-force streams over all labelings are, and each
+    key is the unpruned search's."""
+    rng = random.Random(2027)
+    outcomes = set()
+    for _ in range(400):
+        a = _random_wide(rng)
+        b = _shuffled(rng, a if rng.random() < 0.5 else _flip(rng, a))
+        expected = brute_stream(a) == brute_stream(b)
+        assert (canonical_form(a) == canonical_form(b)) == expected, (a, b)
+        assert canonical_form(b) == unpruned_key(b), b
+        outcomes.add(expected)
+    assert outcomes == {True, False}
+    # 0 and 1 have equal codes to every vertex, yet swapping them is not an
+    # automorphism, so the unpruned search must not skip one as a twin.
+    tricky = make_structure(sig(("T", 3)), 6, {"T": [(0, 2, 3), (0, 4, 5), (1, 2, 5), (1, 4, 3)]})
+    assert canonical_form(tricky) == unpruned_key(tricky)
+
+
+def test_long_ternary_cycle_keys_and_has_one_orbit(monkeypatch):
+    """A 30-vertex ternary cycle {(i, i+1, i+2)}: refinement by its position
+    pairs keys it in a few nodes, and the finder gets its one orbit."""
+    n = 30
+    cycle = make_structure(sig(("T", 3)), n, {"T": [(i, (i + 1) % n, (i + 2) % n) for i in range(n)]})
+    monkeypatch.setenv("RELPOLY_SEARCH_BUDGET", "100")
+    _canonical_key.cache_clear()
+    assert canonical_form(cycle, cap=n) == canonical_form(_shuffled(random.Random(n), cycle), cap=n)
+    monkeypatch.setattr(canon, "_ORBITS", {})
+    found, _ = canon.orbits(cycle, 10**4)
+    assert _classes(found) == [list(range(n))] and cycle in canon._ORBITS
 
 
 def _classes(found) -> list[list[int]]:
@@ -305,24 +362,26 @@ def test_orbits_of_symmetric_and_rigid_graphs(monkeypatch):
     spider = make_structure(sig(("E", 2)), 7, {"E": [
         e for u, v in ((0, 1), (0, 2), (2, 3), (0, 4), (4, 5), (5, 6)) for e in ((u, v), (v, u))]})
     assert canon.orbits(spider, 10**9)[0] == tuple(range(7))
-    # a relation of arity 3 gets singleton orbits at no cost
+    # a relation of arity 3 refines by its position pairs like any other
     triangle = make_structure(sig(("T", 3)), 3, {"T": list(permutations(range(3)))})
-    assert canon.orbits(triangle, 10**9) == ((0, 1, 2), 0)
+    found, work = canon.orbits(triangle, 10**9)
+    assert _classes(found) == [[0, 1, 2]] and work > 0
     # a long cycle: its refinement reads 16,000 neighbour entries, not n^2
     cycle = cycle_graph(8000)
     found, _ = canon.orbits(cycle, 10**6)
     assert _classes(found) == [list(range(8000))] and cycle in canon._ORBITS
 
 
-@settings(derandomize=True, deadline=None, database=None, max_examples=120)
-@given(st.integers(0, 2**32), st.sampled_from((0, 40, 400, 10**9)))
-def test_orbits_lie_inside_the_true_orbits(seed, allowance):
+@settings(derandomize=True, deadline=None, database=None, max_examples=160)
+@given(st.integers(0, 2**32), st.sampled_from((0, 40, 400, 10**9)), st.booleans())
+def test_orbits_lie_inside_the_true_orbits(seed, allowance, wide):
     """With any allowance each orbit found lies inside a true one, the work
     stays within the allowance, and a search that ends in time (a cached
     partition) finds the true orbits.  Structures up to 7 vertices, with
-    marks, loops and two directed relations, or copies of one."""
+    marks, loops and two directed relations, or copies of one; or up to 6
+    vertices with relations of arity 3 and 4."""
     rng = random.Random(seed)
-    s = _random_case(rng)
+    s = _random_wide(rng) if wide else _random_case(rng)
     if s.domain > 7:
         s = _shuffled(rng, copies(random_graph(rng, 3, rng.random()), 2))
     with pytest.MonkeyPatch.context() as mp:

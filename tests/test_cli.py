@@ -473,6 +473,36 @@ def test_malformed_numbers_exit_2(case, files, tmp_path, capsys):
     assert "Traceback" not in captured.err
 
 
+# Every flag that writes a file: its command line, with K3 standing for a
+# structure file, SCHEME for a scheme file, LINE for a Basic spec file and
+# BAD for a path inside a directory that does not exist
+UNWRITABLE_OUTPUTS = {
+    "structure-build-out": ["structure", "build", "--kind", "tournament", "--n", "3",
+                            "--out", "BAD"],
+    "interpret-out": ["interpret", "--scheme", "SCHEME", "--in", "K3", "--out", "BAD"],
+    "interpret-map": ["interpret", "--scheme", "SCHEME", "--in", "K3", "--map", "BAD"],
+    "detect-csv": ["detect", "--spec", "LINE", "--formula", "S1(x,y)", "--vars", "x,y",
+                   "--csv", "BAD"],
+    "gallery-run-out": ["gallery", "run", "crown", "--n", "3", "--out", "BAD"],
+}
+
+
+@pytest.mark.parametrize("case", UNWRITABLE_OUTPUTS)
+def test_unwritable_outputs_exit_2(case, files, tmp_path, capsys):
+    scheme_path = tmp_path / "scheme.int"
+    scheme_path.write_text("interpretation comp {\n  source: graph;\n  target: graph;\n"
+                           "  p: 1;\n  domain(x1): true;\n  E(x1; y1): E(x1,y1);\n}\n")
+    spec_path = tmp_path / "line.json"
+    spec_path.write_text(json.dumps({"variant": "Basic", "k": 1, "l": 0, "orders": ["n"]}))
+    bad = tmp_path / "missing" / "out.txt"
+    stand_ins = {"K3": files["k3"], "SCHEME": str(scheme_path), "LINE": str(spec_path),
+                 "BAD": str(bad)}
+    captured = _cli(capsys, [stand_ins.get(a, a) for a in UNWRITABLE_OUTPUTS[case]], expect=2)
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: cannot write {bad}")
+    assert "Traceback" not in captured.err
+
+
 def test_negative_index_for_a_class_size_certificate_exits_2(files, tmp_path, capsys):
     scheme_path = tmp_path / "scheme.int"
     scheme_path.write_text(

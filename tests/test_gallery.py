@@ -15,11 +15,13 @@ from relpoly import (
     constant_seq,
     CopiesSeq,
     custom_seq,
+    InterpretedSeq,
     generate_term,
     hom,
     isomorphic,
     make_structure,
     parse_polynomial,
+    parse_scheme,
     product_sequences,
     spec_from_json,
     spec_to_json,
@@ -252,6 +254,18 @@ def test_max_degree():
     assert max_degree(star_graph(5)) == 4
     assert max_degree(cycle_graph(4)) == 2
     assert max_degree(complete_graph(1)) == 0
+
+
+def test_degree_cap_reads_the_gaifman_degree_of_every_arity():
+    """T(x; y; z) over a linear order joins every vertex to every other at
+    n >= 3, so the degree cap trips before the census sees a new component."""
+    scheme = parse_scheme(
+        "interpretation chains {\n  source: basic(k=1, l=0);\n  target: sig{T:3};\n  p: 1;\n"
+        "  domain(x): true;\n  T(x; y; z): S1(x,y) & S1(y,z);\n}\n")
+    spec = InterpretedSeq(scheme, BasicSeq(1, 0, (parse_polynomial("n"),)))
+    assert max_degree(generate_term(spec, 5)) == 4
+    with pytest.raises(UnboundedDegreeError, match="term at n=3 has maximum degree 2 > cap 1"):
+        bounded_decompose(spec, degree_cap=1)
 
 
 def test_paley_graph_small():

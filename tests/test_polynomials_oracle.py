@@ -43,6 +43,16 @@ def test_power_coeffs_and_expression_match(coeffs):
     assert poly.to_expression() == oracle.to_expression(poly)
 
 
+@_SETTINGS
+@given(st.lists(st.integers(-1000, 1000), max_size=10))
+def test_every_written_polynomial_reads_back(coeffs):
+    """What `to_expression` writes, `C(n,k)` terms included, parses back to
+    the same polynomial, in the library and in the reference parser."""
+    poly = from_binomial(coeffs)
+    assert parse_polynomial(poly.to_expression()) == poly
+    assert oracle.parse_polynomial(poly.to_expression()) == poly
+
+
 @st.composite
 def _expressions(draw, depth=3):
     """Well-formed polynomial text: sums of products of powers."""
@@ -74,7 +84,7 @@ def test_parse_polynomial_matches_on_expressions(text):
 
 
 @_SETTINGS
-@given(st.text(alphabet="n012+-*^() Cx", max_size=8))
+@given(st.text(alphabet="n012+-*^() C,x", max_size=8))
 def test_parse_polynomial_errors_match(text):
     """Arbitrary short text parses to the same polynomial or fails with the
     same error message and offset."""
@@ -86,6 +96,9 @@ def test_parse_polynomial_errors_match(text):
     ("(n", "expected ')' at offset 3"),
     ("n^n", "exponent must be an integer literal at offset 3"),
     ("n n", "unexpected trailing input in polynomial at offset 3"),
+    ("C(n,k)", "unexpected character 'k' in polynomial at offset 5"),
+    ("C(2,1)", "expected C(n,k) with k an integer literal at offset 3"),
+    ("C(n,101)", "polynomial degree exceeds 100 at offset 5"),
 ])
 def test_parse_polynomial_error_messages(text, message):
     assert _outcome(parse_polynomial, text)[1] == message

@@ -40,6 +40,7 @@ from relpoly import (
     parse_scheme,
     predict_inj_into_ordered_sum,
     product_sequences,
+    scheme_to_text,
     signature_of,
     spec_from_json,
     spec_to_json,
@@ -82,6 +83,24 @@ def test_polynomial_literals_past_the_digit_limit_are_parse_errors():
         with pytest.raises(FormulaParseError, match="more than 4300 digits") as info:
             parse_polynomial(text)
         assert info.value.offset == offset
+
+
+def test_polynomials_written_as_binomial_terms_read_back():
+    """C(n,2) has no integer power-basis form, so it is written as a C(n,k)
+    term; a spec or a class certificate holding it parses back."""
+    spec = CopiesSeq(from_binomial((0, 0, 1)), BasicSeq(1, 0, (N,)))
+    text = spec_to_json(spec)
+    assert '"count": "1*C(n,2)"' in text
+    assert spec_from_json(text) == spec
+    scheme = parse_scheme(
+        "interpretation pairs {\n  source: graph;\n  target: graph;\n  p: 1;\n"
+        "  domain(x1): true;\n  E(x1; y1): E(x1,y1);\n  equiv(x1; y1): x1 = y1;\n"
+        "  class c: eta=true, size=C(n, 2);\n}\n")
+    assert scheme.certificates[0].size == from_binomial((0, 0, 1))
+    assert "size=1*C(n,2);" in scheme_to_text(scheme)
+    assert scheme_to_text(parse_scheme(scheme_to_text(scheme))) == scheme_to_text(scheme)
+    with pytest.raises(FormulaParseError, match="more than 4300 digits"):
+        parse_polynomial(f"C(n,{'9' * 5000})")
 
 
 def test_interpolate():
