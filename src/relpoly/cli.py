@@ -59,7 +59,7 @@ class _Parser(argparse.ArgumentParser):
 def _load_text(path: str) -> str:
     try:
         return Path(path).read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise UsageError(f"cannot read {path}: {exc}") from exc
 
 
@@ -274,7 +274,7 @@ def _cmd_detect(args, out) -> int:
     else:
         text = args.formula
         if Path(text).is_file():
-            text = Path(text).read_text().strip()
+            text = _load_text(text).strip()
         query = parse_formula(text, signature_of(spec), _declared(args))
     fit = detect_polynomial(spec, query, verify_count=args.verify)
     if args.csv:

@@ -7,7 +7,7 @@ import math
 from collections import defaultdict
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product, repeat
+from itertools import compress, product, repeat
 from operator import contains, itemgetter
 from typing import NamedTuple
 
@@ -645,39 +645,16 @@ def _missing_tuples(pattern: Structure, closure: str | None):
 
 def super_patterns(pattern: Structure, closure: str | None = None):
     """Yield (superstructure, number of added tuple groups) for every way of
-    enlarging the pattern's relations on the same domain; more than
+    enlarging the pattern's relations on the same domain, the first group
+    varying slowest and left out before it is added; more than
     RELPOLY_BASIS_BUDGET of them is a BudgetError."""
-    groups = _missing_tuples(pattern, closure)
-    limit = budgets.basis_budget()
-    total = 1
-    for _, candidates in groups:
-        total <<= len(candidates)
-        if total > limit:
-            raise BudgetError("super-pattern enumeration too large")
-
-    def rec(level: int, relations: list[set], added: int):
-        if level == len(groups):
-            yield (
-                make_structure(pattern.signature, pattern.domain,
-                               {pattern.signature.symbols[i][0]: relations[i]
-                                for i in range(len(relations))}),
-                added,
-            )
-            return
-        idx, candidates = groups[level]
-
-        def choose(pos: int, count: int):
-            if pos == len(candidates):
-                yield from rec(level + 1, relations, added + count)
-                return
-            yield from choose(pos + 1, count)
-            for t in candidates[pos]:
-                relations[idx].add(t)
-            yield from choose(pos + 1, count + 1)
-            for t in candidates[pos]:
-                relations[idx].discard(t)
-
-        yield from choose(0, 0)
-
-    base = [set(rel) for rel in pattern.relations]
-    yield from rec(0, base, 0)
+    groups = [(idx, group) for idx, candidates in _missing_tuples(pattern, closure)
+              for group in candidates]
+    if 1 << len(groups) > budgets.basis_budget():
+        raise BudgetError("super-pattern enumeration too large")
+    names = pattern.signature.names
+    for picks in product((0, 1), repeat=len(groups)):
+        relations = {name: list(rel) for name, rel in zip(names, pattern.relations)}
+        for idx, group in compress(groups, picks):
+            relations[names[idx]].extend(group)
+        yield make_structure(pattern.signature, pattern.domain, relations), sum(picks)

@@ -1,7 +1,7 @@
-"""Interpretation schemes: plain, graphical, merged-marked, and quotient
-variants, the formula translation that moves satisfaction counting from an
-interpreted structure back to its source, and the table of builtin schemes
-that sequence specs name."""
+"""Interpretation schemes (graphical ones: into loopless graphs, certified
+symmetric when applied) and their quotients, the formula translation that
+moves satisfaction counting from an interpreted structure back to its
+source, and the table of builtin schemes that sequence specs name."""
 
 from __future__ import annotations
 
@@ -112,38 +112,18 @@ class InterpretationScheme:
         return self.rhos[self.target.index(symbol)]
 
 
-@dataclass(frozen=True)
-class GraphicalScheme:
-    """Vertex formula with p free variables and a symmetric edge formula with
-    2p; emits a loopless graph."""
+class GraphicalScheme(InterpretationScheme):
+    """An interpretation scheme into graphs from a vertex formula `iota` with
+    p free variables and an edge formula `rho` with 2p, xs then ys: its domain
+    formula is `iota` and its edge formula is rho & !(xs = ys), so the graph
+    has no loops.  `apply_graphical` also certifies `rho` symmetric."""
 
-    name: str
-    p: int
-    iota: Formula
-    rho: Formula
-    origin: tuple | None = None
-
-    def __post_init__(self):
-        if self.p < 1:
-            raise SignatureError("exponent must be positive")
-        if len(self.iota.free_vars) != self.p:
-            raise BindingError("vertex formula arity does not match the exponent")
-        if len(self.rho.free_vars) != 2 * self.p:
-            raise BindingError("edge formula needs 2p free variables")
-        if self.iota.signature != self.rho.signature:
-            raise BindingError("vertex and edge formulas disagree on the source signature")
-
-    @property
-    def source(self) -> Signature:
-        return self.iota.signature
-
-    @property
-    def target(self) -> Signature:
-        return GRAPH_SIG
-
-    @property
-    def quantifier_free(self) -> bool:
-        return self.iota.is_quantifier_free and self.rho.is_quantifier_free
+    def __init__(self, name: str, p: int, iota: Formula, rho: Formula,
+                 origin: tuple | None = None):
+        xs, ys = rho.free_vars[:p], rho.free_vars[p:]
+        distinct = neg(conj(*[eq(x, y) for x, y in zip(xs, ys)]))
+        edge = Formula(conj(rho.root, distinct), rho.signature, rho.free_vars)
+        super().__init__(name, p, iota.signature, GRAPH_SIG, iota, (edge,), origin)
 
 
 @dataclass(frozen=True)
@@ -194,7 +174,7 @@ class QuotientScheme:
                 and all(c.eta.is_quantifier_free for c in self.certificates))
 
 
-Scheme = InterpretationScheme | GraphicalScheme | QuotientScheme
+Scheme = InterpretationScheme | QuotientScheme
 
 
 # ---------------------------------------------------------------------------
@@ -203,7 +183,7 @@ Scheme = InterpretationScheme | GraphicalScheme | QuotientScheme
 _EQUIV_SIG = sig(("equiv", 2))
 
 
-def _domain_tuples(scheme: Scheme, domain: Formula, a: Structure) -> list[tuple[int, ...]]:
+def _domain_tuples(scheme: InterpretationScheme, a: Structure) -> list[tuple[int, ...]]:
     """The p-tuples satisfying the domain formula in lexicographic order."""
     if a.signature != scheme.source:
         raise SignatureError(
@@ -213,7 +193,7 @@ def _domain_tuples(scheme: Scheme, domain: Formula, a: Structure) -> list[tuple[
     limit = budgets.tuple_budget()
     if a.domain ** scheme.p > limit:
         raise BudgetError(f"{a.domain}^{scheme.p} candidate tuples exceed the budget of {limit}")
-    return list(stream_satisfying(domain, a))
+    return list(stream_satisfying(scheme.rho0, a))
 
 
 def _incompatibility(name: str, rho: Formula, arity: int, a: Structure, tuples,
@@ -239,7 +219,7 @@ def _relations(target: Signature, rhos, a: Structure, tuples,
     """The one relation loop of every scheme kind: each formula of arity r is
     evaluated on all len(tuples)**r tuples of domain tuples, counted against
     the tuple budget, and must be invariant on the classes, whose members
-    are then one vertex.  Plain and graphical schemes pass singletons.
+    are then one vertex.  Plain (and so graphical) schemes pass singletons.
 
     Rows are ordered by class, and each head of r - 1 rows costs one
     row-kernel call over all rows; the last position varies fastest.  The
@@ -280,7 +260,7 @@ def apply_interpretation_with_map(
     scheme: InterpretationScheme, a: Structure
 ) -> tuple[Structure, tuple[tuple[int, ...], ...]]:
     """Interpret and also return the vertex-index -> source-tuple table."""
-    tuples = _domain_tuples(scheme, scheme.rho0, a)
+    tuples = _domain_tuples(scheme, a)
     relations = _relations(scheme.target, scheme.rhos, a, tuples, _singletons(tuples))
     return make_structure(scheme.target, len(tuples), relations), tuple(tuples)
 
@@ -293,19 +273,17 @@ def apply_interpretation(scheme: InterpretationScheme, a: Structure) -> Structur
 
 
 def apply_graphical(scheme: GraphicalScheme, a: Structure) -> Structure:
-    """Undirected graph on the vertex tuples; the edge formula is certified
-    symmetric on this input, with a witness reported on violation."""
-    tuples = _domain_tuples(scheme, scheme.iota, a)
-    edges = _relations(scheme.target, (scheme.rho,), a, tuples, _singletons(tuples))["E"]
-    present = set(edges)
-    one_way = [tuple(sorted(e)) for e in edges if e[::-1] not in present]
+    """`apply_interpretation` with the symmetry certificate: the least pair of
+    vertex tuples joined one way only is reported as the witness."""
+    out, tuples = apply_interpretation_with_map(scheme, a)
+    edges = set(out.rel("E"))
+    one_way = [tuple(sorted(e)) for e in edges if e[::-1] not in edges]
     if one_way:
         i, j = min(one_way)
         raise ValidationError(
             f"edge formula of {scheme.name!r} is not symmetric", witness=(tuples[i], tuples[j])
         )
-    present.difference_update(zip(range(len(tuples)), range(len(tuples))))
-    return make_structure(scheme.target, len(tuples), {"E": present})
+    return out
 
 
 def _equivalence_error(rows: list[set[int]], tuples) -> ValidationError:
@@ -366,7 +344,7 @@ def apply_quotient_with_report(
     if n is not None and n < 0:
         raise SignatureError("sequence index must be non-negative")
     base = qs.base
-    tuples = _domain_tuples(base, base.rho0, a)
+    tuples = _domain_tuples(base, a)
     pairs = _relations(_EQUIV_SIG, (qs.varpi,), a, tuples, _singletons(tuples))
     rows: list[set[int]] = [set() for _ in tuples]
     for i, j in pairs["equiv"]:
@@ -423,10 +401,10 @@ def apply_quotient(qs: QuotientScheme, a: Structure, n: int | None = None) -> St
 
 
 def apply_scheme(scheme: Scheme, a: Structure, n: int | None = None) -> Structure:
-    if isinstance(scheme, InterpretationScheme):
-        return apply_interpretation(scheme, a)
     if isinstance(scheme, GraphicalScheme):
         return apply_graphical(scheme, a)
+    if isinstance(scheme, InterpretationScheme):
+        return apply_interpretation(scheme, a)
     if isinstance(scheme, QuotientScheme):
         return apply_quotient(scheme, a, n=n)
     raise TypeError(f"not a scheme: {scheme!r}")
@@ -893,7 +871,7 @@ BUILTIN_SCHEMES: dict[str, Callable[[dict], Scheme]] = {
 # ---------------------------------------------------------------------------
 # Scheme text format
 
-_HEADER = re.compile(r"\s*interpretation\s+([A-Za-z_][A-Za-z0-9_']*)\s*\{", re.S)
+_HEADER = re.compile(r"\s*interpretation\s+([^\s{}]+)\s*\{", re.S)
 _SIG_ITEM = re.compile(r"\s*([A-Za-z_][A-Za-z0-9_']*)\s*:\s*(\d+)\s*")
 _BASIC = re.compile(r"\s*basic\s*\(\s*k\s*=\s*(\d+)\s*,\s*l\s*=\s*(\d+)\s*\)\s*$")
 
@@ -948,7 +926,8 @@ def _split_statements(body: str) -> list[str]:
 
 def parse_scheme(text: str) -> InterpretationScheme | QuotientScheme:
     """Parse the textual scheme format; returns a quotient scheme when an
-    equiv clause is present."""
+    equiv clause is present.  A name is any run of characters but whitespace
+    and braces, so the names of parameterised and composed schemes read back."""
     m = _HEADER.match(text)
     if m is None:
         raise FormulaParseError("expected 'interpretation NAME {'", 1)

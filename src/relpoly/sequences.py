@@ -511,7 +511,7 @@ def _scheme_to_obj(scheme: Scheme) -> dict:
     if scheme.origin is not None:
         name, params = scheme.origin
         return {"builtin": name, "params": dict(params)}
-    if isinstance(scheme, GraphicalScheme):
+    if isinstance(scheme, GraphicalScheme):   # text would read back with no symmetry check
         raise SignatureError(
             f"graphical scheme {scheme.name!r} has no origin in BUILTIN_SCHEMES; "
             "only builtin graphical schemes serialize"

@@ -80,18 +80,16 @@ class Structure:
         if len(self.relations) != len(self.signature.symbols):
             raise SignatureError("relation list does not match signature")
         for (name, arity), tuples in zip(self.signature.symbols, self.relations):
-            seen = set()
             prev = None
             for t in tuples:
                 if len(t) != arity:
                     raise SignatureError(f"tuple {t} has wrong arity for {name!r}")
                 if any(v < 0 or v >= self.domain for v in t):
                     raise SignatureError(f"tuple {t} out of range for {name!r}")
-                if t in seen:
-                    raise SignatureError(f"duplicate tuple {t} in {name!r}")
-                if prev is not None and t < prev:
-                    raise SignatureError(f"tuples of {name!r} are not sorted")
-                seen.add(t)
+                if prev is not None and t <= prev:
+                    raise SignatureError(
+                        f"tuples of {name!r} are not strictly increasing: {t} after {prev}"
+                    )
                 prev = t
 
     def rel(self, name: str) -> tuple[tuple[int, ...], ...]:

@@ -69,8 +69,8 @@ def apply_graphical(scheme: GraphicalScheme, a: Structure,
     """Undirected graph on the vertex tuples; the edge formula is certified
     symmetric on this input, with a witness reported on violation."""
     _check_source(scheme, a)
-    tuples = _domain_tuples(scheme.iota, a, scheme.p, budget)
-    test = evaluator(scheme.rho, a)
+    tuples = _domain_tuples(scheme.rho0, a, scheme.p, budget)
+    test = evaluator(scheme.rho("E"), a)
     m = len(tuples)
     limit = budget if budget is not None else budgets.tuple_budget()
     if m * m > limit:
@@ -79,7 +79,7 @@ def apply_graphical(scheme: GraphicalScheme, a: Structure,
     for i in range(m):
         for j in range(i, m):
             forward = test(tuples[i] + tuples[j])
-            if i == j:   # evaluated like every pair, but a loop is dropped
+            if i == j:   # evaluated like every pair; the edge formula excludes loops
                 continue
             backward = test(tuples[j] + tuples[i])
             if forward != backward:

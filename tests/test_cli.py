@@ -503,6 +503,31 @@ def test_unwritable_outputs_exit_2(case, files, tmp_path, capsys):
     assert "Traceback" not in captured.err
 
 
+# Every flag that reads a file, with NOTUTF8 standing for a file whose bytes
+# are not UTF-8 text and the other stand-ins as above
+UNDECODABLE_INPUTS = {
+    "structure-show-in": ["structure", "show", "--in", "NOTUTF8"],
+    "count-target": ["count", "--mode", "hom", "--pattern", "K3", "--target", "NOTUTF8"],
+    "interpret-scheme": ["interpret", "--scheme", "NOTUTF8", "--in", "K3"],
+    "detect-spec": ["detect", "--spec", "NOTUTF8", "--formula", "S1(x,y)", "--vars", "x,y"],
+    "detect-pattern": ["detect", "--spec", "LINE", "--pattern", "NOTUTF8"],
+    "detect-formula": ["detect", "--spec", "LINE", "--formula", "NOTUTF8", "--vars", "x,y"],
+}
+
+
+@pytest.mark.parametrize("case", UNDECODABLE_INPUTS)
+def test_undecodable_inputs_exit_2(case, files, tmp_path, capsys):
+    spec_path = tmp_path / "line.json"
+    spec_path.write_text(json.dumps({"variant": "Basic", "k": 1, "l": 0, "orders": ["n"]}))
+    bad = tmp_path / "utf16.txt"
+    bad.write_bytes(b"\xff\xfeS\x001\x00")
+    stand_ins = {"K3": files["k3"], "LINE": str(spec_path), "NOTUTF8": str(bad)}
+    captured = _cli(capsys, [stand_ins.get(a, a) for a in UNDECODABLE_INPUTS[case]], expect=2)
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: cannot read {bad}")
+    assert "Traceback" not in captured.err
+
+
 def test_negative_index_for_a_class_size_certificate_exits_2(files, tmp_path, capsys):
     scheme_path = tmp_path / "scheme.int"
     scheme_path.write_text(

@@ -161,6 +161,19 @@ def test_inversion_identities_general_relations():
         assert ind(f, a) == sum((-1) ** k * inj(g, a) for g, k in super_patterns(f))
 
 
+def test_super_patterns_keep_the_pattern_and_yield_in_order():
+    """Every super-pattern contains the pattern, even when a symmetric group
+    added by the simple closure meets a tuple of an asymmetric pattern; the
+    first group varies slowest, left out before it is added."""
+    arc = make_structure(GRAPH_SIG, 3, {"E": [(2, 1)]})
+    supers = list(super_patterns(arc, closure="simple"))
+    assert [k for _, k in supers] == [0, 1, 1, 2, 1, 2, 2, 3]
+    assert all(set(arc.rel("E")) <= set(g.rel("E")) for g, _ in supers)
+    assert supers[1][0].rel("E") == ((1, 2), (2, 1))
+    assert supers[2][0].rel("E") == ((0, 2), (2, 0), (2, 1))
+    assert supers[4][0].rel("E") == ((0, 1), (1, 0), (2, 1))
+
+
 def test_hom_multiplicative_over_components():
     rng = random.Random(44)
     for _ in range(8):

@@ -4,10 +4,12 @@ import pytest
 
 from relpoly import (
     GRAPH_SIG,
+    BasicSeq,
     BindingError,
     ClassCertificate,
     GraphicalScheme,
     InterpretationScheme,
+    InterpretedSeq,
     QuotientScheme,
     SignatureError,
     ValidationError,
@@ -16,6 +18,7 @@ from relpoly import (
     apply_interpretation_with_map,
     apply_quotient,
     apply_quotient_with_report,
+    apply_scheme,
     basic_signature,
     build_basic,
     BasicStructureSpec,
@@ -24,11 +27,13 @@ from relpoly import (
     complement_scheme,
     compose,
     count_satisfying,
+    generate_term,
     isomorphic,
     make_structure,
     mark,
     merge_marked_schemes,
     parse_formula,
+    parse_polynomial,
     parse_scheme,
     product_scheme,
     scheme_to_text,
@@ -45,10 +50,13 @@ from relpoly.gallery import (
     line_graph_scheme,
     subdivision_scheme,
 )
+from relpoly.interp import BUILTIN_SCHEMES
 from relpoly.logic import TRUE
 from relpoly.polynomials import constant
 
-from genutil import K2, K3, graph, random_graph, random_qf_formula, random_scheme
+from genutil import (
+    K2, K3, graph, random_graph, random_qf_formula, random_scheme, random_structure,
+)
 from oracle_isomorphism import backtrack_weakly_isomorphic
 
 
@@ -91,18 +99,17 @@ def test_graphical_edgeless_and_loops():
     out = apply_graphical(none, t5)
     assert out.domain == 5 and out.rel("E") == ()
 
-    loops = GraphicalScheme(
-        "loops", 1,
-        build_formula(TRUE, src, ["x1"]),
-        parse_formula("x1 = y1", src, ["x1", "y1"]),
-    )
+    same = parse_formula("x1 = y1", src, ["x1", "y1"])
+    loops = GraphicalScheme("loops", 1, build_formula(TRUE, src, ["x1"]), same)
     assert apply_graphical(loops, t5).rel("E") == ()
     # a plain scheme into graphs keeps them
-    plain = InterpretationScheme("loops", 1, src, GRAPH_SIG, loops.iota, (loops.rho,))
+    plain = InterpretationScheme("loops", 1, src, GRAPH_SIG, loops.rho0, (same,))
     assert apply_interpretation(plain, t5).rel("E") == tuple((v, v) for v in range(5))
 
 
 def test_graphical_symmetry_violation_reports_witness():
+    """apply_graphical, and apply_scheme and generate_term through it, raise
+    with the lex-least pair of vertex tuples joined one way only."""
     src = basic_signature(1, 0)
     bad = GraphicalScheme(
         "bad", 1,
@@ -110,9 +117,43 @@ def test_graphical_symmetry_violation_reports_witness():
         parse_formula("S1(x1,y1)", src, ["x1", "y1"]),
     )
     t3 = build_basic(BasicStructureSpec(1, 0, (3,)))
-    with pytest.raises(ValidationError) as err:
-        apply_graphical(bad, t3)
-    assert err.value.witness is not None
+    spec = InterpretedSeq(bad, BasicSeq(1, 0, (parse_polynomial("n"),)))
+    for build in (lambda: apply_graphical(bad, t3), lambda: apply_scheme(bad, t3),
+                  lambda: generate_term(spec, 3)):
+        with pytest.raises(ValidationError, match="edge formula of 'bad' is not symmetric") as err:
+            build()
+        assert err.value.witness == ((0,), (1,))
+
+
+def test_builtin_graphical_schemes_are_interpretation_schemes():
+    """Each builtin graphical scheme has one loopless edge formula rho("E"),
+    translates formulas, composes, and writes text that reads back as a plain
+    scheme interpreting every input as it does."""
+    rng = random.Random(41)
+    adjacency = parse_formula("E(x,y)", GRAPH_SIG, ["x", "y"])
+    params = {"vertexBlowup": {"edges": ((0, 1), (1, 2)), "k": 3},
+              "treeBlowup": {"parents": {2: 1, 3: 1}, "k": 3}}
+    builtins = [build(params.get(name, {})) for name, build in BUILTIN_SCHEMES.items()]
+    schemes = [complement_scheme()] + [s for s in builtins if isinstance(s, GraphicalScheme)]
+    assert len(schemes) == 15
+    for scheme in schemes:
+        assert isinstance(scheme, InterpretationScheme) and scheme.target == GRAPH_SIG
+        assert scheme.rhos == (scheme.rho("E"),)
+        assert len(scheme.rho("E").free_vars) == 2 * scheme.p
+        text = scheme_to_text(scheme)
+        again = parse_scheme(text)
+        assert type(again) is InterpretationScheme and scheme_to_text(again) == text
+        composed = compose(complement_scheme(), scheme)
+        assert scheme_to_text(parse_scheme(scheme_to_text(composed))) == scheme_to_text(composed)
+        for _ in range(3):
+            a = random_structure(rng, scheme.source, rng.randrange(0, 4))
+            image = apply_interpretation(scheme, a)
+            assert all(u != v for u, v in image.rel("E")), scheme.name
+            assert apply_interpretation(again, a) == image
+            assert count_satisfying(translate_formula(scheme, adjacency), a) == len(image.rel("E"))
+            assert apply_interpretation(composed, a) == apply_interpretation(
+                complement_scheme(), image
+            )
 
 
 def test_apply_interpretation_records_tuple_map():
@@ -141,10 +182,7 @@ def test_apply_interpretation_signature_and_budget(monkeypatch):
 
 
 def test_translate_formula_crown():
-    scheme = InterpretationScheme(
-        "crown", 2, basic_signature(1, 2), GRAPH_SIG,
-        crown_scheme().iota, (crown_scheme().rho,),
-    )
+    scheme = crown_scheme()
     base = _crown_base(3)
     adjacency = parse_formula("E(x,y)", GRAPH_SIG)
     translated = translate_formula(scheme, adjacency)
@@ -350,16 +388,11 @@ def test_scheme_text_round_trip():
     for scheme in (line_graph_scheme(), subdivision_scheme()):
         text = scheme_to_text(scheme)
         assert scheme_to_text(parse_scheme(text)) == text
-    plain = InterpretationScheme(
-        "crown", 2, basic_signature(1, 2), GRAPH_SIG,
-        crown_scheme().iota, (crown_scheme().rho,),
-    )
-    text = scheme_to_text(plain)
+    crown = crown_scheme()
+    text = scheme_to_text(crown)
     again = parse_scheme(text)
     assert scheme_to_text(again) == text
-    assert apply_interpretation(again, _crown_base(3)) == apply_interpretation(
-        plain, _crown_base(3)
-    )
+    assert apply_interpretation(again, _crown_base(3)) == apply_graphical(crown, _crown_base(3))
 
 
 def test_scheme_text_errors():

@@ -6,6 +6,7 @@ from relpoly import (
     GRAPH_SIG,
     BasicStructureSpec,
     SignatureError,
+    Structure,
     basic_signature,
     build_basic,
     build_marked_vertex,
@@ -168,6 +169,13 @@ def test_structure_validation():
         sig(("E", 0))
     empty = make_structure(GRAPH_SIG, 0)
     assert empty.rel("E") == ()
+
+
+def test_structure_tuples_must_strictly_increase():
+    assert Structure(GRAPH_SIG, 3, (((0, 1), (1, 2)),)).rel("E") == ((0, 1), (1, 2))
+    for tuples in (((1, 2), (0, 1)), ((0, 1), (0, 1)), ((0, 1), (1, 2), (1, 2))):
+        with pytest.raises(SignatureError, match="not strictly increasing"):
+            Structure(GRAPH_SIG, 3, (tuples,))
 
 
 def test_induced_and_permute():
