@@ -28,12 +28,7 @@ from .gallery import (
     gallery_list,
     paley_experiment,
 )
-from .interp import (
-    QuotientScheme,
-    apply_interpretation_with_map,
-    apply_quotient_with_report,
-    parse_scheme,
-)
+from .interp import apply_quotient_with_report, parse_scheme
 from .logic import count_satisfying, eval_formula, parse_formula, satisfying_tuples
 from .sequences import detect_polynomial, generate_term, signature_of, spec_from_json
 from .structures import (
@@ -89,6 +84,19 @@ def _emit_json(out: list[str], payload):
             f"the output holds a number of more than {sys.get_int_max_str_digits()} "
             "digits, Python's limit for writing an integer as text"
         ) from None
+
+
+def _emit_structure(out: list[str], path: str | None, s: Structure, **extra) -> None:
+    """Write the structure's JSON to `path` and print what was written, or
+    print the structure; the `extra` keys follow in either case."""
+    text = structure_to_json(s)
+    if path:
+        _write_text(path, text)
+        _emit_json(out, {"written": path, "domain": s.domain, **extra})
+    else:
+        out.append(text)
+        if extra:
+            _emit_json(out, extra)
 
 
 def _int_list(text: str, option: str) -> list[int]:
@@ -189,12 +197,7 @@ def _cmd_structure(args, out) -> int:
     else:
         orders = tuple(_int_list(args.orders, "--orders"))
         s = build_basic(BasicStructureSpec(args.k, args.l, orders))
-    text = structure_to_json(s)
-    if args.out:
-        _write_text(args.out, text)
-        _emit_json(out, {"written": args.out, "domain": s.domain})
-    else:
-        out.append(text)
+    _emit_structure(out, args.out, s)
     return 0
 
 
@@ -237,31 +240,16 @@ def _cmd_count(args, out) -> int:
 
 def _cmd_interpret(args, out) -> int:
     scheme = parse_scheme(_load_text(args.scheme))
-    source = load_structure(args.infile)
-    if isinstance(scheme, QuotientScheme):
-        report = apply_quotient_with_report(scheme, source, n=args.n)
-        result = report.structure
-        table = [list(t) for t in report.tuples]
-        extra = {
-            "classes": [list(c) for c in report.classes],
-            "classSizes": list(report.class_sizes),
-            "certificates": list(report.certificate_labels),
-        }
-    else:
-        result, tuples = apply_interpretation_with_map(scheme, source)
-        table = [list(t) for t in tuples]
-        extra = {}
-    text = structure_to_json(result)
-    if args.out:
-        _write_text(args.out, text)
-    else:
-        out.append(text)
+    report = apply_quotient_with_report(scheme, load_structure(args.infile), n=args.n)
+    extra = {} if scheme.varpi is None else {
+        "classes": [list(c) for c in report.classes],
+        "classSizes": list(report.class_sizes),
+        "certificates": list(report.certificate_labels),
+    }
+    _emit_structure(out, args.out, report.structure, **extra)
     if args.mapfile:
+        table = [list(t) for t in report.tuples]
         _write_text(args.mapfile, json.dumps({"tuples": table}, indent=2) + "\n")
-    if args.out:
-        _emit_json(out, {"written": args.out, "domain": result.domain, **extra})
-    elif extra:
-        _emit_json(out, extra)
     return 0
 
 
@@ -297,13 +285,7 @@ def _cmd_gallery(args, out) -> int:
         raise UsageError(f"unknown gallery entry {args.name!r}")
     if args.n is not None and not args.check:
         entry = ENTRIES[args.name]
-        built = generate_term(entry.spec(params), args.n)
-        text = structure_to_json(built)
-        if args.out:
-            _write_text(args.out, text)
-            _emit_json(out, {"written": args.out, "domain": built.domain})
-        else:
-            out.append(text)
+        _emit_structure(out, args.out, generate_term(entry.spec(params), args.n))
         return 0
     n_range = None
     if args.range:

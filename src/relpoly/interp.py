@@ -1,7 +1,9 @@
-"""Interpretation schemes (graphical ones: into loopless graphs, certified
-symmetric when applied) and their quotients, the formula translation that
-moves satisfaction counting from an interpreted structure back to its
-source, and the table of builtin schemes that sequence specs name."""
+"""Interpretation schemes, each with an optional equivalence formula whose
+classes are its vertices (a quotient scheme), and graphical schemes into
+loopless graphs, certified symmetric when applied; the one application path
+that serves them all, the formula translation that moves satisfaction
+counting from an interpreted structure back to its source, and the table of
+builtin schemes that sequence specs name."""
 
 from __future__ import annotations
 
@@ -71,9 +73,19 @@ def instantiate(phi: Formula, names) -> Node:
 # Scheme types
 
 @dataclass(frozen=True)
+class ClassCertificate:
+    label: str
+    eta: Formula
+    size: IntPolynomial
+
+
+@dataclass(frozen=True)
 class InterpretationScheme:
     """Exponent p, a domain formula with p free variables, and one formula
-    with p*r free variables per target symbol of arity r."""
+    with p*r free variables per target symbol of arity r.  An equivalence
+    formula `varpi` on p-tuples (2p free variables; None means equality)
+    makes the vertices its classes, whose sizes `certificates` may declare:
+    each has p free variables and a size polynomial in the sequence index."""
 
     name: str
     p: int
@@ -82,6 +94,8 @@ class InterpretationScheme:
     rho0: Formula
     rhos: tuple[Formula, ...]
     origin: tuple | None = None
+    varpi: Formula | None = None
+    certificates: tuple[ClassCertificate, ...] = ()
 
     def __post_init__(self):
         if self.p < 1:
@@ -103,10 +117,24 @@ class InterpretationScheme:
                     f"formula for {name!r} needs {self.p * arity} free variables, "
                     f"got {len(rho.free_vars)}"
                 )
+        if self.varpi is None:
+            if self.certificates:
+                raise BindingError("class certificates need an equivalence formula")
+            return
+        if len(self.varpi.free_vars) != 2 * self.p:
+            raise BindingError("equivalence formula needs 2p free variables")
+        if self.varpi.signature != self.source:
+            raise BindingError("equivalence formula is not bound against the source")
+        for cert in self.certificates:
+            if len(cert.eta.free_vars) != self.p:
+                raise BindingError(f"certificate {cert.label!r} needs p free variables")
 
     @property
     def quantifier_free(self) -> bool:
-        return self.rho0.is_quantifier_free and all(r.is_quantifier_free for r in self.rhos)
+        formulas = [self.rho0, *self.rhos, *(c.eta for c in self.certificates)]
+        if self.varpi is not None:
+            formulas.append(self.varpi)
+        return all(phi.is_quantifier_free for phi in formulas)
 
     def rho(self, symbol: str) -> Formula:
         return self.rhos[self.target.index(symbol)]
@@ -124,57 +152,6 @@ class GraphicalScheme(InterpretationScheme):
         distinct = neg(conj(*[eq(x, y) for x, y in zip(xs, ys)]))
         edge = Formula(conj(rho.root, distinct), rho.signature, rho.free_vars)
         super().__init__(name, p, iota.signature, GRAPH_SIG, iota, (edge,), origin)
-
-
-@dataclass(frozen=True)
-class ClassCertificate:
-    label: str
-    eta: Formula
-    size: IntPolynomial
-
-
-@dataclass(frozen=True)
-class QuotientScheme:
-    """Interpretation scheme combined with an equivalence formula on p-tuples
-    and declared class-size certificates."""
-
-    base: InterpretationScheme
-    varpi: Formula
-    certificates: tuple[ClassCertificate, ...]
-    origin: tuple | None = None
-
-    def __post_init__(self):
-        if len(self.varpi.free_vars) != 2 * self.base.p:
-            raise BindingError("equivalence formula needs 2p free variables")
-        if self.varpi.signature != self.base.source:
-            raise BindingError("equivalence formula is not bound against the source")
-        for cert in self.certificates:
-            if len(cert.eta.free_vars) != self.base.p:
-                raise BindingError(f"certificate {cert.label!r} needs p free variables")
-
-    @property
-    def name(self) -> str:
-        return self.base.name
-
-    @property
-    def p(self) -> int:
-        return self.base.p
-
-    @property
-    def source(self) -> Signature:
-        return self.base.source
-
-    @property
-    def target(self) -> Signature:
-        return self.base.target
-
-    @property
-    def quantifier_free(self) -> bool:
-        return (self.base.quantifier_free and self.varpi.is_quantifier_free
-                and all(c.eta.is_quantifier_free for c in self.certificates))
-
-
-Scheme = InterpretationScheme | QuotientScheme
 
 
 # ---------------------------------------------------------------------------
@@ -252,40 +229,6 @@ def _relations(target: Signature, rhos, a: Structure, tuples,
     return relations
 
 
-def _singletons(tuples) -> list[tuple[int]]:
-    return [(i,) for i in range(len(tuples))]
-
-
-def apply_interpretation_with_map(
-    scheme: InterpretationScheme, a: Structure
-) -> tuple[Structure, tuple[tuple[int, ...], ...]]:
-    """Interpret and also return the vertex-index -> source-tuple table."""
-    tuples = _domain_tuples(scheme, a)
-    relations = _relations(scheme.target, scheme.rhos, a, tuples, _singletons(tuples))
-    return make_structure(scheme.target, len(tuples), relations), tuple(tuples)
-
-
-def apply_interpretation(scheme: InterpretationScheme, a: Structure) -> Structure:
-    """Domain = satisfying p-tuples of the domain formula in lexicographic
-    order; each target relation holds where its formula holds on the
-    concatenated tuples."""
-    return apply_interpretation_with_map(scheme, a)[0]
-
-
-def apply_graphical(scheme: GraphicalScheme, a: Structure) -> Structure:
-    """`apply_interpretation` with the symmetry certificate: the least pair of
-    vertex tuples joined one way only is reported as the witness."""
-    out, tuples = apply_interpretation_with_map(scheme, a)
-    edges = set(out.rel("E"))
-    one_way = [tuple(sorted(e)) for e in edges if e[::-1] not in edges]
-    if one_way:
-        i, j = min(one_way)
-        raise ValidationError(
-            f"edge formula of {scheme.name!r} is not symmetric", witness=(tuples[i], tuples[j])
-        )
-    return out
-
-
 def _equivalence_error(rows: list[set[int]], tuples) -> ValidationError:
     """The first failure of the related pairs `rows` to form an equivalence:
     reflexivity of tuple i, or symmetry of i with a later j, for the least i
@@ -328,43 +271,43 @@ class QuotientReport:
 
 
 def apply_quotient_with_report(
-    qs: QuotientScheme,
+    scheme: InterpretationScheme,
     a: Structure,
     n: int | None = None,
 ) -> QuotientReport:
-    """Interpret with one vertex per equivalence class of the tuple relation.
+    """Apply any scheme: the domain tuples satisfying the domain formula, in
+    lexicographic order, grouped into classes, one vertex per class.
 
-    The equivalence formula is evaluated on all pairs of domain tuples and
-    validated exhaustively: grouping the tuples by the set they are related
-    to must give each group exactly that set.  Relation formulas are
-    evaluated on every tuple of domain tuples and must give the same answer
-    on every member of a class, and declared class-size certificates are
-    checked where they apply (a non-constant size needs the sequence index n).
+    Without an equivalence formula every tuple is its own class.  With one,
+    the classes are those of `varpi` on the domain tuples, validated as an
+    equivalence; the declared class-size certificates are then checked (a
+    non-constant size needs the sequence index n), and labels are None when
+    there are none.  Relation formulas are evaluated on every tuple of
+    domain tuples and must give the same answer on every member of a class.
     """
     if n is not None and n < 0:
         raise SignatureError("sequence index must be non-negative")
-    base = qs.base
-    tuples = _domain_tuples(base, a)
-    pairs = _relations(_EQUIV_SIG, (qs.varpi,), a, tuples, _singletons(tuples))
-    rows: list[set[int]] = [set() for _ in tuples]
-    for i, j in pairs["equiv"]:
-        rows[i].add(j)
-    groups: dict[frozenset[int], list[int]] = {}
-    for i, row in enumerate(rows):
-        groups.setdefault(frozenset(row), []).append(i)
-    if any(row != set(members) for row, members in groups.items()):
-        raise _equivalence_error(rows, tuples)
-    classes = list(groups.values())
+    tuples = _domain_tuples(scheme, a)
+    classes = [(i,) for i in range(len(tuples))]
+    if scheme.varpi is not None:
+        pairs = _relations(_EQUIV_SIG, (scheme.varpi,), a, tuples, classes)
+        rows: list[set[int]] = [set() for _ in tuples]
+        for i, j in pairs["equiv"]:
+            rows[i].add(j)
+        groups: dict[frozenset[int], list[int]] = {}
+        for i, row in enumerate(rows):
+            groups.setdefault(frozenset(row), []).append(i)
+        if any(row != set(members) for row, members in groups.items()):
+            raise _equivalence_error(rows, tuples)
+        classes = list(groups.values())
 
-    labels: list[str | None] = []
-    if qs.certificates:
-        eta_tests = [(cert, evaluator(cert.eta, a)) for cert in qs.certificates]
-        for members in classes:
+    labels: list[str | None] = [None] * len(classes)
+    if scheme.certificates:
+        eta_tests = [(cert, evaluator(cert.eta, a)) for cert in scheme.certificates]
+        for k, members in enumerate(classes):
             rep = tuples[members[0]]
-            label = None
             for cert, test in eta_tests:
                 if test(rep):
-                    label = cert.label
                     expected = None
                     if cert.size.is_constant():
                         expected = cert.size(0)
@@ -376,19 +319,14 @@ def apply_quotient_with_report(
                             f"{cert.label!r} = {expected}",
                             witness=rep,
                         )
+                    labels[k] = cert.label
                     break
-            if label is None:
-                raise ValidationError(
-                    "certificates do not cover a domain tuple", witness=rep
-                )
-            labels.append(label)
-    else:
-        labels = [None] * len(classes)
+            else:
+                raise ValidationError("certificates do not cover a domain tuple", witness=rep)
 
-    relations = _relations(base.target, base.rhos, a, tuples, classes)
-    structure = make_structure(base.target, len(classes), relations)
+    relations = _relations(scheme.target, scheme.rhos, a, tuples, classes)
     return QuotientReport(
-        structure,
+        make_structure(scheme.target, len(classes), relations),
         tuple(tuples),
         tuple(tuple(c) for c in classes),
         tuple(len(c) for c in classes),
@@ -396,18 +334,33 @@ def apply_quotient_with_report(
     )
 
 
-def apply_quotient(qs: QuotientScheme, a: Structure, n: int | None = None) -> Structure:
-    return apply_quotient_with_report(qs, a, n=n).structure
+def apply_interpretation(scheme: InterpretationScheme, a: Structure,
+                         n: int | None = None) -> Structure:
+    """The structure of `apply_quotient_with_report`: on a scheme without an
+    equivalence formula, each target relation holds where its formula holds
+    on the concatenated domain tuples."""
+    return apply_quotient_with_report(scheme, a, n).structure
 
 
-def apply_scheme(scheme: Scheme, a: Structure, n: int | None = None) -> Structure:
+def apply_graphical(scheme: GraphicalScheme, a: Structure) -> Structure:
+    """`apply_interpretation` with the symmetry certificate: the least pair of
+    vertex tuples joined one way only is reported as the witness."""
+    report = apply_quotient_with_report(scheme, a)
+    edges = set(report.structure.rel("E"))
+    one_way = [tuple(sorted(e)) for e in edges if e[::-1] not in edges]
+    if one_way:
+        i, j = min(one_way)
+        raise ValidationError(
+            f"edge formula of {scheme.name!r} is not symmetric",
+            witness=(report.tuples[i], report.tuples[j]),
+        )
+    return report.structure
+
+
+def apply_scheme(scheme: InterpretationScheme, a: Structure, n: int | None = None) -> Structure:
     if isinstance(scheme, GraphicalScheme):
         return apply_graphical(scheme, a)
-    if isinstance(scheme, InterpretationScheme):
-        return apply_interpretation(scheme, a)
-    if isinstance(scheme, QuotientScheme):
-        return apply_quotient(scheme, a, n=n)
-    raise TypeError(f"not a scheme: {scheme!r}")
+    return apply_interpretation(scheme, a, n)
 
 
 # ---------------------------------------------------------------------------
@@ -424,12 +377,22 @@ def _fresh_tuple_names(base: str, p: int, used: set[str]) -> tuple[str, ...]:
     return tuple(names)
 
 
+def _refuse_quotient(scheme: InterpretationScheme, what: str) -> None:
+    if scheme.varpi is not None:
+        raise SignatureError(
+            f"{what} does not support the quotient scheme {scheme.name!r}, "
+            "which has an equivalence formula"
+        )
+
+
 def translate_formula(scheme: InterpretationScheme, phi: Formula) -> Formula:
     """Rewrite a target-signature formula into a source-signature formula with
     the same satisfaction count: each variable becomes a p-tuple of variables,
     relation atoms become their defining formulas, quantifiers are guarded by
     the domain formula, and the result constrains every free tuple to the
-    interpreted domain."""
+    interpreted domain.  A quotient scheme is refused: a count of tuples is
+    not a count of classes."""
+    _refuse_quotient(scheme, "formula translation")
     if phi.signature != scheme.target:
         raise BindingError("formula is not bound against the scheme target")
     p = scheme.p
@@ -481,7 +444,9 @@ def translate_formula(scheme: InterpretationScheme, phi: Formula) -> Formula:
 def compose(outer: InterpretationScheme, inner: InterpretationScheme) -> InterpretationScheme:
     """Scheme computing outer(inner(A)) directly, with exponent p_out * p_in;
     realized by translating each of the outer formulas through the inner
-    scheme."""
+    scheme.  Neither may be a quotient scheme."""
+    _refuse_quotient(outer, "compose")
+    _refuse_quotient(inner, "compose")
     if outer.source != inner.target:
         raise SignatureError("outer scheme's source must equal inner scheme's target")
     return InterpretationScheme(
@@ -498,12 +463,13 @@ def merge_marked_schemes(schemes, marks) -> InterpretationScheme:
     """Combine componentwise schemes into one over the disjoint-union
     signatures, routing by the given unary marks, so that applying the merged
     scheme to a strong sum of marked inputs interprets each block by its own
-    scheme."""
+    scheme; none may be a quotient scheme."""
     schemes = list(schemes)
     marks = list(marks)
     if len(schemes) != len(marks):
         raise SignatureError("one mark per scheme is required")
     for scheme, mark_name in zip(schemes, marks):
+        _refuse_quotient(scheme, "merge_marked_schemes")
         if not scheme.source.has(mark_name) or scheme.source.arity(mark_name) != 1:
             raise SignatureError(f"scheme {scheme.name!r} lacks unary mark {mark_name!r}")
     source, source_maps = disjoint_union_signature([s.source for s in schemes])
@@ -781,7 +747,7 @@ def _same_set_formula(xs, ys):
     return conj(left, right)
 
 
-def clique_intersection_scheme(k: int, d_set) -> QuotientScheme:
+def clique_intersection_scheme(k: int, d_set) -> InterpretationScheme:
     """Vertices are k-cliques of a graph (tuples of distinct vertices up to
     reordering, so a loop is no clique); adjacency holds when the cliques
     share exactly d elements for some d in the set."""
@@ -798,18 +764,16 @@ def clique_intersection_scheme(k: int, d_set) -> QuotientScheme:
     rho = build_formula(
         conj(_share_exactly(xs, ys, d_set), neg(_same_set_formula(xs, ys))), src, xs + ys
     )
-    base = InterpretationScheme(
-        f"cliqueIntersection(k={k},D={list(d_set)})", k, src, GRAPH_SIG, rho0, (rho,)
-    )
     varpi = build_formula(_same_set_formula(xs, ys), src, xs + ys)
     certs = (ClassCertificate("clique", build_formula(TRUE, src, xs),
                               constant(math.factorial(k))),)
-    return QuotientScheme(
-        base, varpi, certs, origin=("cliqueIntersection", (("D", d_set), ("k", k)))
+    return InterpretationScheme(
+        f"cliqueIntersection(k={k},D={list(d_set)})", k, src, GRAPH_SIG, rho0, (rho,),
+        ("cliqueIntersection", (("D", d_set), ("k", k))), varpi, certs,
     )
 
 
-def line_graph_scheme() -> QuotientScheme:
+def line_graph_scheme() -> InterpretationScheme:
     """Oriented edges up to reversal, loops excluded; adjacency = sharing an
     endpoint."""
     src = GRAPH_SIG
@@ -819,16 +783,16 @@ def line_graph_scheme() -> QuotientScheme:
         "& !(x1 = y2 & x2 = y1)",
         src, ["x1", "x2", "y1", "y2"],
     )
-    base = InterpretationScheme("lineGraph", 2, src, GRAPH_SIG, rho0, (rho,))
     varpi = parse_formula(
         "x1 = y1 & x2 = y2 | x1 = y2 & x2 = y1", src, ["x1", "x2", "y1", "y2"]
     )
     certs = (ClassCertificate(
         "edge", parse_formula("true", src, ["x1", "x2"]), constant(2)),)
-    return QuotientScheme(base, varpi, certs, origin=("lineGraph", ()))
+    return InterpretationScheme("lineGraph", 2, src, GRAPH_SIG, rho0, (rho,),
+                                ("lineGraph", ()), varpi, certs)
 
 
-def subdivision_scheme() -> QuotientScheme:
+def subdivision_scheme() -> InterpretationScheme:
     """One vertex per original vertex (diagonal pairs) and one per edge
     (oriented edges up to reversal), joined when incident."""
     src = GRAPH_SIG
@@ -838,7 +802,6 @@ def subdivision_scheme() -> QuotientScheme:
         " | !(x1 = x2) & y1 = y2 & (y1 = x1 | y1 = x2)",
         src, ["x1", "x2", "y1", "y2"],
     )
-    base = InterpretationScheme("subdivision", 2, src, GRAPH_SIG, rho0, (rho,))
     varpi = parse_formula(
         "x1 = y1 & x2 = y2 | x1 = y2 & x2 = y1", src, ["x1", "x2", "y1", "y2"]
     )
@@ -846,12 +809,13 @@ def subdivision_scheme() -> QuotientScheme:
         ClassCertificate("vertex", parse_formula("x1 = x2", src, ["x1", "x2"]), constant(1)),
         ClassCertificate("edge", parse_formula("!(x1 = x2)", src, ["x1", "x2"]), constant(2)),
     )
-    return QuotientScheme(base, varpi, certs, origin=("subdivision", ()))
+    return InterpretationScheme("subdivision", 2, src, GRAPH_SIG, rho0, (rho,),
+                                ("subdivision", ()), varpi, certs)
 
 
 # Every builtin scheme a JSON spec can name, keyed by the first component of
 # the scheme's `origin`; each builder takes that origin's params as a dict.
-BUILTIN_SCHEMES: dict[str, Callable[[dict], Scheme]] = {
+BUILTIN_SCHEMES: dict[str, Callable[[dict], InterpretationScheme]] = {
     "crown": lambda p: crown_scheme(),
     "johnson": lambda p: johnson_scheme(p.get("k", 2), p.get("D", (1,))),
     "vertexBlowup": lambda p: vertex_blowup_scheme(tuple(tuple(e) for e in p["edges"]), p["k"]),
@@ -924,18 +888,35 @@ def _split_statements(body: str) -> list[str]:
     return out
 
 
-def parse_scheme(text: str) -> InterpretationScheme | QuotientScheme:
-    """Parse the textual scheme format; returns a quotient scheme when an
-    equiv clause is present.  A name is any run of characters but whitespace
-    and braces, so the names of parameterised and composed schemes read back."""
+def _closing_brace(text: str, start: int) -> int:
+    """The index of the '}' closing the brace opened just before `start`, or
+    -1; braces in between nest, as in `sig{...}`."""
+    depth = 1
+    for i in range(start, len(text)):
+        if text[i] in "{}":
+            depth += 1 if text[i] == "{" else -1
+            if depth == 0:
+                return i
+    return -1
+
+
+def parse_scheme(text: str) -> InterpretationScheme:
+    """Parse the textual scheme format; an equiv clause gives the scheme its
+    equivalence formula and class clauses its certificates.  A name is any
+    run of characters but whitespace and braces, so the names of
+    parameterised and composed schemes read back.  A clause given twice
+    (one relation symbol or class label twice included) and any text after
+    the closing brace are parse errors."""
     m = _HEADER.match(text)
     if m is None:
         raise FormulaParseError("expected 'interpretation NAME {'", 1)
     name = m.group(1)
     body_start = m.end()
-    body_end = text.rfind("}")
-    if body_end < body_start:
+    body_end = _closing_brace(text, body_start)
+    if body_end < 0:
         raise FormulaParseError("missing closing '}'", len(text) + 1)
+    if text[body_end + 1:].strip():
+        raise FormulaParseError("text after the closing '}'", body_end + 2)
     statements = [s.strip() for s in _split_statements(text[body_start:body_end]) if s.strip()]
 
     source = target = None
@@ -944,10 +925,16 @@ def parse_scheme(text: str) -> InterpretationScheme | QuotientScheme:
     rel_clauses: list[tuple[str, str, str]] = []
     equiv_clause = None
     class_clauses: list[tuple[str, str, str]] = []
+    seen: set[str] = set()
     for stmt in statements:
         head, _, rest = stmt.partition(":")
         head = head.strip()
         rest = rest.strip()
+        m_head = re.match(r"([A-Za-z_][A-Za-z0-9_']*)\s*\((.*)\)\s*$", head, re.S)
+        key = f"{m_head.group(1)}(...)" if m_head else " ".join(head.split())
+        if key in seen:
+            raise FormulaParseError(f"repeated clause {key!r}", 1)
+        seen.add(key)
         if head == "source":
             source = _parse_sig_text(rest)
         elif head == "target":
@@ -963,17 +950,14 @@ def parse_scheme(text: str) -> InterpretationScheme | QuotientScheme:
             if m_eta is None:
                 raise FormulaParseError(f"bad class clause for {label!r}", 1)
             class_clauses.append((label, m_eta.group(1).strip(), m_eta.group(2).strip()))
+        elif m_head is None:
+            raise FormulaParseError(f"bad clause head {head!r}", 1)
+        elif m_head.group(1) == "domain":
+            domain_clause = (m_head.group(2), rest)
+        elif m_head.group(1) == "equiv":
+            equiv_clause = (m_head.group(2), rest)
         else:
-            m_head = re.match(r"([A-Za-z_][A-Za-z0-9_']*)\s*\((.*)\)\s*$", head, re.S)
-            if m_head is None:
-                raise FormulaParseError(f"bad clause head {head!r}", 1)
-            kind, vars_text = m_head.group(1), m_head.group(2)
-            if kind == "domain":
-                domain_clause = (vars_text, rest)
-            elif kind == "equiv":
-                equiv_clause = (vars_text, rest)
-            else:
-                rel_clauses.append((kind, vars_text, rest))
+            rel_clauses.append((m_head.group(1), m_head.group(2), rest))
 
     if source is None or target is None or p is None or domain_clause is None:
         raise FormulaParseError("scheme needs source, target, p, and domain clauses", 1)
@@ -997,24 +981,21 @@ def parse_scheme(text: str) -> InterpretationScheme | QuotientScheme:
     missing = [s for s, _ in target.symbols if s not in rhos_by_name]
     if missing:
         raise BindingError(f"missing relation clauses for {missing}")
-    base = InterpretationScheme(
-        name, p, source, target, rho0,
-        tuple(rhos_by_name[s] for s, _ in target.symbols),
-    )
-    if equiv_clause is None:
-        if class_clauses:
-            raise BindingError("class clauses require an equiv clause")
-        return base
-    groups = _var_groups(equiv_clause[0])
-    if len(groups) != 2 or any(len(g) != p for g in groups):
-        raise BindingError("equiv clause needs two groups of p variables")
-    varpi = parse_formula(equiv_clause[1], source, [v for g in groups for v in g])
+    varpi = None
+    if equiv_clause is not None:
+        groups = _var_groups(equiv_clause[0])
+        if len(groups) != 2 or any(len(g) != p for g in groups):
+            raise BindingError("equiv clause needs two groups of p variables")
+        varpi = parse_formula(equiv_clause[1], source, [v for g in groups for v in g])
     certificates = tuple(
         ClassCertificate(label, parse_formula(eta_text, source, domain_vars),
                          parse_polynomial(size_text))
         for label, eta_text, size_text in class_clauses
     )
-    return QuotientScheme(base, varpi, certificates)
+    return InterpretationScheme(
+        name, p, source, target, rho0,
+        tuple(rhos_by_name[s] for s, _ in target.symbols), None, varpi, certificates,
+    )
 
 
 def _sig_to_text(signature: Signature) -> str:
@@ -1023,27 +1004,24 @@ def _sig_to_text(signature: Signature) -> str:
     return "sig{" + ", ".join(f"{n}:{a}" for n, a in signature.symbols) + "}"
 
 
-def scheme_to_text(scheme: InterpretationScheme | QuotientScheme) -> str:
-    """Canonical rendering; parsing it back reproduces the scheme."""
-    base = scheme.base if isinstance(scheme, QuotientScheme) else scheme
-    lines = [f"interpretation {base.name} {{"]
-    lines.append(f"  source: {_sig_to_text(base.source)};")
-    lines.append(f"  target: {_sig_to_text(base.target)};")
-    lines.append(f"  p: {base.p};")
+def scheme_to_text(scheme: InterpretationScheme) -> str:
+    """Canonical rendering; parsing it back reproduces the scheme, its origin
+    aside."""
+    p = scheme.p
+    lines = [f"interpretation {scheme.name} {{"]
+    lines.append(f"  source: {_sig_to_text(scheme.source)};")
+    lines.append(f"  target: {_sig_to_text(scheme.target)};")
+    lines.append(f"  p: {p};")
     lines.append(
-        f"  domain({','.join(base.rho0.free_vars)}): {formula_to_text(base.rho0)};"
+        f"  domain({','.join(scheme.rho0.free_vars)}): {formula_to_text(scheme.rho0)};"
     )
-    for (sym, arity), rho in zip(base.target.symbols, base.rhos):
+    for (sym, arity), rho in zip(scheme.target.symbols, scheme.rhos):
         vars_ = rho.free_vars
-        groups = "; ".join(
-            ",".join(vars_[b * base.p:(b + 1) * base.p]) for b in range(arity)
-        )
+        groups = "; ".join(",".join(vars_[b * p:(b + 1) * p]) for b in range(arity))
         lines.append(f"  {sym}({groups}): {formula_to_text(rho)};")
-    if isinstance(scheme, QuotientScheme):
+    if scheme.varpi is not None:
         vars_ = scheme.varpi.free_vars
-        groups = "; ".join(
-            ",".join(vars_[b * base.p:(b + 1) * base.p]) for b in range(2)
-        )
+        groups = "; ".join(",".join(vars_[b * p:(b + 1) * p]) for b in range(2))
         lines.append(f"  equiv({groups}): {formula_to_text(scheme.varpi)};")
         for cert in scheme.certificates:
             lines.append(

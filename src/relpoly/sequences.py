@@ -17,8 +17,7 @@ from .errors import BindingError, BudgetError, SignatureError, ValidationError
 from .interp import (
     BUILTIN_SCHEMES,
     GraphicalScheme,
-    QuotientScheme,
-    Scheme,
+    InterpretationScheme,
     apply_scheme,
     mark_scheme,
     parse_scheme,
@@ -79,7 +78,7 @@ class OrderedSumSeq:
 
 @dataclass(frozen=True)
 class InterpretedSeq:
-    scheme: Scheme
+    scheme: InterpretationScheme
     inner: "SequenceSpec"
 
 
@@ -213,13 +212,8 @@ def domain_degree(spec: SequenceSpec) -> int:
     if isinstance(spec, OrderedSumSeq):
         return (domain_degree(spec.inner) + 1) * max(spec.length.degree, 0)
     if isinstance(spec, InterpretedSeq):
-        factor = spec.scheme.p
-        if isinstance(spec.scheme, QuotientScheme):
-            cert_deg = max(
-                (c.size.degree for c in spec.scheme.certificates), default=0
-            )
-            factor *= max(1, cert_deg)
-        return factor * domain_degree(spec.inner)
+        cert_deg = max((c.size.degree for c in spec.scheme.certificates), default=0)
+        return spec.scheme.p * max(1, cert_deg) * domain_degree(spec.inner)
     if isinstance(spec, StrongSumSeq):
         return max((domain_degree(m) for m in spec.members), default=0)
     if isinstance(spec, CopiesSeq):
@@ -507,7 +501,7 @@ def product_sequences(op: str, a: SequenceSpec, b: SequenceSpec) -> SequenceSpec
 # ---------------------------------------------------------------------------
 # JSON spec files
 
-def _scheme_to_obj(scheme: Scheme) -> dict:
+def _scheme_to_obj(scheme: InterpretationScheme) -> dict:
     if scheme.origin is not None:
         name, params = scheme.origin
         return {"builtin": name, "params": dict(params)}
@@ -519,7 +513,7 @@ def _scheme_to_obj(scheme: Scheme) -> dict:
     return {"text": scheme_to_text(scheme)}
 
 
-def _scheme_from_obj(obj: dict) -> Scheme:
+def _scheme_from_obj(obj: dict) -> InterpretationScheme:
     if "text" in obj:
         return parse_scheme(obj["text"])
     if "builtin" in obj:

@@ -12,7 +12,7 @@ from itertools import product
 
 from relpoly import budgets
 from relpoly.errors import BudgetError, SignatureError, ValidationError
-from relpoly.interp import GraphicalScheme, InterpretationScheme, QuotientReport, QuotientScheme
+from relpoly.interp import GraphicalScheme, InterpretationScheme, QuotientReport
 from relpoly.logic import Formula, evaluator
 from relpoly.structures import GRAPH_SIG, Structure, make_structure
 
@@ -95,7 +95,7 @@ def apply_graphical(scheme: GraphicalScheme, a: Structure,
 
 
 def apply_quotient_with_report(
-    qs: QuotientScheme,
+    qs: InterpretationScheme,
     a: Structure,
     n: int | None = None,
     budget: int | None = None,
@@ -110,9 +110,8 @@ def apply_quotient_with_report(
     choices, and declared class-size certificates are checked where they
     apply (a non-constant size needs the sequence index n).
     """
-    base = qs.base
-    _check_source(base, a)
-    tuples = _domain_tuples(base.rho0, a, base.p, budget)
+    _check_source(qs, a)
+    tuples = _domain_tuples(qs.rho0, a, qs.p, budget)
     m = len(tuples)
     limit = budget if budget is not None else budgets.tuple_budget()
     if m * m > limit:
@@ -186,7 +185,7 @@ def apply_quotient_with_report(
 
     rng = random.Random(seed)
     relations = {}
-    for (name, arity), rho in zip(base.target.symbols, base.rhos):
+    for (name, arity), rho in zip(qs.target.symbols, qs.rhos):
         test = evaluator(rho, a)
         rel = []
         for combo in product(range(len(classes)), repeat=arity):
@@ -214,7 +213,7 @@ def apply_quotient_with_report(
             if value:
                 rel.append(combo)
         relations[name] = rel
-    structure = make_structure(base.target, len(classes), relations)
+    structure = make_structure(qs.target, len(classes), relations)
     return QuotientReport(
         structure,
         tuple(tuples),

@@ -88,6 +88,17 @@ def test_interpret_command(files, tmp_path, capsys):
                              "--in", files["k3"]], expect=2)
     assert "E" in captured.err
     assert captured.out == ""
+    # a repeated relation clause, and text after the closing brace
+    bad_path.write_text(scheme.replace("}", "  E(x1; y1): !E(x1,y1);\n}"))
+    captured = _cli(capsys, ["interpret", "--scheme", str(bad_path),
+                             "--in", files["k3"]], expect=2)
+    assert "repeated clause 'E(...)'" in captured.err
+    assert captured.out == ""
+    bad_path.write_text(scheme + "trailing E(x1; y1): false;\n")
+    captured = _cli(capsys, ["interpret", "--scheme", str(bad_path),
+                             "--in", files["k3"]], expect=2)
+    assert "text after the closing '}'" in captured.err
+    assert captured.out == ""
 
 
 def test_interpret_quotient_reports_classes(files, tmp_path, capsys):

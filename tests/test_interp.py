@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -10,13 +11,10 @@ from relpoly import (
     GraphicalScheme,
     InterpretationScheme,
     InterpretedSeq,
-    QuotientScheme,
     SignatureError,
     ValidationError,
     apply_graphical,
     apply_interpretation,
-    apply_interpretation_with_map,
-    apply_quotient,
     apply_quotient_with_report,
     apply_scheme,
     basic_signature,
@@ -41,9 +39,11 @@ from relpoly import (
     strong_sum,
     translate_formula,
 )
-from relpoly.errors import BudgetError
+from relpoly.errors import BudgetError, FormulaParseError
 from relpoly.gallery import (
     chord_graph_scheme,
+    clique_intersection_scheme,
+    complete_graph,
     crown_scheme,
     cycle_graph,
     half_graph_scheme,
@@ -157,7 +157,7 @@ def test_builtin_graphical_schemes_are_interpretation_schemes():
 
 
 def test_apply_interpretation_records_tuple_map():
-    out, tuples = apply_interpretation_with_map(
+    report = apply_quotient_with_report(
         InterpretationScheme(
             "pairs", 2, GRAPH_SIG, GRAPH_SIG,
             parse_formula("E(x1,x2)", GRAPH_SIG, ["x1", "x2"]),
@@ -166,8 +166,9 @@ def test_apply_interpretation_records_tuple_map():
         ),
         K2,
     )
-    assert tuples == ((0, 1), (1, 0))
-    assert out.rel("E") == ((0, 1), (1, 0))
+    assert report.tuples == ((0, 1), (1, 0))
+    assert report.structure.rel("E") == ((0, 1), (1, 0))
+    assert report.classes == ((0,), (1,)) and report.certificate_labels == (None, None)
 
 
 def test_apply_interpretation_signature_and_budget(monkeypatch):
@@ -315,67 +316,57 @@ def test_quotient_line_graph():
 
 
 def test_quotient_with_trivial_equivalence_matches_plain():
-    base = line_graph_scheme().base
-    trivial = QuotientScheme(
-        base,
-        parse_formula("x1 = y1 & x2 = y2", GRAPH_SIG, ["x1", "x2", "y1", "y2"]),
-        (),
+    plain = replace(line_graph_scheme(), varpi=None, certificates=())
+    trivial = replace(
+        plain, varpi=parse_formula("x1 = y1 & x2 = y2", GRAPH_SIG, ["x1", "x2", "y1", "y2"])
     )
-    assert apply_quotient(trivial, K3) == apply_interpretation(base, K3)
+    assert apply_interpretation(trivial, K3) == apply_interpretation(plain, K3)
 
 
 def test_quotient_subdivision():
-    out = apply_quotient(subdivision_scheme(), K3)
+    out = apply_interpretation(subdivision_scheme(), K3)
     assert canonical_form(out) == canonical_form(cycle_graph(6))
 
 
 def test_quotient_validation_errors():
-    base = line_graph_scheme().base
-    not_equiv = QuotientScheme(
+    base = line_graph_scheme()
+    not_equiv = replace(
         base,
-        parse_formula("x1 = y2 & x2 = y1", GRAPH_SIG, ["x1", "x2", "y1", "y2"]),
-        (),
+        varpi=parse_formula("x1 = y2 & x2 = y1", GRAPH_SIG, ["x1", "x2", "y1", "y2"]),
+        certificates=(),
     )
     with pytest.raises(ValidationError):
-        apply_quotient(not_equiv, K3)  # not reflexive on oriented edges
+        apply_interpretation(not_equiv, K3)  # not reflexive on oriented edges
 
-    bad_cert = QuotientScheme(
+    bad_cert = replace(
         base,
-        parse_formula("x1 = y1 & x2 = y2 | x1 = y2 & x2 = y1",
-                      GRAPH_SIG, ["x1", "x2", "y1", "y2"]),
-        (ClassCertificate("edge", parse_formula("true", GRAPH_SIG, ["x1", "x2"]),
-                          constant(3)),),
+        certificates=(ClassCertificate("edge", parse_formula("true", GRAPH_SIG, ["x1", "x2"]),
+                                       constant(3)),),
     )
     with pytest.raises(ValidationError):
-        apply_quotient(bad_cert, K3)
+        apply_interpretation(bad_cert, K3)
 
-    no_cover = QuotientScheme(
+    no_cover = replace(
         base,
-        parse_formula("x1 = y1 & x2 = y2 | x1 = y2 & x2 = y1",
-                      GRAPH_SIG, ["x1", "x2", "y1", "y2"]),
-        (ClassCertificate("none", parse_formula("false", GRAPH_SIG, ["x1", "x2"]),
-                          constant(2)),),
+        certificates=(ClassCertificate("none", parse_formula("false", GRAPH_SIG, ["x1", "x2"]),
+                                       constant(2)),),
     )
     with pytest.raises(ValidationError):
-        apply_quotient(no_cover, K3)
+        apply_interpretation(no_cover, K3)
 
 
 def test_quotient_compatibility_violation():
     # relation formula depends on the representative, not the class
-    base = InterpretationScheme(
+    scheme = InterpretationScheme(
         "rep-dependent", 2, GRAPH_SIG, GRAPH_SIG,
         parse_formula("E(x1,x2)", GRAPH_SIG, ["x1", "x2"]),
         (parse_formula("E(x1,y2) & E(x2,y1) & !(x1 = y1)", GRAPH_SIG,
                        ["x1", "x2", "y1", "y2"]),),
-    )
-    scheme = QuotientScheme(
-        base,
-        parse_formula("x1 = y1 & x2 = y2 | x1 = y2 & x2 = y1",
-                      GRAPH_SIG, ["x1", "x2", "y1", "y2"]),
-        (),
+        varpi=parse_formula("x1 = y1 & x2 = y2 | x1 = y2 & x2 = y1",
+                            GRAPH_SIG, ["x1", "x2", "y1", "y2"]),
     )
     with pytest.raises(ValidationError):
-        apply_quotient(scheme, K3)
+        apply_interpretation(scheme, K3)
 
 
 def test_constant_certificate_consistency():
@@ -385,9 +376,17 @@ def test_constant_certificate_consistency():
 
 
 def test_scheme_text_round_trip():
-    for scheme in (line_graph_scheme(), subdivision_scheme()):
+    """Quotient schemes read back equal, their origin aside, and apply as the
+    builtin does: the same structure, tuples, classes and labels."""
+    c5 = cycle_graph(5)
+    for scheme in (line_graph_scheme(), subdivision_scheme(),
+                   clique_intersection_scheme(2, (1,)), clique_intersection_scheme(3, (1,))):
         text = scheme_to_text(scheme)
-        assert scheme_to_text(parse_scheme(text)) == text
+        again = parse_scheme(text)
+        assert scheme_to_text(again) == text
+        assert again == replace(scheme, origin=None)
+        for a in (complete_graph(4), c5):
+            assert apply_quotient_with_report(again, a) == apply_quotient_with_report(scheme, a)
     crown = crown_scheme()
     text = scheme_to_text(crown)
     again = parse_scheme(text)
@@ -413,6 +412,35 @@ def test_scheme_text_errors():
         )
 
 
+_LINE_GRAPH_TEXT = (
+    "interpretation lg {\n  source: graph;\n  target: sig{E:2};\n  p: 2;\n"
+    "  domain(x1,x2): E(x1,x2) & !(x1 = x2);\n"
+    "  E(x1,x2; y1,y2): (x1 = y1 | x1 = y2 | x2 = y1 | x2 = y2)"
+    " & !(x1 = y1 & x2 = y2) & !(x1 = y2 & x2 = y1);\n"
+    "  equiv(x1,x2; y1,y2): x1 = y1 & x2 = y2 | x1 = y2 & x2 = y1;\n"
+    "  class edge: eta=true, size=2;\n}\n"
+)
+
+
+@pytest.mark.parametrize("clause", [
+    "source: graph", "target: graph", "p: 2", "domain(y1,y2): E(y1,y2)",
+    "equiv(x1,x2; y1,y2): x1 = y1 & x2 = y2", "E(x1,x2; y1,y2): false",
+    "class  edge: eta=false, size=1", "trailing",
+])
+def test_scheme_text_refuses_repeated_clauses_and_trailing_text(clause):
+    """A second clause of any kind, or any text after the closing brace
+    (found by brace depth, past the braces of sig{...}), is a parse error."""
+    assert parse_scheme(_LINE_GRAPH_TEXT + "\n  \n").varpi is not None
+    if clause == "trailing":
+        text = _LINE_GRAPH_TEXT + "trailing E(x1; y1): false;\n"
+        match = "text after the closing '}'"
+    else:
+        text = _LINE_GRAPH_TEXT.replace("\n}", f"\n  {clause};\n}}")
+        match = "repeated clause"
+    with pytest.raises(FormulaParseError, match=match):
+        parse_scheme(text)
+
+
 def test_scheme_validation():
     with pytest.raises(BindingError):
         InterpretationScheme(
@@ -426,6 +454,37 @@ def test_scheme_validation():
             parse_formula("true", GRAPH_SIG, ["x1"]),
             parse_formula("true", GRAPH_SIG, ["x1"]),
         )
+    # certificates need an equivalence formula
+    line = line_graph_scheme()
+    with pytest.raises(BindingError, match="need an equivalence formula"):
+        replace(line, varpi=None)
+    # one quantifier in the equivalence or in one certificate is enough
+    subdivision = subdivision_scheme()
+    assert line.quantifier_free and subdivision.quantifier_free
+    pair = ["x1", "x2", "y1", "y2"]
+    quantified_varpi = parse_formula(
+        "exists z (z = x1) & (x1 = y1 & x2 = y2 | x1 = y2 & x2 = y1)", GRAPH_SIG, pair
+    )
+    assert not replace(line, varpi=quantified_varpi).quantifier_free
+    vertex, edge = subdivision.certificates
+    quantified_eta = parse_formula("exists z (z = x1) & !(x1 = x2)", GRAPH_SIG, ["x1", "x2"])
+    assert not replace(subdivision, certificates=(
+        vertex, replace(edge, eta=quantified_eta))).quantifier_free
+
+
+def test_quotient_schemes_are_refused_where_unsupported():
+    """Translation, composition on either side and merging would drop the
+    equivalence formula and miscount, so each refuses a quotient scheme."""
+    line = line_graph_scheme()
+    adjacency = parse_formula("E(x,y)", GRAPH_SIG, ["x", "y"])
+    marked = parse_scheme(
+        scheme_to_text(line).replace("source: graph", "source: sig{E:2, UA:1}"))
+    for refused in (lambda: translate_formula(line, adjacency),
+                    lambda: compose(complement_scheme(), line),
+                    lambda: compose(line, complement_scheme()),
+                    lambda: merge_marked_schemes([marked], ["UA"])):
+        with pytest.raises(SignatureError, match="quotient scheme 'lineGraph'"):
+            refused()
 
 
 def _cartesian_oracle(a, b):

@@ -6,6 +6,7 @@ where a scheme is invalid; and the translation duality as a property test."""
 
 import math
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -17,9 +18,8 @@ from relpoly import (
     GraphicalScheme,
     InterpretationScheme,
     InterpretedSeq,
-    QuotientScheme,
     apply_graphical,
-    apply_interpretation_with_map,
+    apply_interpretation,
     build_basic,
     BasicStructureSpec,
     build_formula,
@@ -87,6 +87,15 @@ def _repeated_choices(scheme, report) -> int:
                for _, arity in scheme.target.symbols)
 
 
+def _with_map(scheme, a):
+    """The structure and tuple table of a scheme without an equivalence
+    formula, whose classes are the singletons of its tuples, in order."""
+    report = interp.apply_quotient_with_report(scheme, a)
+    assert report.classes == tuple((i,) for i in range(len(report.tuples)))
+    assert report.certificate_labels == (None,) * len(report.tuples)
+    return report.structure, report.tuples
+
+
 def _agree(scheme, a, n=None, budget=None):
     """Apply the scheme both ways and assert equal outcomes and, where both
     succeed, equal formula evaluations, less the oracle's repeated ones on a
@@ -96,7 +105,7 @@ def _agree(scheme, a, n=None, budget=None):
     with pytest.MonkeyPatch.context() as mp:
         if budget is not None:
             mp.setenv("RELPOLY_TUPLE_BUDGET", str(budget))
-        if isinstance(scheme, QuotientScheme):
+        if scheme.varpi is not None:
             new = _outcome(interp, interp.apply_quotient_with_report, scheme, a, n=n)
             old = _outcome(oracle_interp, oracle_interp.apply_quotient_with_report, scheme, a,
                            n=n, compat_samples=math.inf)
@@ -106,7 +115,7 @@ def _agree(scheme, a, n=None, budget=None):
             new = _outcome(interp, interp.apply_graphical, scheme, a)
             old = _outcome(oracle_interp, oracle_interp.apply_graphical, scheme, a)
         else:
-            new = _outcome(interp, interp.apply_interpretation_with_map, scheme, a)
+            new = _outcome(interp, _with_map, scheme, a)
             old = _outcome(oracle_interp, oracle_interp.apply_interpretation_with_map, scheme, a)
     # QuotientReport compares structure, tuples, classes, sizes and labels.
     assert new == old, (scheme.name, a)
@@ -138,7 +147,7 @@ def _equivalence(rng, p: int):
     return varpi, kept
 
 
-def _random_quotient(rng, target, p: int) -> QuotientScheme:
+def _random_quotient(rng, target, p: int) -> InterpretationScheme:
     """Mostly a valid equivalence, and half the time relation formulas that
     read only coordinates it keeps, so they are compatible; otherwise random
     formulas."""
@@ -155,12 +164,12 @@ def _random_quotient(rng, target, p: int) -> QuotientScheme:
         used = [f"v{b}_{j}" for b in range(arity) for j in kept] if compatible else names
         rhos.append(build_formula(random_qf_node(rng, SOURCE, used, depth=2, max_atoms=3),
                                   SOURCE, names))
-    base = InterpretationScheme("randomQuotient", p, SOURCE, target, rho0, tuple(rhos))
     certificates = ()
     if rng.random() < 0.3:
         eta = build_formula(TRUE, SOURCE, xs)
         certificates = (ClassCertificate("all", eta, constant(rng.choice([1, 2]))),)
-    return QuotientScheme(base, varpi, certificates)
+    return InterpretationScheme("randomQuotient", p, SOURCE, target, rho0, tuple(rhos),
+                                varpi=varpi, certificates=certificates)
 
 
 def test_random_plain_schemes_agree_with_oracle():
@@ -236,38 +245,33 @@ def test_invalid_schemes_raise_as_the_oracle_does():
     crown_base = build_basic(BasicStructureSpec(1, 2, (200,)))
     assert isinstance(_agree(crown_scheme(), crown_base, budget=100), type)
 
-    base = line_graph_scheme().base
+    base = line_graph_scheme()
     swap = "x1 = y1 & x2 = y2 | x1 = y2 & x2 = y1"
     invalid = [
-        QuotientScheme(base, parse_formula("x1 = y2 & x2 = y1", GRAPH_SIG,
-                                           ["x1", "x2", "y1", "y2"]), ()),
-        QuotientScheme(base, parse_formula(swap, GRAPH_SIG, ["x1", "x2", "y1", "y2"]),
-                       (ClassCertificate("edge", parse_formula("true", GRAPH_SIG, ["x1", "x2"]),
-                                         constant(3)),)),
-        QuotientScheme(base, parse_formula(swap, GRAPH_SIG, ["x1", "x2", "y1", "y2"]),
-                       (ClassCertificate("none", parse_formula("false", GRAPH_SIG, ["x1", "x2"]),
-                                         constant(2)),)),
-        QuotientScheme(
-            InterpretationScheme(
-                "rep-dependent", 2, GRAPH_SIG, GRAPH_SIG,
-                parse_formula("E(x1,x2)", GRAPH_SIG, ["x1", "x2"]),
-                (parse_formula("E(x1,y2) & E(x2,y1) & !(x1 = y1)", GRAPH_SIG,
-                               ["x1", "x2", "y1", "y2"]),),
-            ),
-            parse_formula(swap, GRAPH_SIG, ["x1", "x2", "y1", "y2"]),
-            (),
+        replace(base, varpi=parse_formula("x1 = y2 & x2 = y1", GRAPH_SIG,
+                                          ["x1", "x2", "y1", "y2"]), certificates=()),
+        replace(base, varpi=parse_formula(swap, GRAPH_SIG, ["x1", "x2", "y1", "y2"]),
+                certificates=(ClassCertificate(
+                    "edge", parse_formula("true", GRAPH_SIG, ["x1", "x2"]), constant(3)),)),
+        replace(base, varpi=parse_formula(swap, GRAPH_SIG, ["x1", "x2", "y1", "y2"]),
+                certificates=(ClassCertificate(
+                    "none", parse_formula("false", GRAPH_SIG, ["x1", "x2"]), constant(2)),)),
+        InterpretationScheme(
+            "rep-dependent", 2, GRAPH_SIG, GRAPH_SIG,
+            parse_formula("E(x1,x2)", GRAPH_SIG, ["x1", "x2"]),
+            (parse_formula("E(x1,y2) & E(x2,y1) & !(x1 = y1)", GRAPH_SIG,
+                           ["x1", "x2", "y1", "y2"]),),
+            varpi=parse_formula(swap, GRAPH_SIG, ["x1", "x2", "y1", "y2"]),
         ),
     ]
     for scheme in invalid:
         assert isinstance(_agree(scheme, K3), type)
     # Not transitive: related when the first coordinates are equal or adjacent.
     path = make_structure(GRAPH_SIG, 3, {"E": [(0, 1), (1, 0), (1, 2), (2, 1)]})
-    near = QuotientScheme(
-        InterpretationScheme("near", 1, GRAPH_SIG, GRAPH_SIG,
-                             build_formula(TRUE, GRAPH_SIG, ["x1"]),
-                             (parse_formula("E(x1,y1)", GRAPH_SIG, ["x1", "y1"]),)),
-        parse_formula("x1 = y1 | E(x1,y1)", GRAPH_SIG, ["x1", "y1"]),
-        (),
+    near = InterpretationScheme(
+        "near", 1, GRAPH_SIG, GRAPH_SIG, build_formula(TRUE, GRAPH_SIG, ["x1"]),
+        (parse_formula("E(x1,y1)", GRAPH_SIG, ["x1", "y1"]),),
+        varpi=parse_formula("x1 = y1 | E(x1,y1)", GRAPH_SIG, ["x1", "y1"]),
     )
     assert isinstance(_agree(near, path), type)
 
@@ -284,10 +288,9 @@ def test_compatibility_is_checked_on_every_member():
         (w40, "W(x1) & !R(x1,x1)", (((0,),), ((1,),))),
     ]
     for a, rho, witness in cases:
-        base = InterpretationScheme("members", 1, SOURCE, sig(("M", 1)),
-                                    build_formula(TRUE, SOURCE, ["x1"]),
-                                    (parse_formula(rho, SOURCE, ["x1"]),))
-        scheme = QuotientScheme(base, varpi, ())
+        scheme = InterpretationScheme("members", 1, SOURCE, sig(("M", 1)),
+                                      build_formula(TRUE, SOURCE, ["x1"]),
+                                      (parse_formula(rho, SOURCE, ["x1"]),), varpi=varpi)
         outcome = _agree(scheme, a)
         assert isinstance(outcome, type) == (witness is not None)
         if witness is not None:
@@ -319,5 +322,5 @@ def _scheme_and_source(draw):
 @given(_scheme_and_source())
 def test_translation_preserves_counts(case):
     scheme, a, phi = case
-    image, _ = apply_interpretation_with_map(scheme, a)
+    image = apply_interpretation(scheme, a)
     assert count_satisfying(phi, image) == count_satisfying(translate_formula(scheme, phi), a)

@@ -540,20 +540,17 @@ def test_detector_on_ordered_sums():
 
 
 def test_quotient_certificates_with_index_dependent_size():
-    from relpoly import InterpretationScheme, QuotientScheme, apply_quotient_with_report
+    from relpoly import InterpretationScheme, apply_quotient_with_report
     from relpoly.interp import ClassCertificate
     from relpoly import basic_signature
 
     src = basic_signature(1, 0)
-    base = InterpretationScheme(
+    scheme = InterpretationScheme(
         "firstCoordinate", 2, src, GRAPH_SIG,
         parse_formula("true", src, ["x1", "x2"]),
         (parse_formula("S1(x1,y1)", src, ["x1", "x2", "y1", "y2"]),),
-    )
-    scheme = QuotientScheme(
-        base,
-        parse_formula("x1 = y1", src, ["x1", "x2", "y1", "y2"]),
-        (ClassCertificate("row", parse_formula("true", src, ["x1", "x2"]), N),),
+        varpi=parse_formula("x1 = y1", src, ["x1", "x2", "y1", "y2"]),
+        certificates=(ClassCertificate("row", parse_formula("true", src, ["x1", "x2"]), N),),
     )
     for n in (1, 2, 4):
         term = generate_term(BasicSeq(1, 0, (N,)), n)
