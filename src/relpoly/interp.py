@@ -1,16 +1,16 @@
 """Interpretation schemes, each with an optional equivalence formula whose
 classes are its vertices (a quotient scheme), and graphical schemes into
-loopless graphs, certified symmetric when applied; the one application path
-that serves them all, the formula translation that moves satisfaction
-counting from an interpreted structure back to its source, and the table of
-builtin schemes that sequence specs name."""
+loopless graphs; `apply_scheme`, which applies each through one relation
+loop and checks every certificate it carries, graphical symmetry included;
+the formula translation that moves satisfaction counting from an
+interpreted structure back to its source, and the builtin schemes' table."""
 
 from __future__ import annotations
 
 import math
 import re
 from dataclasses import dataclass
-from itertools import accumulate, combinations, product
+from itertools import accumulate, combinations, islice, product
 from typing import Callable
 
 from . import budgets
@@ -44,7 +44,6 @@ from .logic import (
     parse_formula,
     rename_symbols,
     row_kernel,
-    stream_satisfying,
     substitute,
 )
 from .polynomials import IntPolynomial, constant, parse_polynomial
@@ -144,7 +143,7 @@ class GraphicalScheme(InterpretationScheme):
     """An interpretation scheme into graphs from a vertex formula `iota` with
     p free variables and an edge formula `rho` with 2p, xs then ys: its domain
     formula is `iota` and its edge formula is rho & !(xs = ys), so the graph
-    has no loops.  `apply_graphical` also certifies `rho` symmetric."""
+    has no loops.  Applying it certifies the edge relation symmetric."""
 
     def __init__(self, name: str, p: int, iota: Formula, rho: Formula,
                  origin: tuple | None = None):
@@ -156,22 +155,6 @@ class GraphicalScheme(InterpretationScheme):
 
 # ---------------------------------------------------------------------------
 # Application
-
-_EQUIV_SIG = sig(("equiv", 2))
-
-
-def _domain_tuples(scheme: InterpretationScheme, a: Structure) -> list[tuple[int, ...]]:
-    """The p-tuples satisfying the domain formula in lexicographic order."""
-    if a.signature != scheme.source:
-        raise SignatureError(
-            f"structure signature {a.signature.symbols} does not match the "
-            f"scheme source {scheme.source.symbols}"
-        )
-    limit = budgets.tuple_budget()
-    if a.domain ** scheme.p > limit:
-        raise BudgetError(f"{a.domain}^{scheme.p} candidate tuples exceed the budget of {limit}")
-    return list(stream_satisfying(scheme.rho0, a))
-
 
 def _incompatibility(name: str, rho: Formula, arity: int, a: Structure, tuples,
                      classes) -> ValidationError:
@@ -191,25 +174,26 @@ def _incompatibility(name: str, rho: Formula, arity: int, a: Structure, tuples,
     raise AssertionError("the relation is invariant on every class tuple")
 
 
-def _relations(target: Signature, rhos, a: Structure, tuples,
-               classes) -> dict[str, list[tuple[int, ...]]]:
+def _relations(symbols, rhos, a: Structure, tuples, classes,
+               limit: int) -> dict[str, list[tuple[int, ...]]]:
     """The one relation loop of every scheme kind: each formula of arity r is
     evaluated on all len(tuples)**r tuples of domain tuples, counted against
-    the tuple budget, and must be invariant on the classes, whose members
-    are then one vertex.  Plain (and so graphical) schemes pass singletons.
+    the tuple budget `limit`, and must be invariant on the classes, whose
+    members are then one vertex.  The domain formula's tuples are the
+    source's vertices; a scheme without `varpi` has one class per tuple.
 
     Rows are ordered by class, and each head of r - 1 rows costs one
     row-kernel call over all rows; the last position varies fastest.  The
     head of the first members of its classes must hold on whole classes,
     and every other head of the same classes on the same rows."""
-    limit = budgets.tuple_budget()
     rows = [tuples[i] for c in classes for i in c]
+    firsts = [tuples[c[0]] for c in classes]
     owner = [k for k, c in enumerate(classes) for _ in c]
     sizes = [len(c) for c in classes]
     spans = [range(end - size, end) for size, end in zip(sizes, accumulate(sizes))]
     grouped = len(rows) > len(classes)   # else both checks below are vacuous
     relations = {}
-    for (name, arity), rho in zip(target.symbols, rhos):
+    for (name, arity), rho in zip(symbols, rhos):
         if len(rows) ** arity > limit:
             raise BudgetError(
                 f"{len(rows)}^{arity} candidates for {name!r} exceed the budget of {limit}"
@@ -217,14 +201,13 @@ def _relations(target: Signature, rhos, a: Structure, tuples,
         run = row_kernel(rho, a, len(rho.free_vars) // arity * (arity - 1))
         rel = []
         for head in product(range(len(classes)), repeat=arity - 1):
-            picks = product(*map(spans.__getitem__, head))
-            first = run(sum(map(rows.__getitem__, next(picks)), ()), rows)
+            first = run(sum(map(firsts.__getitem__, head), ()), rows)
             lasts = dict.fromkeys(map(owner.__getitem__, first)) if grouped else first
-            if grouped and (sum(map(sizes.__getitem__, lasts)) != len(first)
-                            or any(run(sum(map(rows.__getitem__, pick), ()), rows) != first
-                                   for pick in picks)):
+            if grouped and (sum(map(sizes.__getitem__, lasts)) != len(first) or any(
+                    run(sum(map(rows.__getitem__, pick), ()), rows) != first
+                    for pick in islice(product(*map(spans.__getitem__, head)), 1, None))):
                 raise _incompatibility(name, rho, arity, a, tuples, classes)
-            rel.extend(head + (last,) for last in lasts)
+            rel += [head + (last,) for last in lasts]
         relations[name] = rel
     return relations
 
@@ -275,22 +258,32 @@ def apply_quotient_with_report(
     a: Structure,
     n: int | None = None,
 ) -> QuotientReport:
-    """Apply any scheme: the domain tuples satisfying the domain formula, in
-    lexicographic order, grouped into classes, one vertex per class.
-
-    Without an equivalence formula every tuple is its own class.  With one,
-    the classes are those of `varpi` on the domain tuples, validated as an
-    equivalence; the declared class-size certificates are then checked (a
-    non-constant size needs the sequence index n), and labels are None when
-    there are none.  Relation formulas are evaluated on every tuple of
-    domain tuples and must give the same answer on every member of a class.
-    """
+    """Apply any scheme: the domain tuples, in lexicographic order, grouped
+    into classes, one vertex per class.  Every formula runs through the one
+    relation loop: the domain formula as a p-ary relation on the vertices
+    of `a`, the equivalence formula `varpi` on the domain tuples, and the
+    relation formulas on the classes, on each of whose members they must
+    agree.  Without `varpi` every tuple is its own class; with it, the
+    classes are validated as an equivalence and the class-size certificates
+    checked (a non-constant size needs the sequence index n; labels are None
+    without certificates).  A graphical scheme's edges are last certified
+    symmetric, with the least pair joined one way only as the witness."""
     if n is not None and n < 0:
         raise SignatureError("sequence index must be non-negative")
-    tuples = _domain_tuples(scheme, a)
+    if a.signature != scheme.source:
+        raise SignatureError(
+            f"structure signature {a.signature.symbols} does not match the "
+            f"scheme source {scheme.source.symbols}"
+        )
+    limit = budgets.tuple_budget()
+    if a.domain ** scheme.p > limit:
+        raise BudgetError(f"{a.domain}^{scheme.p} candidate tuples exceed the budget of {limit}")
+    vertices = [(v,) for v in range(a.domain)]
+    tuples = _relations((("domain", scheme.p),), (scheme.rho0,), a, vertices, vertices,
+                        limit)["domain"]
     classes = [(i,) for i in range(len(tuples))]
     if scheme.varpi is not None:
-        pairs = _relations(_EQUIV_SIG, (scheme.varpi,), a, tuples, classes)
+        pairs = _relations((("equiv", 2),), (scheme.varpi,), a, tuples, classes, limit)
         rows: list[set[int]] = [set() for _ in tuples]
         for i, j in pairs["equiv"]:
             rows[i].add(j)
@@ -324,7 +317,16 @@ def apply_quotient_with_report(
             else:
                 raise ValidationError("certificates do not cover a domain tuple", witness=rep)
 
-    relations = _relations(scheme.target, scheme.rhos, a, tuples, classes)
+    relations = _relations(scheme.target.symbols, scheme.rhos, a, tuples, classes, limit)
+    if isinstance(scheme, GraphicalScheme):
+        edges = set(relations["E"])
+        one_way = [tuple(sorted(e)) for e in edges if e[::-1] not in edges]
+        if one_way:
+            i, j = min(one_way)
+            raise ValidationError(
+                f"edge formula of {scheme.name!r} is not symmetric",
+                witness=(tuples[classes[i][0]], tuples[classes[j][0]]),
+            )
     return QuotientReport(
         make_structure(scheme.target, len(classes), relations),
         tuple(tuples),
@@ -334,33 +336,10 @@ def apply_quotient_with_report(
     )
 
 
-def apply_interpretation(scheme: InterpretationScheme, a: Structure,
-                         n: int | None = None) -> Structure:
-    """The structure of `apply_quotient_with_report`: on a scheme without an
-    equivalence formula, each target relation holds where its formula holds
-    on the concatenated domain tuples."""
-    return apply_quotient_with_report(scheme, a, n).structure
-
-
-def apply_graphical(scheme: GraphicalScheme, a: Structure) -> Structure:
-    """`apply_interpretation` with the symmetry certificate: the least pair of
-    vertex tuples joined one way only is reported as the witness."""
-    report = apply_quotient_with_report(scheme, a)
-    edges = set(report.structure.rel("E"))
-    one_way = [tuple(sorted(e)) for e in edges if e[::-1] not in edges]
-    if one_way:
-        i, j = min(one_way)
-        raise ValidationError(
-            f"edge formula of {scheme.name!r} is not symmetric",
-            witness=(report.tuples[i], report.tuples[j]),
-        )
-    return report.structure
-
-
 def apply_scheme(scheme: InterpretationScheme, a: Structure, n: int | None = None) -> Structure:
-    if isinstance(scheme, GraphicalScheme):
-        return apply_graphical(scheme, a)
-    return apply_interpretation(scheme, a, n)
+    """The one way to apply a scheme: the structure of
+    `apply_quotient_with_report`, every certificate of the scheme checked."""
+    return apply_quotient_with_report(scheme, a, n).structure
 
 
 # ---------------------------------------------------------------------------
@@ -529,7 +508,7 @@ def mark_scheme(source: Signature, mark_name: str, name: str = "mark") -> Interp
 def complement_scheme() -> GraphicalScheme:
     iota = build_formula(TRUE, GRAPH_SIG, ["x1"])
     rho = parse_formula("!E(x1,y1)", GRAPH_SIG, ["x1", "y1"])
-    return GraphicalScheme("complement", 1, iota, rho)
+    return GraphicalScheme("complement", 1, iota, rho, origin=("complement", ()))
 
 
 def forget_orientation_scheme() -> GraphicalScheme:
@@ -586,19 +565,15 @@ def johnson_scheme(k: int, d_set) -> GraphicalScheme:
     """Vertices are increasing k-tuples of a marked linear order; adjacency
     holds when the two underlying sets share exactly d elements for some d in
     the given set."""
-    if k < 1:
-        raise SignatureError("k must be positive")
-    d_set = tuple(sorted(set(int(d) for d in d_set)))
-    if any(d < 0 or d > k for d in d_set):
-        raise SignatureError("intersection sizes must lie in 0..k")
+    d_set, params = _intersection_sizes(k, d_set)
     src = basic_signature(1, 0)
     xs, ys = _vars("x", k), _vars("y", k)
     iota = build_formula(
         conj(*[atom("S1", xs[i], xs[i + 1]) for i in range(k - 1)]), src, xs
     )
     rho = build_formula(_share_exactly(xs, ys, d_set), src, xs + ys)
-    name = f"johnson(k={k},D={list(d_set)})"
-    return GraphicalScheme(name, k, iota, rho, origin=("johnson", (("D", d_set), ("k", k))))
+    return GraphicalScheme(f"johnson{params}", k, iota, rho,
+                           origin=("johnson", (("D", d_set), ("k", k))))
 
 
 def vertex_blowup_scheme(edges, k: int) -> GraphicalScheme:
@@ -714,6 +689,18 @@ def chord_graph_scheme() -> GraphicalScheme:
     return GraphicalScheme("chordGraph", 2, iota, rho, origin=("chordGraph", ()))
 
 
+def _intersection_sizes(k: int, d_set) -> tuple[tuple[int, ...], str]:
+    """The set D of intersection sizes of k-tuples, as johnson and
+    cliqueIntersection take it: distinct ints, sorted, each in 0..k; and
+    the parameters as the scheme name writes them, (k=2,D=[0,1])."""
+    if k < 1:
+        raise SignatureError("k must be positive")
+    d_set = tuple(sorted(set(int(d) for d in d_set)))
+    if any(d < 0 or d > k for d in d_set):
+        raise SignatureError("intersection sizes must lie in 0..k")
+    return d_set, f"(k={k},D=[{','.join(map(str, d_set))}])"
+
+
 def _share_exactly(xs, ys, d_set):
     """The k-tuples xs and ys, each of distinct elements, share exactly d
     elements for some d in d_set: d positions of xs meet d positions of ys
@@ -751,9 +738,7 @@ def clique_intersection_scheme(k: int, d_set) -> InterpretationScheme:
     """Vertices are k-cliques of a graph (tuples of distinct vertices up to
     reordering, so a loop is no clique); adjacency holds when the cliques
     share exactly d elements for some d in the set."""
-    if k < 1:
-        raise SignatureError("k must be positive")
-    d_set = tuple(sorted(set(int(d) for d in d_set)))
+    d_set, params = _intersection_sizes(k, d_set)
     src = GRAPH_SIG
     xs, ys = _vars("x", k), _vars("y", k)
     rho0 = build_formula(
@@ -768,7 +753,7 @@ def clique_intersection_scheme(k: int, d_set) -> InterpretationScheme:
     certs = (ClassCertificate("clique", build_formula(TRUE, src, xs),
                               constant(math.factorial(k))),)
     return InterpretationScheme(
-        f"cliqueIntersection(k={k},D={list(d_set)})", k, src, GRAPH_SIG, rho0, (rho,),
+        f"cliqueIntersection{params}", k, src, GRAPH_SIG, rho0, (rho,),
         ("cliqueIntersection", (("D", d_set), ("k", k))), varpi, certs,
     )
 
@@ -827,6 +812,7 @@ BUILTIN_SCHEMES: dict[str, Callable[[dict], InterpretationScheme]] = {
     "cliqueIntersection": lambda p: clique_intersection_scheme(p.get("k", 2), p.get("D", (1,))),
     "lineGraph": lambda p: line_graph_scheme(),
     "subdivision": lambda p: subdivision_scheme(),
+    "complement": lambda p: complement_scheme(),
     "underlyingGraph": lambda p: forget_orientation_scheme(),
     **{op: (lambda p, op=op: product_scheme(op)) for op in PRODUCT_OPS},
 }

@@ -694,22 +694,17 @@ def eval_formula(phi: Formula, s: Structure, assignment: dict[str, int]) -> bool
     return evaluator(phi, s)(a)
 
 
-def stream_satisfying(phi: Formula, s: Structure):
-    """Stream the satisfying assignments in lexicographic order, with no
-    budget check: one row-kernel call per value of all free variables but
-    the last, over the |A| values of the last, so memory stays O(|A|)."""
+def satisfying_tuples(phi: Formula, s: Structure):
+    """Stream the satisfying assignments in lexicographic order, under the
+    assignment budget: one row-kernel call per value of all free variables
+    but the last, over the |A| values of the last, so memory stays O(|A|)."""
+    _charge_assignments(phi, s, len(phi.free_vars))
     split = max(len(phi.free_vars) - 1, 0)
     rows = [(v,) for v in range(s.domain)] if phi.free_vars else [()]
     run = row_kernel(phi, s, split)
     for head in product(range(s.domain), repeat=split):
         for j in run(head, rows):
             yield head + rows[j]
-
-
-def satisfying_tuples(phi: Formula, s: Structure):
-    """Stream the satisfying assignments in lexicographic order."""
-    _charge_assignments(phi, s, len(phi.free_vars))
-    yield from stream_satisfying(phi, s)
 
 
 def count_satisfying(phi: Formula, s: Structure) -> int:

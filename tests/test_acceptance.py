@@ -52,7 +52,7 @@ from relpoly.gallery import (
     octahedron,
     paley_experiment,
 )
-from relpoly.interp import apply_interpretation, translate_formula
+from relpoly.interp import apply_scheme, translate_formula
 from relpoly.sequences import ordered_splits
 
 from genutil import (
@@ -165,7 +165,7 @@ def test_criterion_3_interpretation_duality():
         a = random_structure(rng, source, rng.randrange(1, 5))
         translated = translate_formula(scheme, phi)
         assert translated.is_quantifier_free
-        lhs = count_satisfying(phi, apply_interpretation(scheme, a))
+        lhs = count_satisfying(phi, apply_scheme(scheme, a))
         rhs = count_satisfying(translated, a)
         if lhs != rhs:
             failures.append((scheme, phi, a, lhs, rhs))

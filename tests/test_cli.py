@@ -594,6 +594,10 @@ HOSTILE_PARAMETERS = {
     "johnson-k-not-int": (["gallery", "run", "johnson", "--params", '{"k":"x"}', "--check"], None),
     "johnson-D-not-list": (["gallery", "run", "johnson", "--params", '{"D":5}', "--check"], None),
     "params-not-object": (["gallery", "run", "johnson", "--params", "5", "--check"], None),
+    "clique-D-above-k": (["gallery", "run", "cliqueIntersection", "--params", '{"D":[3]}',
+                          "--n", "3"], None),
+    "clique-D-negative": (["gallery", "run", "cliqueIntersection", "--params", '{"D":[-1]}',
+                           "--n", "3"], None),
     "params-list": (["gallery", "run", "crown", "--params", "[]", "--n", "1"], None),
     "tree-parent-not-int": (["gallery", "run", "treeBlowup", "--params",
                              '{"parents":{"2":"x"}}', "--check"], None),

@@ -13,8 +13,6 @@ from relpoly import (
     InterpretedSeq,
     SignatureError,
     ValidationError,
-    apply_graphical,
-    apply_interpretation,
     apply_quotient_with_report,
     apply_scheme,
     basic_signature,
@@ -47,6 +45,7 @@ from relpoly.gallery import (
     crown_scheme,
     cycle_graph,
     half_graph_scheme,
+    johnson_scheme,
     line_graph_scheme,
     subdivision_scheme,
 )
@@ -65,26 +64,26 @@ def _crown_base(n):
 
 
 def test_complement_scheme():
-    out = apply_graphical(complement_scheme(), K3)
+    out = apply_scheme(complement_scheme(), K3)
     assert out.domain == 3 and out.rel("E") == ()
-    out = apply_graphical(complement_scheme(), graph(3, [(0, 1)]))
+    out = apply_scheme(complement_scheme(), graph(3, [(0, 1)]))
     assert len(out.rel("E")) == 4
 
 
 def test_crown_scheme_is_crown():
-    out = apply_graphical(crown_scheme(), _crown_base(3))
+    out = apply_scheme(crown_scheme(), _crown_base(3))
     assert out.domain == 6 and len(out.rel("E")) == 12
     assert canonical_form(out) == canonical_form(cycle_graph(6))
 
 
 def test_chord_scheme_on_t4():
     t4 = build_basic(BasicStructureSpec(1, 0, (4,)))
-    out = apply_graphical(chord_graph_scheme(), t4)
+    out = apply_scheme(chord_graph_scheme(), t4)
     assert out.domain == 6 and len(out.rel("E")) == 2  # one undirected edge
 
 
 def test_half_graph_scheme_small():
-    out = apply_graphical(half_graph_scheme(), _crown_base(2))
+    out = apply_scheme(half_graph_scheme(), _crown_base(2))
     assert out.domain == 4 and len(out.rel("E")) == 2
 
 
@@ -96,20 +95,20 @@ def test_graphical_edgeless_and_loops():
         build_formula(TRUE, src, ["x1"]),
         parse_formula("false", src, ["x1", "y1"]),
     )
-    out = apply_graphical(none, t5)
+    out = apply_scheme(none, t5)
     assert out.domain == 5 and out.rel("E") == ()
 
     same = parse_formula("x1 = y1", src, ["x1", "y1"])
     loops = GraphicalScheme("loops", 1, build_formula(TRUE, src, ["x1"]), same)
-    assert apply_graphical(loops, t5).rel("E") == ()
+    assert apply_scheme(loops, t5).rel("E") == ()
     # a plain scheme into graphs keeps them
     plain = InterpretationScheme("loops", 1, src, GRAPH_SIG, loops.rho0, (same,))
-    assert apply_interpretation(plain, t5).rel("E") == tuple((v, v) for v in range(5))
+    assert apply_scheme(plain, t5).rel("E") == tuple((v, v) for v in range(5))
 
 
 def test_graphical_symmetry_violation_reports_witness():
-    """apply_graphical, and apply_scheme and generate_term through it, raise
-    with the lex-least pair of vertex tuples joined one way only."""
+    """apply_quotient_with_report, and apply_scheme and generate_term through
+    it, raise with the lex-least pair of vertex tuples joined one way only."""
     src = basic_signature(1, 0)
     bad = GraphicalScheme(
         "bad", 1,
@@ -118,7 +117,7 @@ def test_graphical_symmetry_violation_reports_witness():
     )
     t3 = build_basic(BasicStructureSpec(1, 0, (3,)))
     spec = InterpretedSeq(bad, BasicSeq(1, 0, (parse_polynomial("n"),)))
-    for build in (lambda: apply_graphical(bad, t3), lambda: apply_scheme(bad, t3),
+    for build in (lambda: apply_quotient_with_report(bad, t3), lambda: apply_scheme(bad, t3),
                   lambda: generate_term(spec, 3)):
         with pytest.raises(ValidationError, match="edge formula of 'bad' is not symmetric") as err:
             build()
@@ -128,14 +127,17 @@ def test_graphical_symmetry_violation_reports_witness():
 def test_builtin_graphical_schemes_are_interpretation_schemes():
     """Each builtin graphical scheme has one loopless edge formula rho("E"),
     translates formulas, composes, and writes text that reads back as a plain
-    scheme interpreting every input as it does."""
+    scheme.  On every input the certified application gives the plain
+    scheme's image where that image is symmetric, and refuses it where not."""
     rng = random.Random(41)
     adjacency = parse_formula("E(x,y)", GRAPH_SIG, ["x", "y"])
     params = {"vertexBlowup": {"edges": ((0, 1), (1, 2)), "k": 3},
               "treeBlowup": {"parents": {2: 1, 3: 1}, "k": 3}}
     builtins = [build(params.get(name, {})) for name, build in BUILTIN_SCHEMES.items()]
-    schemes = [complement_scheme()] + [s for s in builtins if isinstance(s, GraphicalScheme)]
-    assert len(schemes) == 15
+    schemes = [s for s in builtins if isinstance(s, GraphicalScheme)]
+    assert len(schemes) == 15 and complement_scheme() in schemes
+    plain_complement = parse_scheme(scheme_to_text(complement_scheme()))
+    refused = 0
     for scheme in schemes:
         assert isinstance(scheme, InterpretationScheme) and scheme.target == GRAPH_SIG
         assert scheme.rhos == (scheme.rho("E"),)
@@ -147,13 +149,18 @@ def test_builtin_graphical_schemes_are_interpretation_schemes():
         assert scheme_to_text(parse_scheme(scheme_to_text(composed))) == scheme_to_text(composed)
         for _ in range(3):
             a = random_structure(rng, scheme.source, rng.randrange(0, 4))
-            image = apply_interpretation(scheme, a)
+            image = apply_scheme(again, a)
             assert all(u != v for u, v in image.rel("E")), scheme.name
-            assert apply_interpretation(again, a) == image
-            assert count_satisfying(translate_formula(scheme, adjacency), a) == len(image.rel("E"))
-            assert apply_interpretation(composed, a) == apply_interpretation(
-                complement_scheme(), image
-            )
+            edges = set(image.rel("E"))
+            if all(e[::-1] in edges for e in edges):
+                assert apply_scheme(scheme, a) == image
+            else:
+                refused += 1
+                with pytest.raises(ValidationError, match="is not symmetric"):
+                    apply_scheme(scheme, a)
+            assert count_satisfying(translate_formula(scheme, adjacency), a) == len(edges)
+            assert apply_scheme(composed, a) == apply_scheme(plain_complement, image)
+    assert 0 < refused < 3 * len(schemes)
 
 
 def test_apply_interpretation_records_tuple_map():
@@ -174,11 +181,13 @@ def test_apply_interpretation_records_tuple_map():
 def test_apply_interpretation_signature_and_budget(monkeypatch):
     scheme = complement_scheme()
     with pytest.raises(SignatureError):
-        apply_graphical(scheme, build_basic(BasicStructureSpec(1, 0, (2,))))
+        apply_scheme(scheme, build_basic(BasicStructureSpec(1, 0, (2,))))
+    with pytest.raises(SignatureError, match="sequence index must be non-negative"):
+        apply_scheme(scheme, K3, n=-1)
     big = graph(40, [])
     monkeypatch.setenv("RELPOLY_TUPLE_BUDGET", "100")
     with pytest.raises(BudgetError):
-        apply_graphical(crown_scheme(), _crown_base(200))
+        apply_scheme(crown_scheme(), _crown_base(200))
     del big
 
 
@@ -190,7 +199,7 @@ def test_translate_formula_crown():
     assert translated.is_quantifier_free
     assert len(translated.free_vars) == 4
     assert count_satisfying(translated, base) == 12
-    assert count_satisfying(adjacency, apply_interpretation(scheme, base)) == 12
+    assert count_satisfying(adjacency, apply_scheme(scheme, base)) == 12
 
 
 def test_translate_formula_quantifiers():
@@ -203,7 +212,7 @@ def test_translate_formula_quantifiers():
     phi = parse_formula("exists z (E(x,z) & !E(z,y))", GRAPH_SIG, ["x", "y"])
     for _ in range(6):
         a = random_graph(rng, rng.randrange(1, 5))
-        image = apply_interpretation(scheme, a)
+        image = apply_scheme(scheme, a)
         assert count_satisfying(phi, image) == count_satisfying(
             translate_formula(scheme, phi), a
         )
@@ -221,7 +230,7 @@ def test_translate_duality_random():
         from genutil import random_structure
 
         a = random_structure(rng, source, rng.randrange(1, 5))
-        image = apply_interpretation(scheme, a)
+        image = apply_scheme(scheme, a)
         translated = translate_formula(scheme, phi)
         assert translated.is_quantifier_free
         assert count_satisfying(phi, image) == count_satisfying(translated, a)
@@ -249,16 +258,16 @@ def test_merge_marked_schemes_componentwise():
         a = random_graph(rng, rng.randrange(1, 4))
         b = random_graph(rng, rng.randrange(1, 4))
         inp = strong_sum(mark(a, "UA"), mark(b, "UB"))
-        got = apply_interpretation(merged, inp)
+        got = apply_scheme(merged, inp)
         want = strong_sum(
-            apply_interpretation(comp, mark(a, "UA")),
-            apply_interpretation(ident, mark(b, "UB")),
+            apply_scheme(comp, mark(a, "UA")),
+            apply_scheme(ident, mark(b, "UB")),
         )
         assert isomorphic(got, want)
 
     single = merge_marked_schemes([comp], ["UA"])
-    out = apply_interpretation(single, mark(K3, "UA"))
-    assert backtrack_weakly_isomorphic(out, apply_interpretation(comp, mark(K3, "UA")))
+    out = apply_scheme(single, mark(K3, "UA"))
+    assert backtrack_weakly_isomorphic(out, apply_scheme(comp, mark(K3, "UA")))
 
     with pytest.raises(SignatureError):
         merge_marked_schemes([comp], ["UB"])
@@ -281,24 +290,24 @@ def test_compose_matches_sequential_application():
     rng = random.Random(21)
     for _ in range(6):
         a = random_graph(rng, rng.randrange(1, 4))
-        assert apply_interpretation(composed, a) == apply_interpretation(
-            pairs, apply_interpretation(comp, a)
+        assert apply_scheme(composed, a) == apply_scheme(
+            pairs, apply_scheme(comp, a)
         )
 
 
 def test_product_schemes():
     both = strong_sum(mark(K2, "UA"), mark(K2, "UB"))
-    cart = apply_graphical(product_scheme("cartesian"), both)
+    cart = apply_scheme(product_scheme("cartesian"), both)
     assert canonical_form(cart) == canonical_form(cycle_graph(4))
-    direct = apply_graphical(product_scheme("direct"), both)
+    direct = apply_scheme(product_scheme("direct"), both)
     assert canonical_form(direct) == canonical_form(graph(4, [(0, 1), (2, 3)]))
-    lex = apply_graphical(
+    lex = apply_scheme(
         product_scheme("lex"), strong_sum(mark(K2, "UA"), mark(graph(2, []), "UB"))
     )
     assert canonical_form(lex) == canonical_form(cycle_graph(4))
-    union = apply_graphical(product_scheme("disjointUnion"), both)
+    union = apply_scheme(product_scheme("disjointUnion"), both)
     assert union.domain == 4 and len(union.rel("E")) == 4
-    strong = apply_graphical(product_scheme("strong"), both)
+    strong = apply_scheme(product_scheme("strong"), both)
     assert canonical_form(strong) == canonical_form(
         graph(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
     )
@@ -320,11 +329,11 @@ def test_quotient_with_trivial_equivalence_matches_plain():
     trivial = replace(
         plain, varpi=parse_formula("x1 = y1 & x2 = y2", GRAPH_SIG, ["x1", "x2", "y1", "y2"])
     )
-    assert apply_interpretation(trivial, K3) == apply_interpretation(plain, K3)
+    assert apply_scheme(trivial, K3) == apply_scheme(plain, K3)
 
 
 def test_quotient_subdivision():
-    out = apply_interpretation(subdivision_scheme(), K3)
+    out = apply_scheme(subdivision_scheme(), K3)
     assert canonical_form(out) == canonical_form(cycle_graph(6))
 
 
@@ -336,7 +345,7 @@ def test_quotient_validation_errors():
         certificates=(),
     )
     with pytest.raises(ValidationError):
-        apply_interpretation(not_equiv, K3)  # not reflexive on oriented edges
+        apply_scheme(not_equiv, K3)  # not reflexive on oriented edges
 
     bad_cert = replace(
         base,
@@ -344,7 +353,7 @@ def test_quotient_validation_errors():
                                        constant(3)),),
     )
     with pytest.raises(ValidationError):
-        apply_interpretation(bad_cert, K3)
+        apply_scheme(bad_cert, K3)
 
     no_cover = replace(
         base,
@@ -352,7 +361,7 @@ def test_quotient_validation_errors():
                                        constant(2)),),
     )
     with pytest.raises(ValidationError):
-        apply_interpretation(no_cover, K3)
+        apply_scheme(no_cover, K3)
 
 
 def test_quotient_compatibility_violation():
@@ -366,7 +375,7 @@ def test_quotient_compatibility_violation():
                             GRAPH_SIG, ["x1", "x2", "y1", "y2"]),
     )
     with pytest.raises(ValidationError):
-        apply_interpretation(scheme, K3)
+        apply_scheme(scheme, K3)
 
 
 def test_constant_certificate_consistency():
@@ -377,21 +386,25 @@ def test_constant_certificate_consistency():
 
 def test_scheme_text_round_trip():
     """Quotient schemes read back equal, their origin aside, and apply as the
-    builtin does: the same structure, tuples, classes and labels."""
+    builtin does: the same structure, tuples, classes and labels.  Graphical
+    schemes read back as plain schemes that apply as they do; a name with
+    several intersection sizes reads back too."""
     c5 = cycle_graph(5)
     for scheme in (line_graph_scheme(), subdivision_scheme(),
-                   clique_intersection_scheme(2, (1,)), clique_intersection_scheme(3, (1,))):
+                   clique_intersection_scheme(2, (1,)), clique_intersection_scheme(3, (1,)),
+                   clique_intersection_scheme(2, (0, 1))):
         text = scheme_to_text(scheme)
         again = parse_scheme(text)
         assert scheme_to_text(again) == text
         assert again == replace(scheme, origin=None)
         for a in (complete_graph(4), c5):
             assert apply_quotient_with_report(again, a) == apply_quotient_with_report(scheme, a)
-    crown = crown_scheme()
-    text = scheme_to_text(crown)
-    again = parse_scheme(text)
-    assert scheme_to_text(again) == text
-    assert apply_interpretation(again, _crown_base(3)) == apply_graphical(crown, _crown_base(3))
+    t4 = build_basic(BasicStructureSpec(1, 0, (4,)))
+    for scheme, a in ((crown_scheme(), _crown_base(3)), (johnson_scheme(2, (0, 1)), t4)):
+        text = scheme_to_text(scheme)
+        again = parse_scheme(text)
+        assert scheme_to_text(again) == text and again.name == scheme.name
+        assert apply_scheme(again, a) == apply_scheme(scheme, a)
 
 
 def test_scheme_text_errors():
@@ -454,6 +467,11 @@ def test_scheme_validation():
             parse_formula("true", GRAPH_SIG, ["x1"]),
             parse_formula("true", GRAPH_SIG, ["x1"]),
         )
+    # johnson and cliqueIntersection take intersection sizes in 0..k alone
+    for build in (johnson_scheme, clique_intersection_scheme):
+        for d_set in ((3,), (-1,)):
+            with pytest.raises(SignatureError, match="intersection sizes must lie in 0..k"):
+                build(2, d_set)
     # certificates need an equivalence formula
     line = line_graph_scheme()
     with pytest.raises(BindingError, match="need an equivalence formula"):
@@ -548,7 +566,7 @@ def test_product_schemes_match_direct_constructions():
         b = random_graph(rng, rng.randrange(1, 5))
         marked = strong_sum(mark(a, "UA"), mark(b, "UB"))
         for op, oracle in oracles.items():
-            built = apply_graphical(product_scheme(op), marked)
+            built = apply_scheme(product_scheme(op), marked)
             want = oracle(a, b)
             assert built.domain == want.domain, (op, trial)
             assert backtrack_weakly_isomorphic(built, want, cap=16), (op, trial)
@@ -575,10 +593,10 @@ def test_merge_with_mixed_exponents():
     for _ in range(6):
         a = random_graph(rng, rng.randrange(1, 4))
         b = random_graph(rng, rng.randrange(1, 4))
-        got = apply_interpretation(merged, strong_sum(mark(a, "UA"), mark(b, "UB")))
+        got = apply_scheme(merged, strong_sum(mark(a, "UA"), mark(b, "UB")))
         want = strong_sum(
-            apply_interpretation(ident, mark(a, "UA")),
-            apply_interpretation(pairs, mark(b, "UB")),
+            apply_scheme(ident, mark(a, "UA")),
+            apply_scheme(pairs, mark(b, "UB")),
         )
         assert isomorphic(got, want)
 
@@ -596,7 +614,7 @@ def test_translate_formula_avoids_variable_capture():
     rng = random.Random(33)
     for _ in range(8):
         a = random_graph(rng, rng.randrange(1, 5))
-        image = apply_interpretation(scheme, a)
+        image = apply_scheme(scheme, a)
         assert count_satisfying(phi, image) == count_satisfying(translated, a)
 
 
@@ -612,6 +630,6 @@ def test_compose_higher_exponents():
     rng = random.Random(35)
     for _ in range(4):
         a = random_graph(rng, 2)
-        assert apply_interpretation(composed, a) == apply_interpretation(
-            pairs, apply_interpretation(pairs, a)
+        assert apply_scheme(composed, a) == apply_scheme(
+            pairs, apply_scheme(pairs, a)
         )

@@ -18,8 +18,6 @@ from relpoly import (
     GraphicalScheme,
     InterpretationScheme,
     InterpretedSeq,
-    apply_graphical,
-    apply_interpretation,
     build_basic,
     BasicStructureSpec,
     build_formula,
@@ -112,7 +110,7 @@ def _agree(scheme, a, n=None, budget=None):
             if old[1] is not None:
                 old = old[0], old[1] - _repeated_choices(scheme, old[0])
         elif isinstance(scheme, GraphicalScheme):
-            new = _outcome(interp, interp.apply_graphical, scheme, a)
+            new = _outcome(interp, interp.apply_scheme, scheme, a)
             old = _outcome(oracle_interp, oracle_interp.apply_graphical, scheme, a)
         else:
             new = _outcome(interp, _with_map, scheme, a)
@@ -233,13 +231,14 @@ def test_invalid_schemes_raise_as_the_oracle_does():
         parse_formula("S1(x1,y1)", t3.signature, ["x1", "y1"]),
     )
     assert isinstance(_agree(asymmetric, t3), type)
-    # The witness is the same lex-least one-way pair.
+    # The witness is the same lex-least one-way pair on every path.
     witnesses = []
-    for apply in (apply_graphical, oracle_interp.apply_graphical):
+    for apply in (interp.apply_scheme, interp.apply_quotient_with_report,
+                  oracle_interp.apply_graphical):
         with pytest.raises(ToolkitError) as err:
             apply(asymmetric, t3)
         witnesses.append(err.value.witness)
-    assert witnesses[0] == witnesses[1] == ((0,), (1,))
+    assert witnesses == [((0,), (1,))] * 3
 
     assert isinstance(_agree(complement_scheme(), t3), type)
     crown_base = build_basic(BasicStructureSpec(1, 2, (200,)))
@@ -322,5 +321,5 @@ def _scheme_and_source(draw):
 @given(_scheme_and_source())
 def test_translation_preserves_counts(case):
     scheme, a, phi = case
-    image = apply_interpretation(scheme, a)
+    image = interp.apply_scheme(scheme, a)
     assert count_satisfying(phi, image) == count_satisfying(translate_formula(scheme, phi), a)

@@ -13,6 +13,7 @@ from relpoly import (
     BudgetError,
     CopiesSeq,
     FormulaParseError,
+    GraphicalScheme,
     InterpretedSeq,
     OrderedSumSeq,
     ReindexedSeq,
@@ -21,6 +22,7 @@ from relpoly import (
     ValidationError,
     build_transitive_tournament,
     canonical_form,
+    complement_scheme,
     constant_seq,
     count_satisfying,
     custom_seq,
@@ -360,14 +362,21 @@ def test_domain_degree():
 
 
 def test_spec_json_round_trip():
-    crown_seq = InterpretedSeq(crown_scheme(), BasicSeq(1, 2, (N,)))
-    text = spec_to_json(crown_seq)
-    again = spec_from_json(text)
-    assert spec_to_json(again) == text
-    # equal specs share term-cache entries: build each side afresh
-    expected = generate_term(crown_seq, 3)
-    _term.cache_clear()
-    assert generate_term(again, 3) == expected
+    """Builtin schemes, complement among them, round-trip by name; a
+    graphical scheme built by hand has no name to round-trip by."""
+    for seq in (InterpretedSeq(crown_scheme(), BasicSeq(1, 2, (N,))),
+                InterpretedSeq(complement_scheme(), custom_seq("complete"))):
+        text = spec_to_json(seq)
+        again = spec_from_json(text)
+        assert spec_to_json(again) == text
+        # equal specs share term-cache entries: build each side afresh
+        expected = generate_term(seq, 3)
+        _term.cache_clear()
+        assert generate_term(again, 3) == expected
+    by_hand = GraphicalScheme("byHand", 1, complement_scheme().rho0,
+                              parse_formula("!E(x1,y1)", GRAPH_SIG, ["x1", "y1"]))
+    with pytest.raises(SignatureError, match="has no origin in BUILTIN_SCHEMES"):
+        spec_to_json(InterpretedSeq(by_hand, custom_seq("complete")))
 
     spec = OrderedSumSeq(constant_seq(K2), parse_polynomial("2*n"))
     text = spec_to_json(spec)
