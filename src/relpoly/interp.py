@@ -188,10 +188,11 @@ def _relations(symbols, rhos, a: Structure, tuples, classes,
     and every other head of the same classes on the same rows."""
     rows = [tuples[i] for c in classes for i in c]
     firsts = [tuples[c[0]] for c in classes]
-    owner = [k for k, c in enumerate(classes) for _ in c]
-    sizes = [len(c) for c in classes]
-    spans = [range(end - size, end) for size, end in zip(sizes, accumulate(sizes))]
     grouped = len(rows) > len(classes)   # else both checks below are vacuous
+    if grouped:
+        owner = [k for k, c in enumerate(classes) for _ in c]
+        sizes = [len(c) for c in classes]
+        spans = [range(end - size, end) for size, end in zip(sizes, accumulate(sizes))]
     relations = {}
     for (name, arity), rho in zip(symbols, rhos):
         if len(rows) ** arity > limit:

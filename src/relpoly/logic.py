@@ -744,18 +744,41 @@ def qf_to_hom_basis(phi: Formula) -> HomBasis:
     count, induced counts convert to injective ones by inclusion-exclusion
     over super-patterns, and injective ones to homomorphism counts by Moebius
     inversion over quotient partitions; like terms merge by canonical key.
-    A diagram on k vertices is a bitmask over its N_k cells (symbol, tuple),
-    so the inclusion-exclusion is one subset Moebius transform of N_k * 2^N_k
-    integer steps, and only diagrams with a nonzero injective coefficient are
-    built as structures.  A BudgetError refuses Bell(p) > RELPOLY_BASIS_BUDGET
-    partitions of the p free variables before the walk, and 2^N_k above it
-    for some k.  The result is cached per formula and budget.
+    A diagram on k vertices is a bitmask over its N_k cells (symbol, tuple).
+    A partition's induced counts depend only on the cells its atoms read, so
+    the inclusion-exclusion is a subset Moebius transform over the 2^|read|
+    choices of those cells alone, |read| * 2^|read| integer steps, and only
+    diagrams with a nonzero injective coefficient are expanded into their
+    quotients, each diagram once per process.  A BudgetError refuses Bell(p)
+    > RELPOLY_BASIS_BUDGET partitions of the p free variables before the
+    walk, and 2^N_k above it for some k.  The result is cached per formula
+    and budget.
     """
     if not phi.is_quantifier_free:
         raise BindingError("hom-basis decomposition needs a quantifier-free formula")
     if not phi.free_vars:
         raise BindingError("hom-basis decomposition needs at least one free variable")
     return _decompose(phi, budgets.basis_budget())
+
+
+def _cells(base_sig: Signature, k: int) -> list[tuple[int, tuple[int, ...]]]:
+    """The cells (symbol index, tuple) of a diagram on k vertices, in the
+    order of their bits."""
+    return [(i, t) for i, (_, arity) in enumerate(base_sig.symbols)
+            for t in product(range(k), repeat=arity)]
+
+
+@lru_cache(maxsize=4096)
+def _expansion(base_sig: Signature, k: int, mask: int):
+    """The diagram `mask` on k vertices as hom terms: (canonical key,
+    mobius(theta), quotient) for each partition theta of its vertices."""
+    relations: dict[str, list] = {}
+    for j, (i, t) in enumerate(_cells(base_sig, k)):
+        if mask >> j & 1:
+            relations.setdefault(base_sig.names[i], []).append(t)
+    pattern = make_structure(base_sig, k, relations)
+    return tuple((canonical_form(q), mobius(theta), q)
+                 for theta in set_partitions(k) for q in [quotient(pattern, theta)])
 
 
 @lru_cache(maxsize=256)
@@ -773,62 +796,51 @@ def _decompose(phi: Formula, limit: int) -> HomBasis:
     atoms = [(base_sig.index(a.symbol), [position[v] for v in a.args])
              for a in _atoms(phi.root)]
 
-    # A diagram on k vertices is a bitmask over its cells (symbol, tuple);
-    # coeffs[k][mask] counts the partitions with k blocks whose assignment
-    # satisfies phi in that diagram.
+    # A diagram on k vertices is a bitmask over _cells(base_sig, k);
+    # coeffs[k] maps each diagram to its injective coefficient.
     cells: dict[int, list[tuple[int, tuple[int, ...]]]] = {}
-    coeffs: dict[int, list[int]] = {}
+    coeffs: dict[int, dict[int, int]] = {}
     for theta in set_partitions(p):
         k = len(theta)
         if k not in cells:
-            cells[k] = [(i, t) for i, (_, arity) in enumerate(base_sig.symbols)
-                        for t in product(range(k), repeat=arity)]
+            cells[k] = _cells(base_sig, k)
             if cells[k] and 1 << len(cells[k]) > limit:
                 raise BudgetError("diagram enumeration exceeds the basis budget")
-            coeffs[k] = [0] * (1 << len(cells[k]))
+            coeffs[k] = {}
         block_of = [0] * p
         for b, block in enumerate(theta):
             for v in block:
                 block_of[v] = b
-        # phi reads only the cells of its atoms: decide it on each choice of
-        # those cells, then credit every diagram that agrees with a
-        # satisfying choice.
+        # theta credits a diagram when its read cells hold a satisfying
+        # choice, so the subset Moebius transform of its credits vanishes
+        # off the subsets of the read cells: transform the choices alone.
         bit = {cell: j for j, cell in enumerate(cells[k])}
         read = sorted({bit[i, tuple(block_of[v] for v in args)] for i, args in atoms})
-        satisfying = set()
+        masks, credits = [], []
         for choice in range(1 << len(read)):
             on = [j for n, j in enumerate(read) if choice >> n & 1]
             rels = [set() for _ in base_sig.symbols]
             for j in on:
                 i, t = cells[k][j]
                 rels[i].add(t)
-            if test(block_of, k, *rels):
-                satisfying.add(sum(1 << j for j in on))
-        seen = sum(1 << j for j in read)
-        diagram_coeffs = coeffs[k]
-        for mask in range(len(diagram_coeffs)):
-            if mask & seen in satisfying:
-                diagram_coeffs[mask] += 1
+            masks.append(sum(1 << j for j in on))
+            credits.append(test(block_of, k, *rels))
+        _subset_moebius(credits)
+        for mask, credit in zip(masks, credits):
+            if credit:
+                coeffs[k][mask] = coeffs[k].get(mask, 0) + credit
 
-    # Induced counts become injective ones by inclusion-exclusion over the
-    # super-patterns of each diagram, a subset Moebius transform; only the
-    # diagrams left with a nonzero count are built as structures.
+    # Each diagram left with a nonzero coefficient expands into its
+    # quotients; walking the diagrams in ascending order keeps the first
+    # quotient of each canonical key as that term's representative.
     merged: dict[bytes, list] = {}
     for k, diagram_coeffs in coeffs.items():
-        _subset_moebius(diagram_coeffs)
-        for mask, coeff in enumerate(diagram_coeffs):
+        for mask, coeff in sorted(diagram_coeffs.items()):
             if not coeff:
                 continue
-            relations: dict[str, list] = {}
-            for j, (i, t) in enumerate(cells[k]):
-                if mask >> j & 1:
-                    relations.setdefault(base_sig.names[i], []).append(t)
-            pattern = make_structure(base_sig, k, relations)
-            for theta in set_partitions(k):
-                q = quotient(pattern, theta)
-                key = canonical_form(q)
+            for key, mu, q in _expansion(base_sig, k, mask):
                 entry = merged.setdefault(key, [0, q])
-                entry[0] += coeff * mobius(theta)
+                entry[0] += coeff * mu
 
     terms = [
         (coeff, pattern)
@@ -855,9 +867,12 @@ def basis_work(phi: Formula, cap: int | None = None) -> int:
     in phi, W = sum_{k=1..p} (S(p,k) + 1 + Bell(k)) * 3^N_k: S(p,k) passes
     over 2^N_k diagrams, the Moebius transform and Bell(k) quotients of each
     of at most 2^N_k diagrams on k vertices.  The 3^N_k factor, the number
-    of (diagram, super-pattern) pairs, is a conservative bound: the
-    transform takes N_k * 2^N_k steps.  The sum stops once it passes `cap`,
-    so an oversized formula is refused without the whole bound.
+    of (diagram, super-pattern) pairs, is a conservative bound, far above
+    the real work: each partition transforms only the 2^|read| choices of
+    the cells its atoms read, and each diagram's quotients are built once
+    per process.  satisfying_counter routes by W all the same.  The sum
+    stops once it passes `cap`, so an oversized formula is refused without
+    the whole bound.
     """
     p = len(phi.free_vars)
     arities = [phi.signature.arity(name) for name in atom_symbols(phi.root)]

@@ -3,7 +3,9 @@ diagram and super-pattern enumeration kept in oracle_logic, and of its value
 against brute-force counting.
 
 Terms are compared as (coefficient, canonical key) lists: a term's
-representative may be a different but isomorphic structure on each side."""
+representative may be a different but isomorphic structure on each side.
+Past the oracle's reach, values are checked against brute-force counting
+and a few bases are pinned whole, representatives included."""
 
 import random
 import time
@@ -22,6 +24,7 @@ from relpoly import (
 )
 from relpoly import logic
 from relpoly.budgets import basis_budget
+from relpoly.counting import bell, set_partitions
 from relpoly.logic import (
     FALSE,
     TRUE,
@@ -39,6 +42,7 @@ from oracle_logic import decompose
 
 SIG_R = sig(("R", 2))
 SIG_RW = sig(("R", 2), ("W", 1))
+SIG_RS = sig(("R", 2), ("S", 2))
 # Targets carry symbols the formulas never name, and list R and W in another
 # order, so that each hom count aligns the pattern with the target by name.
 SIG_TARGET = sig(("T", 3), ("W", 1), ("X", 2), ("R", 2))
@@ -172,3 +176,78 @@ def test_hom_basis_value_matches_count_satisfying(case):
     count into it; the sum must still be the brute-force satisfaction count."""
     phi, target = case
     assert qf_to_hom_basis(phi).value(target) == count_satisfying(phi, target), phi
+
+
+@st.composite
+def _wide_formulas_and_targets(draw):
+    rng = draw(st.randoms(use_true_random=False))
+    signature, p = draw(st.sampled_from(((SIG_RS, 3), (SIG_R, 4))))
+    phi = random_qf_formula(rng, signature, p, depth=draw(st.integers(1, 4)))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    target_sig = sig(("S", 2), ("T", 3), ("R", 2))
+    return phi, random_structure(rng, target_sig, rng.randrange(0, 6))
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=40)
+@given(_wide_formulas_and_targets())
+def test_hom_basis_value_matches_count_satisfying_past_the_oracle(case):
+    """Two binary symbols on three variables, or one on four, have 2^16 to
+    2^18 diagrams on the largest partition: too many for the oracle's
+    enumeration, so the value is checked against brute-force counting."""
+    phi, target = case
+    assert qf_to_hom_basis(phi).value(target) == count_satisfying(phi, target), phi
+
+
+@pytest.mark.parametrize("signature, text, variables, terms", [
+    (SIG_R, "!(R(x,y) | R(y,x))", ["x", "y"], [
+        (-2, 2, {"R": ((0, 1),)}),
+        (1, 2, {"R": ((0, 1), (1, 0))}),
+        (1, 2, {"R": ()}),
+    ]),
+    (SIG_R, "R(y,x) & !R(z,y) & !(x = z)", ["x", "y", "z"], [
+        (-1, 2, {"R": ((1, 0),)}),
+        (1, 2, {"R": ((0, 1), (1, 0))}),
+        (-1, 3, {"R": ((1, 0), (2, 1))}),
+        (1, 3, {"R": ((1, 0),)}),
+    ]),
+    (SIG_RW, "W(y) & !R(x,y) & !(x = y)", ["x", "y"], [
+        (-1, 1, {"R": (), "W": ((0,),)}),
+        (1, 1, {"R": ((0, 0),), "W": ((0,),)}),
+        (-1, 2, {"R": ((0, 1),), "W": ((1,),)}),
+        (1, 2, {"R": (), "W": ((1,),)}),
+    ]),
+    (SIG_RS, "R(x1,x2) & S(x2,x3) & !R(x1,x3)", ["x1", "x2", "x3"], [
+        (1, 3, {"R": ((0, 1),), "S": ((1, 2),)}),
+        (-1, 3, {"R": ((0, 1), (0, 2)), "S": ((1, 2),)}),
+    ]),
+])
+def test_hom_basis_terms_are_pinned(signature, text, variables, terms):
+    """The whole terms, each representative's labeling included."""
+    basis = qf_to_hom_basis(parse_formula(text, signature, variables))
+    assert [(c, f.domain, dict(zip(f.signature.names, f.relations)))
+            for c, f in basis.terms] == terms
+
+
+def test_each_diagram_is_expanded_once(monkeypatch):
+    """A partition theta of the variables into k blocks credits at most the
+    2^|read| choices of the cells its atoms read, and each credited diagram
+    expands into Bell(k) quotients; a second formula that credits the same
+    diagrams reuses their expansions and builds no quotient."""
+    phi = parse_formula("R(x1,x2) & S(x2,x3) & !R(x1,x3)", SIG_RS, ["x1", "x2", "x3"])
+    atoms = [("R", (0, 1)), ("S", (1, 2)), ("R", (0, 2))]
+    bound = 0
+    for theta in set_partitions(3):
+        block_of = {v: b for b, block in enumerate(theta) for v in block}
+        read = {(name, tuple(block_of[v] for v in args)) for name, args in atoms}
+        bound += 2 ** len(read) * bell(len(theta))
+    built = []
+    real = logic.quotient
+    monkeypatch.setattr(logic, "quotient", lambda *args: built.append(args) or real(*args))
+    logic._decompose.cache_clear()
+    logic._expansion.cache_clear()
+    basis = qf_to_hom_basis(phi)
+    assert 0 < len(built) <= bound
+    built.clear()
+    same = parse_formula("!R(x1,x3) & S(x2,x3) & R(x1,x2)", SIG_RS, ["x1", "x2", "x3"])
+    assert qf_to_hom_basis(same).terms == basis.terms
+    assert built == []
