@@ -46,6 +46,7 @@ SIG_RS = sig(("R", 2), ("S", 2))
 # Targets carry symbols the formulas never name, and list R and W in another
 # order, so that each hom count aligns the pattern with the target by name.
 SIG_TARGET = sig(("T", 3), ("W", 1), ("X", 2), ("R", 2))
+SIG_RS_TARGET = sig(("S", 2), ("T", 3), ("R", 2))
 
 
 def _keys(basis):
@@ -184,8 +185,7 @@ def _wide_formulas_and_targets(draw):
     signature, p = draw(st.sampled_from(((SIG_RS, 3), (SIG_R, 4))))
     phi = random_qf_formula(rng, signature, p, depth=draw(st.integers(1, 4)))
     rng = random.Random(draw(st.integers(0, 2**32)))
-    target_sig = sig(("S", 2), ("T", 3), ("R", 2))
-    return phi, random_structure(rng, target_sig, rng.randrange(0, 6))
+    return phi, random_structure(rng, SIG_RS_TARGET, rng.randrange(0, 6))
 
 
 @settings(derandomize=True, deadline=None, database=None, max_examples=40)
